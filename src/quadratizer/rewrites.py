@@ -25,7 +25,7 @@ from .poly import (
     monomial_degree,
     monomial_vars,
 )
-from .verify import DEFAULT_STATE_CAP, enumerate_min
+from .verify import DEFAULT_STATE_CAP, enumerate_min, value_range
 
 ORACLE_PROVEN = "oracle-proven"
 ASSERTED = "asserted"
@@ -103,29 +103,12 @@ def apply_deduc_reduc(
         )
     cofactor, rest = _cofactor(p, deduction.monomial)
     if lam == "auto":
-        if cofactor:
-            lam = max(cofactor.evaluate(a) for a in _all_assignments(cofactor, max_states))
-        else:
-            lam = Fraction(0)
+        lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
     lam = Fraction(lam)
     output = rest + Polynomial(p.registry, {deduction.monomial: lam})
     mono_text = "".join(p.registry.display_name(v) for v in monomial_vars(deduction.monomial))
     trace = f"deduc_reduc({mono_text}=0, lam={lam})"
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
-
-
-def _all_assignments(p: Polynomial, max_states: int):
-    support = p.variables()
-    domains = [p.registry.domain(v).values for v in support]
-    count = 1
-    for values in domains:
-        count *= len(values)
-    if count > max_states:
-        from .errors import EnumerationCapExceeded
-
-        raise EnumerationCapExceeded(f"{count} states exceed the cap of {max_states}")
-    for combo in itertools.product(*reversed(domains)):
-        yield dict(zip(support, reversed(combo)))
 
 
 def find_elcs(
@@ -189,8 +172,8 @@ def apply_elc(
                     f"a global minimizer extends the configuration {elc}"
                 )
     if alpha == "auto":
-        values = [p.evaluate(a) for a in _all_assignments(p, max_states)]
-        alpha = max(values) - min(values) + 1
+        low, high = value_range(p, max_states)
+        alpha = high - low + 1
     alpha = Fraction(alpha)
     output = p + _elc_penalty(registry, elc).scale(alpha)
     config_text = ",".join(

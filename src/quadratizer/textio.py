@@ -218,6 +218,20 @@ def _parse_fraction(text) -> Fraction:
         raise SchemaError(f"bad rational {text!r}: {error}") from None
 
 
+def _parse_int(text, what: str) -> int:
+    try:
+        return int(text)
+    except (TypeError, ValueError):
+        raise SchemaError(f"bad {what} {text!r}") from None
+
+
+def _require(payload: dict, key: str, kind: type, what: str):
+    value = payload[key]
+    if not isinstance(value, kind):
+        raise SchemaError(f"{key!r} must be {what}, got {type(value).__name__}")
+    return value
+
+
 def polynomial_from_json(text: str) -> Polynomial:
     try:
         payload = json.loads(text)
@@ -225,7 +239,10 @@ def polynomial_from_json(text: str) -> Polynomial:
         raise SchemaError(f"invalid JSON: {error}") from None
     if not isinstance(payload, dict) or "vars" not in payload or "terms" not in payload:
         raise SchemaError("polynomial JSON needs 'vars' and 'terms'")
-    records = sorted(payload["vars"], key=lambda r: r.get("id", -1))
+    records = _require(payload, "vars", list, "a list")
+    if not all(isinstance(r, dict) and isinstance(r.get("id"), int) for r in records):
+        raise SchemaError("each variable needs an integer 'id'")
+    records = sorted(records, key=lambda r: r["id"])
     registry = VariableRegistry()
     for expected, record in enumerate(records):
         if record.get("id") != expected:
@@ -237,12 +254,12 @@ def polynomial_from_json(text: str) -> Polynomial:
         else:
             registry.add_variable(domain, label)
     terms = []
-    for record in payload["terms"]:
+    for record in _require(payload, "terms", list, "a list"):
         if not isinstance(record, dict) or "m" not in record or "c" not in record:
             raise SchemaError("each term needs 'm' and 'c'")
         try:
             mono = tuple(sorted((int(v), int(e)) for v, e in record["m"].items()))
-        except (ValueError, AttributeError):
+        except (ValueError, TypeError, AttributeError):
             raise SchemaError(f"bad monomial {record['m']!r}") from None
         for var, exponent in mono:
             if not 0 <= var < len(registry):
@@ -312,14 +329,22 @@ def qubo_from_json(text: str):
     required = {"offset", "linear", "quadratic", "var_map"}
     if not isinstance(payload, dict) or not required <= set(payload):
         raise SchemaError(f"QUBO JSON needs keys {sorted(required)}")
+    linear = _require(payload, "linear", dict, "an object")
+    quadratic = _require(payload, "quadratic", dict, "an object")
     records = sorted(
-        ((int(k), v) for k, v in payload["var_map"].items()), key=lambda kv: kv[0]
+        (
+            (_parse_int(k, "variable id"), v)
+            for k, v in _require(payload, "var_map", dict, "an object").items()
+        ),
+        key=lambda kv: kv[0],
     )
     registry = VariableRegistry()
     aux = []
     for expected, (var, record) in enumerate(records):
         if var != expected:
             raise SchemaError("variable ids must be dense 0..N-1")
+        if not isinstance(record, dict):
+            raise SchemaError(f"var_map entry {var} must be an object")
         if record.get("domain", "b") != "b":
             raise SchemaError("QUBO variables must be {0,1}")
         if record.get("kind") == "aux":
@@ -328,9 +353,9 @@ def qubo_from_json(text: str):
         else:
             registry.add_variable(Domain.BOOLEAN, record.get("label"))
     terms = [((), _parse_fraction(payload["offset"]))]
-    for key, value in payload["linear"].items():
-        terms.append((((int(key), 1),), _parse_fraction(value)))
-    for key, value in payload["quadratic"].items():
+    for key, value in linear.items():
+        terms.append((((_parse_int(key, "linear key"), 1),), _parse_fraction(value)))
+    for key, value in quadratic.items():
         try:
             i, j = (int(part) for part in key.split(","))
         except ValueError:

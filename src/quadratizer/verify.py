@@ -2,18 +2,25 @@
 
 Everything here is brute force by design: the point of the library is that
 every gadget's claimed guarantee is *proved* at desk scale, not trusted.  The
-assignment space is walked as a mixed-radix counter over variable-id order
-(variable 0 fastest), which makes results deterministic.
+assignment space is indexed in mixed radix over variable-id order (variable 0
+fastest, digit d meaning the domain's d-th value), which makes results
+deterministic.
 
-For all-{0,1} polynomials the values over the full cube are computed with a
-subset-sum (zeta) transform in O(2^n * n) integer additions instead of
-evaluating term by term; coefficients are pre-scaled by the common denominator
-so the inner loops run on plain ints.
+One exact kernel, ``_value_blocks``, evaluates a polynomial in every domain
+({0,1}, {-1,+1}, {-1,0,1}).  It streams the state space in blocks of at most
+BLOCK_STATES states: for each assignment of the slow variables the
+coefficients of the fast ones go on an exponent grid, and one small
+transform per axis, ``out[v] = sum_e v**e * in[e]`` (a zeta transform for
+{0,1}), turns the grid into values.  Every domain value is -1, 0 or 1, so each
+transform is only additions and subtractions.  Coefficients are pre-scaled by
+the common denominator, so the arithmetic runs on exact Python ints, and the
+consumers below fold blocks as they arrive instead of holding the whole space.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -23,6 +30,7 @@ from .errors import EnumerationCapExceeded, VariableMismatch
 from .poly import Domain, Polynomial, monomial_degree
 
 DEFAULT_STATE_CAP = 1 << 20
+BLOCK_STATES = 4096
 
 
 class CheckMode:
@@ -87,7 +95,11 @@ def _check_cap(n_states: int, max_states: int):
 
 
 def _scaled_terms(p: Polynomial, scale: int):
-    return [(int(c * scale), mono) for mono, c in sorted(p.terms.items())]
+    # scale is a multiple of every denominator, so this is c * scale exactly
+    return [
+        (c.numerator * (scale // c.denominator), mono)
+        for mono, c in sorted(p.terms.items())
+    ]
 
 
 def _common_scale(*polys: Polynomial) -> int:
@@ -95,63 +107,85 @@ def _common_scale(*polys: Polynomial) -> int:
     return lcm(*denominators) if denominators else 1
 
 
-def _dense_values_boolean(terms, positions: dict, n: int) -> list:
-    """Values of the polynomial on all 2^n states via the zeta transform.
+def _value_blocks(terms, vars: Sequence[int], registry):
+    """Yield (first state index, values) over the mixed-radix state space of
+    `vars`, in state order, at most BLOCK_STATES states at a time.
 
-    State s assigns variable at bit position i the value (s >> i) & 1; a
-    monomial contributes exactly on supersets of its bitmask, so filling the
-    masks and running a subset-sum transform evaluates every state at once.
+    The fast variables are the longest prefix of `vars` whose space fits in
+    one block; each block is one assignment of the remaining, slow ones.
+    Terms are grouped by their slow factor, whose value is -1, 0 or 1 in
+    every block, and each group adds its fast exponent grid with that sign.
+    The grid is then transformed axis by axis: the slices grid[e::radix] hold
+    exponent e of the fastest axis, and the transformed axis is appended as
+    the slowest, so after the last axis the original order is back.
     """
-    values = [0] * (1 << n)
-    for coeff, mono in terms:
-        mask = 0
-        for var, _ in mono:
-            mask |= 1 << positions[var]
-        values[mask] += coeff
-    for i in range(n):
-        bit = 1 << i
-        step = bit << 1
-        for base in range(0, 1 << n, step):
-            lower = values[base : base + bit]
-            upper = values[base + bit : base + step]
-            values[base + bit : base + step] = [u + l for u, l in zip(upper, lower)]
-    return values
-
-
-def _dense_values_generic(terms, vars: Sequence[int], registry) -> list:
-    """Values on the mixed-radix state space, variable vars[0] fastest."""
     domains = [registry.domain(v).values for v in vars]
-    positions = {v: i for i, v in enumerate(vars)}
-    compiled = [
-        (coeff, [(positions[v], e) for v, e in mono]) for coeff, mono in terms
-    ]
-    values = []
-    # itertools.product varies its *last* factor fastest, so feed domains in
-    # reverse and index digits from the end.
-    for state in itertools.product(*reversed(domains)):
-        total = 0
-        for coeff, factors in compiled:
-            product = coeff
-            for pos, exp in factors:
-                value = state[-1 - pos]
-                if value == 0:
-                    product = 0
-                    break
-                if exp == 1:
-                    product *= value
-                else:
-                    product *= value**exp
-            total += product
-        values.append(total)
-    return values
+    fast, size = 0, 1
+    while fast < len(vars) and size * len(domains[fast]) <= BLOCK_STATES:
+        size *= len(domains[fast])
+        fast += 1
+    # exponent e of fast variable i sits at e * stride[i] on the grid, which
+    # works because a domain of r values needs exponents 0..r-1 only
+    stride = [1]
+    for values in domains[: fast - 1]:
+        stride.append(stride[-1] * len(values))
+    position = {var: i for i, var in enumerate(vars)}
+    groups: dict = {}
+    for coeff, mono in terms:
+        offset, slow = 0, []
+        for var, exp in mono:
+            i = position[var]
+            if i < fast:
+                offset += exp * stride[i]
+            else:
+                slow.append((i - fast, exp))
+        cells = groups.setdefault(tuple(slow), {})
+        cells[offset] = cells.get(offset, 0) + coeff
+    # itertools.product varies its *last* factor fastest, so feed the slow
+    # domains in reverse and read each digit from the end
+    slow_domains = domains[fast:][::-1]
+    for block, state in enumerate(itertools.product(*slow_domains)):
+        grid = [0] * size
+        for factors, cells in groups.items():
+            sign = 1
+            for j, exp in factors:
+                sign *= state[-1 - j] ** exp
+            if sign == 1:
+                for offset, coeff in cells.items():
+                    grid[offset] += coeff
+            elif sign == -1:
+                for offset, coeff in cells.items():
+                    grid[offset] -= coeff
+        for values in domains[:fast]:
+            radix = len(values)
+            slices = [grid[e::radix] for e in range(radix)]
+            grid = []
+            # out[v] = sum over e of v**e * slices[e], with v**e in {-1, 0, 1}
+            for v in values:
+                column = slices[0]
+                for e in range(1, radix):
+                    if v**e:
+                        op = operator.add if v**e == 1 else operator.sub
+                        column = list(map(op, column, slices[e]))
+                grid += column
+        yield block * size, grid
 
 
-def _dense_values(p: Polynomial, vars: Sequence[int], scale: int) -> list:
-    terms = _scaled_terms(p, scale)
-    if all(p.registry.domain(v) is Domain.BOOLEAN for v in vars):
-        positions = {v: i for i, v in enumerate(vars)}
-        return _dense_values_boolean(terms, positions, len(vars))
-    return _dense_values_generic(terms, vars, p.registry)
+def _blocks(p: Polynomial, vars: Sequence[int], scale: int):
+    return _value_blocks(_scaled_terms(p, scale), vars, p.registry)
+
+
+def _argmin(blocks):
+    """Minimum of a block stream and every state index attaining it, in
+    ascending order."""
+    best, indices = None, []
+    for first, values in blocks:
+        low = min(values)
+        if best is None or low < best:
+            best, indices = low, []
+        if low == best:
+            indices.extend(first + i for i, v in enumerate(values) if v == low)
+    return best, indices
 
 
 def _state_assignment(registry, vars: Sequence[int], index: int) -> dict:
@@ -170,17 +204,23 @@ def _state_assignment(registry, vars: Sequence[int], index: int) -> dict:
 def enumerate_min(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
     """Exact global minimum of p and ALL minimizers, in deterministic order."""
     vars = p.variables()
-    n_states = _state_count(p.registry, vars)
-    _check_cap(n_states, max_states)
+    _check_cap(_state_count(p.registry, vars), max_states)
     scale = _common_scale(p)
-    values = _dense_values(p, vars, scale)
-    best = min(values)
-    minimizers = [
-        _state_assignment(p.registry, vars, i)
-        for i, v in enumerate(values)
-        if v == best
-    ]
+    best, indices = _argmin(_blocks(p, vars, scale))
+    minimizers = [_state_assignment(p.registry, vars, i) for i in indices]
     return Fraction(best, scale), minimizers
+
+
+def value_range(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
+    """Exact (minimum, maximum) of p over every assignment of its variables."""
+    vars = p.variables()
+    _check_cap(_state_count(p.registry, vars), max_states)
+    scale = _common_scale(p)
+    lows, highs = [], []
+    for _, values in _blocks(p, vars, scale):
+        lows.append(min(values))
+        highs.append(max(values))
+    return Fraction(min(lows), scale), Fraction(max(highs), scale)
 
 
 def _split_vars(original: Polynomial, transformed: Polynomial, aux: Sequence[int]):
@@ -197,20 +237,38 @@ def _split_vars(original: Polynomial, transformed: Polynomial, aux: Sequence[int
     return x_vars, aux
 
 
-def _folded_minima(transformed: Polynomial, x_vars, aux, scale: int) -> list:
+def _folded_minima(
+    original: Polynomial, transformed: Polynomial, aux: Sequence[int], max_states: int
+):
     """min over auxiliary assignments of transformed, per original state.
 
-    The enumeration order puts the auxiliaries after the original variables
-    (they vary slowest), so the dense value vector consists of |aux-space|
-    contiguous blocks that can be folded with elementwise min.
+    Returns (original variables, states enumerated, scale, folded minima).
+    The auxiliaries vary slowest, so state i of the full space belongs to
+    original state i mod |x-space|.  A block holding several whole copies of
+    the x-space is first folded within itself with strided slices; then each
+    block is folded into one x-space-sized list with elementwise min.
     """
-    ordered = list(x_vars) + list(aux)
-    values = _dense_values(transformed, ordered, scale)
-    block = _state_count(transformed.registry, x_vars)
-    folded = values[:block]
-    for start in range(block, len(values), block):
-        folded = [m if m <= v else v for m, v in zip(folded, values[start : start + block])]
-    return folded
+    x_vars, aux = _split_vars(original, transformed, aux)
+    registry = original.registry
+    size = _state_count(registry, x_vars)
+    n_states = size * _state_count(registry, aux)
+    _check_cap(n_states, max_states)
+    scale = _common_scale(original, transformed)
+    folded: list = []
+    for first, values in _blocks(transformed, x_vars + aux, scale):
+        if len(values) > size:
+            values = [min(values[j::size]) for j in range(size)]
+        if first < size:
+            folded += values
+        else:
+            offset = first % size
+            end = offset + len(values)
+            folded[offset:end] = map(min, folded[offset:end], values)
+    return x_vars, n_states, scale, folded
+
+
+def _first_difference(want: list, got: list) -> Optional[int]:
+    return next((i for i, (w, g) in enumerate(zip(want, got)) if w != g), None)
 
 
 def check_pointwise(
@@ -224,21 +282,21 @@ def check_pointwise(
     This is the strongest guarantee: the transformed function reproduces the
     full spectrum of the original over every original assignment.
     """
-    x_vars, aux = _split_vars(original, transformed, aux)
-    registry = original.registry
-    n_states = _state_count(registry, x_vars) * _state_count(registry, aux)
-    _check_cap(n_states, max_states)
-    scale = _common_scale(original, transformed)
-    original_values = _dense_values(original, x_vars, scale)
-    folded = _folded_minima(transformed, x_vars, aux, scale)
-    counterexample = None
-    for index, (want, got) in enumerate(zip(original_values, folded)):
-        if want != got:
-            counterexample = _state_assignment(registry, x_vars, index)
-            break
+    x_vars, n_states, scale, folded = _folded_minima(
+        original, transformed, aux, max_states
+    )
+    counterexample, lows = None, []
+    for first, want in _blocks(original, x_vars, scale):
+        lows.append(min(want))
+        if counterexample is None:
+            index = _first_difference(want, folded[first : first + len(want)])
+            if index is not None:
+                counterexample = _state_assignment(
+                    original.registry, x_vars, first + index
+                )
     stats = CheckStats(
         states_enumerated=n_states,
-        min_original=Fraction(min(original_values), scale),
+        min_original=Fraction(min(lows), scale),
         min_transformed=Fraction(min(folded), scale),
     )
     return VerificationReport(
@@ -258,21 +316,15 @@ def check_groundstate(
     Minimum *values* are recorded in the stats but never compared: several
     gadgets shift or scale energies while preserving the ground manifold.
     """
-    x_vars, aux = _split_vars(original, transformed, aux)
-    registry = original.registry
-    n_states = _state_count(registry, x_vars) * _state_count(registry, aux)
-    _check_cap(n_states, max_states)
-    scale = _common_scale(original, transformed)
-    original_values = _dense_values(original, x_vars, scale)
-    folded = _folded_minima(transformed, x_vars, aux, scale)
-    best_original = min(original_values)
-    best_transformed = min(folded)
-    argmin_original = {i for i, v in enumerate(original_values) if v == best_original}
-    argmin_transformed = {i for i, v in enumerate(folded) if v == best_transformed}
+    x_vars, n_states, scale, folded = _folded_minima(
+        original, transformed, aux, max_states
+    )
+    best_original, argmin_original = _argmin(_blocks(original, x_vars, scale))
+    best_transformed, argmin_transformed = _argmin([(0, folded)])
     counterexample = None
-    difference = argmin_original ^ argmin_transformed
+    difference = set(argmin_original) ^ set(argmin_transformed)
     if difference:
-        counterexample = _state_assignment(registry, x_vars, min(difference))
+        counterexample = _state_assignment(original.registry, x_vars, min(difference))
     stats = CheckStats(
         states_enumerated=n_states,
         min_original=Fraction(best_original, scale),
@@ -290,19 +342,16 @@ def check_spectrum(
     max_states: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """Multiset of aux-minimized values vs the original's value multiset."""
-    x_vars, aux = _split_vars(original, transformed, aux)
-    registry = original.registry
-    n_states = _state_count(registry, x_vars) * _state_count(registry, aux)
-    _check_cap(n_states, max_states)
-    scale = _common_scale(original, transformed)
-    original_values = _dense_values(original, x_vars, scale)
-    folded = _folded_minima(transformed, x_vars, aux, scale)
+    x_vars, n_states, scale, folded = _folded_minima(
+        original, transformed, aux, max_states
+    )
+    original_values = [
+        v for _, values in _blocks(original, x_vars, scale) for v in values
+    ]
     counterexample = None
     if sorted(original_values) != sorted(folded):
-        for index, (want, got) in enumerate(zip(original_values, folded)):
-            if want != got:
-                counterexample = _state_assignment(registry, x_vars, index)
-                break
+        index = _first_difference(original_values, folded)
+        counterexample = _state_assignment(original.registry, x_vars, index)
     stats = CheckStats(
         states_enumerated=n_states,
         min_original=Fraction(min(original_values), scale),
@@ -331,18 +380,12 @@ def check_conditional(
     n_states = _state_count(registry, vars)
     _check_cap(n_states, max_states)
     scale = _common_scale(original, transformed)
-    original_values = _dense_values(original, vars, scale)
-    transformed_values = _dense_values(transformed, vars, scale)
-    best_original = min(original_values)
-    best_transformed = min(transformed_values)
-    argmin_original = {i for i, v in enumerate(original_values) if v == best_original}
-    argmin_transformed = {
-        i for i, v in enumerate(transformed_values) if v == best_transformed
-    }
+    best_original, argmin_original = _argmin(_blocks(original, vars, scale))
+    best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
 
     counterexample = None
     for fact in evidence:
-        for index in sorted(argmin_original):
+        for index in argmin_original:
             assignment = _state_assignment(registry, vars, index)
             if not _evidence_holds_at(fact, assignment):
                 counterexample = assignment
@@ -352,8 +395,8 @@ def check_conditional(
     if counterexample is None and (
         best_original != best_transformed or argmin_original != argmin_transformed
     ):
-        difference = argmin_original ^ argmin_transformed
-        index = min(difference) if difference else min(argmin_original)
+        difference = set(argmin_original) ^ set(argmin_transformed)
+        index = min(difference) if difference else argmin_original[0]
         counterexample = _state_assignment(registry, vars, index)
 
     stats = CheckStats(

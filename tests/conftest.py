@@ -20,10 +20,10 @@ def naive_value(p: Polynomial, assignment: dict) -> Fraction:
     """Term-by-term evaluation written independently of Polynomial.evaluate."""
     total = Fraction(0)
     for mono, coeff in p.terms.items():
-        product = Fraction(coeff)
+        product = 1
         for var, exp in mono:
-            product *= Fraction(assignment[var]) ** exp
-        total += product
+            product *= assignment[var] ** exp
+        total += Fraction(coeff) * product
     return total
 
 

@@ -186,3 +186,35 @@ def test_env_var_overrides_default_cap(tmp_path, monkeypatch):
     assert main(["quadratize", "--in", str(path), "--verify"]) == 3
     monkeypatch.setenv("QUADRATIZER_MAX_STATES", "1048576")
     assert main(["quadratize", "--in", str(path), "--verify"]) == 0
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"vars": [1, 2], "terms": []}',
+        '{"vars": [{"id": 0, "domain": "b"}], "terms": 5}',
+    ],
+    ids=["vars-not-objects", "terms-not-a-list"],
+)
+def test_exit_code_malformed_polynomial_json(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_malformed_qubo_linear_key(tmp_path, cubic_file, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {
+                "offset": "0",
+                "linear": {"x": "1"},
+                "quadratic": {},
+                "var_map": {"0": {"label": "b1", "kind": "orig", "domain": "b"}},
+            }
+        )
+    )
+    rc = main(["verify", "--original", str(cubic_file), "--quadratized", str(path)])
+    assert rc == 2
+    assert "linear key" in capsys.readouterr().err

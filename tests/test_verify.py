@@ -1,15 +1,21 @@
 """The oracle itself, cross-checked against the tests' naive enumeration."""
 
+import os
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import quadratizer
 from quadratizer.errors import EnumerationCapExceeded, VariableMismatch
 from quadratizer.gadgets import ntr_kzfd, ptr_ishikawa
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.verify import (
+    BLOCK_STATES,
     check_groundstate,
     check_pointwise,
     check_spectrum,
@@ -17,7 +23,13 @@ from quadratizer.verify import (
     enumerate_min,
 )
 
-from conftest import brute_force_min, naive_value, pointwise_holds
+from conftest import (
+    all_assignments,
+    argmin_set,
+    brute_force_min,
+    naive_value,
+    pointwise_holds,
+)
 
 
 def test_enumerate_min_worked_cubic(cubic_objective):
@@ -242,3 +254,171 @@ def test_pointwise_enumeration_order_has_aux_last(cubic_objective):
     assert report.passed
     assert report.stats.min_original == -2
     assert report.stats.min_transformed == -2
+
+
+# ---------------------------------------------------------------------------
+# The block kernel against the naive oracle, past one block
+
+
+def _state_index(registry, vars, assignment) -> int:
+    """Mixed-radix index of an assignment, vars[0] fastest: the oracle's order."""
+    index, stride = 0, 1
+    for var in vars:
+        values = registry.domain(var).values
+        index += values.index(assignment[var]) * stride
+        stride *= len(values)
+    return index
+
+
+def _state_space(registry, vars) -> int:
+    return _state_index(registry, vars, {v: registry.domain(v).values[-1] for v in vars}) + 1
+
+
+# Each example below costs the naive oracle thousands of states, so a failure
+# is reported as drawn rather than shrunk for minutes.
+NO_SHRINK = [Phase.explicit, Phase.reuse, Phase.generate]
+
+# 1 or a rational whose numerator and denominator both have 30 digits
+scales = st.one_of(
+    st.just(Fraction(1)),
+    st.builds(Fraction, st.integers(10**29, 10**30 - 1), st.integers(10**29, 10**30 - 1)),
+)
+
+
+@st.composite
+def covering_polys(draw, registry, vars):
+    """A polynomial that uses every variable in `vars`: one to three random
+    terms of degree 1-3, then the variables still missing, three to a term.
+    Few terms keep the naive oracle quick at 2^13 states."""
+
+    def term(subset):
+        mono = tuple(
+            (v, draw(st.integers(1, 2)) if registry.domain(v) is Domain.TERNARY else 1)
+            for v in sorted(subset)
+        )
+        return mono, Fraction(draw(st.integers(-4, 4).filter(bool)))
+
+    # a dict, so that no two terms share a monomial and cancel
+    terms = dict(
+        term(draw(st.lists(st.sampled_from(vars), min_size=1, max_size=3, unique=True)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    used = {v for mono in terms for v, _ in mono}
+    missing = [v for v in vars if v not in used]
+    terms.update(term(missing[i : i + 3]) for i in range(0, len(missing), 3))
+    return Polynomial(registry, terms)
+
+
+@pytest.mark.parametrize("tag, n", [("b", 13), ("z", 13), ("t", 8)])
+@given(data=st.data())
+@settings(max_examples=2, deadline=None, phases=NO_SHRINK)
+def test_enumerate_min_past_one_block_matches_naive_oracle(tag, n, data):
+    registry = VariableRegistry()
+    vars = [registry.add_variable(Domain.from_tag(tag)) for _ in range(n)]
+    p = data.draw(covering_polys(registry, vars))
+    scale = data.draw(scales)
+    assert _state_space(registry, vars) > BLOCK_STATES
+    want_min, want_argmins = brute_force_min(p)
+    got_min, got_argmins = enumerate_min(p.scale(scale))
+    assert got_min == want_min * scale
+    # minimizers come in ascending state index, variable 0 fastest
+    assert got_argmins == sorted(
+        want_argmins, key=lambda a: _state_index(registry, vars, a)
+    )
+
+
+@pytest.mark.parametrize(
+    "x_tags, aux_tags, x_past_block",
+    [("bzbtb", "bbzbbbb", False), ("ttttttbt", "z", True)],
+    ids=["x-space-inside-one-block", "x-space-over-several-blocks"],
+)
+@given(data=st.data())
+@settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+def test_folded_checks_past_one_block_match_naive_oracle(x_tags, aux_tags, x_past_block, data):
+    registry = VariableRegistry()
+    xs = [registry.add_variable(Domain.from_tag(tag)) for tag in x_tags]
+    aux = [registry.add_variable(Domain.from_tag(tag)) for tag in aux_tags]
+    original = data.draw(covering_polys(registry, xs))
+    penalty = data.draw(covering_polys(registry, aux))
+    penalty_min = brute_force_min(penalty)[0]
+    # original + (penalty - its minimum) is a pointwise quadratization of the
+    # original; a drawn x-aux coupling may break it
+    x_var, aux_var = data.draw(st.sampled_from(xs)), data.draw(st.sampled_from(aux))
+    coupling = Fraction(data.draw(st.integers(-3, 3)))
+    transformed = (
+        original
+        + penalty
+        - penalty_min
+        + Polynomial(registry, {((x_var, 1), (aux_var, 1)): coupling})
+    )
+    scale = data.draw(scales)
+    assert _state_space(registry, xs + aux) > BLOCK_STATES
+    assert (_state_space(registry, xs) > BLOCK_STATES) == x_past_block
+
+    # the naive fold, from naive values of the three parts of `transformed`
+    penalties = [(a, naive_value(penalty, a) - penalty_min) for a in all_assignments(penalty)]
+    want, folded = {}, {}
+    for x in all_assignments(original):
+        key = tuple(sorted(x.items()))
+        want[key] = naive_value(original, x)
+        folded[key] = want[key] + min(
+            value + coupling * x[x_var] * a[aux_var] for a, value in penalties
+        )
+    index = lambda a: _state_index(registry, xs, a)  # noqa: E731
+
+    report = check_pointwise(original.scale(scale), transformed.scale(scale), aux)
+    mismatches = [dict(k) for k in want if want[k] != folded[k]]
+    assert report.passed == (not mismatches)
+    if not x_past_block:
+        assert report.passed == pointwise_holds(original, transformed, aux)
+    assert report.counterexample == min(mismatches, key=index, default=None)
+    assert report.stats.min_original == min(want.values()) * scale
+    assert report.stats.min_transformed == min(folded.values()) * scale
+
+    report = check_groundstate(original.scale(scale), transformed.scale(scale), aux)
+    best = min(folded.values())
+    difference = argmin_set(original) ^ {k for k, v in folded.items() if v == best}
+    assert report.passed == (not difference)
+    assert report.counterexample == min(map(dict, difference), key=index, default=None)
+
+
+def test_enumerate_min_memory_stays_within_blocks():
+    """An 18-variable {0,1} objective with 30-digit rational coefficients:
+    the kernel holds blocks, not the 2^18-state value vector (about 20 MB)."""
+    registry = VariableRegistry()
+    ids = [registry.add_variable(Domain.BOOLEAN) for _ in range(18)]
+    wide = Fraction(3 * 10**29 + 11, 7 * 10**29 + 13)
+    terms = [(((v, 1),), wide * (v % 5 - 2)) for v in ids]
+    terms += [
+        (((ids[i], 1), (ids[(i * 7 + 3) % 18], 1)), wide * (i % 3 - 1))
+        for i in range(18)
+        if i != (i * 7 + 3) % 18
+    ]
+    p = Polynomial(registry, terms)
+    tracemalloc.start()
+    try:
+        enumerate_min(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 1024 * 1024
+
+
+def test_verified_quadratize_does_not_import_numpy():
+    """The oracle is plain Python; checked in a fresh interpreter, since
+    other tests may import numpy into this one."""
+    code = (
+        "import sys; from quadratizer import Strategy, quadratize;"
+        "from quadratizer.textio import parse_polynomial;"
+        "quadratize(parse_polynomial('b1 b2 b3 b4 - 2 b1 b2 b3'), Strategy(verify_after=True));"
+        "print('numpy' in sys.modules)"
+    )
+    package_root = os.path.dirname(os.path.dirname(quadratizer.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert out.stdout.strip() == "False"
