@@ -81,14 +81,9 @@ class GadgetDescriptor:
 
 GADGETS: dict[str, GadgetDescriptor] = {}
 
-# Appliers take (coeff, monomial, registry) and return a GadgetResult; they
-# are registered alongside descriptors so the pipeline can route by name.
-APPLIERS: dict[str, Callable] = {}
 
-
-def register_gadget(descriptor: GadgetDescriptor, applier: Callable):
+def register_gadget(descriptor: GadgetDescriptor):
     GADGETS[descriptor.name] = descriptor
-    APPLIERS[descriptor.name] = applier
 
 
 def must_pass_gadgets() -> list[GadgetDescriptor]:

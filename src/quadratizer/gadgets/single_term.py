@@ -525,62 +525,49 @@ def _log2_ceil(k: int) -> int:
 def _register_all():
     B, Z = Domain.BOOLEAN, Domain.SPIN
     entries = [
-        # name, sign, domain, k-range, aux(k), guarantee, status, applier, summary
+        # name, sign, domain, k-range, aux(k), guarantee, status, summary
         ("ntr_kzfd", "negative", B, 1, None, lambda k: 1, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ntr_kzfd, "single aux, fully submodular output"),
+         MUST_PASS, "single aux, fully submodular output"),
         ("ntr_abcg", "negative", B, 3, None, lambda k: 1, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ntr_abcg, "single aux, one non-submodular quadratic"),
+         MUST_PASS, "single aux, one non-submodular quadratic"),
         ("ntr_abcg2", "negative", B, 3, None, lambda k: 1, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ntr_abcg2, "single aux, non-submodular part is linear"),
+         MUST_PASS, "single aux, non-submodular part is linear"),
         ("ntr_gbp", "negative", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ntr_gbp, "asymmetric cubic variant"),
+         MUST_PASS, "asymmetric cubic variant"),
         ("ntr_rbl", "negative", Z, 3, 3, lambda k: 1, Guarantee.GROUND_STATE,
-         MUST_PASS, ntr_rbl, "spin cubic via one ternary aux"),
+         MUST_PASS, "spin cubic via one ternary aux"),
         ("ptr_bg", "positive", B, 3, None, lambda k: k - 2, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ptr_bg, "negated-literal recursion, k-2 aux"),
+         MUST_PASS, "negated-literal recursion, k-2 aux"),
         ("ptr_ishikawa", "positive", B, 3, None, lambda k: (k - 1) // 2,
-         Guarantee.POINTWISE_MIN, MUST_PASS, ptr_ishikawa,
+         Guarantee.POINTWISE_MIN, MUST_PASS,
          "symmetric-polynomial reduction, floor((k-1)/2) aux"),
         ("ptr_bcr3", "positive", B, 3, None, _log2_ceil, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ptr_bcr3, "squared binary counter, ceil(log2 k) aux"),
+         MUST_PASS, "squared binary counter, ceil(log2 k) aux"),
         ("ptr_bcr4", "positive", B, 3, None, lambda k: max(1, _log2_ceil(k) - 1),
-         Guarantee.POINTWISE_MIN, MUST_PASS, ptr_bcr4,
+         Guarantee.POINTWISE_MIN, MUST_PASS,
          "halved product counter, ceil(log2 k)-1 aux"),
         ("ptr_kz", "positive", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ptr_kz, "minimum selection, all 6 quadratics"),
+         MUST_PASS, "minimum selection, all 6 quadratics"),
         ("ptr_gbp", "positive", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
-         MUST_PASS, ptr_gbp, "asymmetric positive cubic"),
+         MUST_PASS, "asymmetric positive cubic"),
         ("ptr_bcr1", "positive", B, 3, None, lambda k: (k - 1) // 2,
-         Guarantee.POINTWISE_MIN, EXPERIMENTAL, _x_ptr_bcr1,
+         Guarantee.POINTWISE_MIN, EXPERIMENTAL,
          "odd-k counter variant as printed"),
         ("ptr_bcr2", "positive", B, 4, 4, lambda k: 1, Guarantee.POINTWISE_MIN,
-         EXPERIMENTAL, _x_ptr_bcr2, "quartic single-aux instance"),
+         EXPERIMENTAL, "quartic single-aux instance"),
         ("ptr_kz_z", "any", Z, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
-         EXPERIMENTAL, _x_ptr_kz_z, "spin form of minimum selection as printed"),
+         EXPERIMENTAL, "spin form of minimum selection as printed"),
         ("ptr_rbl_3to2", "positive", Z, 3, 3, lambda k: 1, Guarantee.GROUND_STATE,
-         EXPERIMENTAL, _x_ptr_rbl_3to2, "ternary-aux spin cubic as printed"),
+         EXPERIMENTAL, "ternary-aux spin cubic as printed"),
         ("ptr_rbl_4to2", "positive", Z, 4, 4, lambda k: 1, Guarantee.GROUND_STATE,
-         EXPERIMENTAL, _x_ptr_rbl_4to2, "ternary-aux spin quartic as printed"),
+         EXPERIMENTAL, "ternary-aux spin quartic as printed"),
         ("ntr_lhz", "negative", Z, 4, 4, lambda k: 1, Guarantee.GROUND_STATE,
-         EXPERIMENTAL, _x_ntr_lhz, "parity gadget, printed {0,1} form"),
+         EXPERIMENTAL, "parity gadget, printed {0,1} form"),
         ("ntr_lhz_z", "negative", Z, 4, 4, lambda k: 1, Guarantee.GROUND_STATE,
-         EXPERIMENTAL, _x_ntr_lhz_z, "parity gadget, printed spin form"),
+         EXPERIMENTAL, "parity gadget, printed spin form"),
     ]
-    for name, sign, domain, lo, hi, aux, guarantee, status, applier, summary in entries:
-        register_gadget(
-            GadgetDescriptor(
-                name=name,
-                sign=sign,
-                domain=domain,
-                min_degree=lo,
-                max_degree=hi,
-                aux_count=aux,
-                guarantee=guarantee,
-                status=status,
-                summary=summary,
-            ),
-            applier,
-        )
+    for entry in entries:
+        register_gadget(GadgetDescriptor(*entry))
 
 
 _register_all()

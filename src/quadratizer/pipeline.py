@@ -1,11 +1,13 @@
-"""End-to-end quadratization: route every high-degree term through a gadget
-until the whole polynomial is quadratic, track costs and the weakest
-guarantee, and (optionally) prove the result against the oracle.
+"""End-to-end quadratization: route every high-degree term through a gadget,
+track costs and the weakest guarantee, and (optionally) prove the result
+against the oracle.
 
 Routing order: multi-term grouping first when enabled (grouping after
-splitting would destroy shareable structure), then per-term sign routing,
-with terms of degree <= 2 passed through untouched.  The rewrite loop is
-single-threaded so auxiliary numbering is deterministic.
+splitting would destroy shareable structure), then one deterministic pass of
+per-term sign routing over the terms of degree >= 3, highest degree first,
+folding each gadget's quadratic output into one accumulator.  An all-spin
+objective whose routes name no spin gadget is routed through its {0,1} twin
+(z = 2b - 1, a bijection), so output and verification are over the twins.
 """
 
 from __future__ import annotations
@@ -101,20 +103,29 @@ def _validate_strategy(strategy: Strategy):
             )
 
 
-def _term_domain(p: Polynomial, mono) -> Optional[Domain]:
-    domains = {p.registry.domain(v) for v in monomial_vars(mono)}
-    return domains.pop() if len(domains) == 1 else None
+def _routes_through_twins(p: Polynomial, strategy: Strategy) -> bool:
+    routes = tuple(strategy.negative_route) + tuple(strategy.positive_route)
+    return (
+        p.degree() >= 3
+        and all(p.registry.domain(v) is Domain.SPIN for v in p.variables())
+        and not any(GADGETS[name].domain is Domain.SPIN for name in routes)
+    )
 
 
-def _merge(state, result: GadgetResult):
-    work, aux_map, guarantee = state
+def _fold(terms: dict, aux_map: dict, guarantee: str, result: GadgetResult) -> str:
+    """Add a gadget's output into the accumulator in place, exactly as
+    `work + result.output` would, and return the weakened guarantee."""
     for aux in result.aux:
         aux_map[aux] = result.trace
-    return (
-        work + result.output,
-        aux_map,
-        Guarantee.weakest(guarantee, result.guarantee),
-    )
+    for mono, coeff in result.output.terms.items():
+        if monomial_degree(mono) > 2:
+            raise RuntimeError(f"gadget output is not quadratic: {result.trace}")
+        acc = terms.get(mono, 0) + coeff
+        if acc:
+            terms[mono] = acc
+        else:
+            terms.pop(mono, None)
+    return Guarantee.weakest(guarantee, result.guarantee)
 
 
 def _apply_multi_term(work, aux_map, guarantee, strategy):
@@ -149,55 +160,48 @@ def _apply_multi_term(work, aux_map, guarantee, strategy):
     return work, aux_map, guarantee
 
 
-def _route_term(work, mono, coeff, strategy, aux_map, guarantee):
-    registry = work.registry
-    domain = _term_domain(work, mono)
-    if domain is None:
-        raise NoApplicableGadget(
-            "no gadget accepts monomials mixing variable domains"
-        )
+def _route_term(registry, mono, coeff, strategy) -> list:
+    """The gadget results that replace one term of degree >= 3."""
+    domains = {registry.domain(v) for v in monomial_vars(mono)}
+    if len(domains) != 1:
+        raise NoApplicableGadget("no gadget accepts monomials mixing variable domains")
+    domain = domains.pop()
     degree = monomial_degree(mono)
     sign = 1 if coeff > 0 else -1
     if strategy.odd_split and sign > 0 and degree % 2 == 1 and domain is Domain.BOOLEAN:
-        return _route_odd_split(work, mono, coeff, strategy, aux_map, guarantee)
+        return _route_odd_split(registry, mono, coeff, strategy)
     route = strategy.positive_route if sign > 0 else strategy.negative_route
     for name in route:
         if GADGETS[name].applies_to(sign, degree, domain):
-            result = apply_gadget(name, coeff, mono, registry, strategy.max_states)
-            work = work - Polynomial(registry, {mono: coeff})
-            return _merge((work, aux_map, guarantee), result)
+            return [apply_gadget(name, coeff, mono, registry, strategy.max_states)]
     raise NoApplicableGadget(
         f"no routed gadget accepts a degree-{degree} {domain.tag!r} term "
         f"with coefficient {coeff}"
     )
 
 
-def _route_odd_split(work, mono, coeff, strategy, aux_map, guarantee):
+def _route_odd_split(registry, mono, coeff, strategy) -> list:
     """b1..bk (odd k) = b1..b_{k-1} - b1..b_{k-1}*(1-bk): route the even head
     through the positive route and fold the negated-literal tail with the
     generalized single-aux negative reduction."""
-    registry = work.registry
     vars = sorted(monomial_vars(mono))
     head_vars, last = vars[:-1], vars[-1]
-    work = work - Polynomial(registry, {mono: coeff})
     head_mono = tuple((v, 1) for v in head_vars)
     if len(head_vars) >= 3:
         for name in strategy.positive_route:
             if GADGETS[name].applies_to(1, len(head_vars), Domain.BOOLEAN):
-                result = apply_gadget(
-                    name, coeff, head_mono, registry, strategy.max_states
-                )
+                head = apply_gadget(name, coeff, head_mono, registry, strategy.max_states)
                 break
         else:
             raise NoApplicableGadget(
                 f"no routed gadget accepts the degree-{len(head_vars)} split head"
             )
-        work, aux_map, guarantee = _merge((work, aux_map, guarantee), result)
     else:
-        work = work + Polynomial(registry, {head_mono: coeff})
+        head = GadgetResult(
+            Polynomial(registry, {head_mono: coeff}), (), Guarantee.POINTWISE_MIN, ""
+        )
     tail = ntr_kzfd_literals(-coeff, head_vars, [last], registry)
-    tail = replace(tail, trace=f"odd_split tail: {tail.trace}")
-    return _merge((work, aux_map, guarantee), tail)
+    return [head, replace(tail, trace=f"odd_split tail: {tail.trace}")]
 
 
 def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> QuadratizationResult:
@@ -205,28 +209,23 @@ def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> Quadrati
     per-auxiliary trace, a cost report, and (with verify_after) the oracle's
     report; verification failure raises instead of returning."""
     _validate_strategy(strategy)
+    if _routes_through_twins(p, strategy):
+        p = p.to_boolean()
     aux_map: dict[int, str] = {}
     guarantee = Guarantee.POINTWISE_MIN
     work = p
     if strategy.multi_term:
         work, aux_map, guarantee = _apply_multi_term(work, aux_map, guarantee, strategy)
-    guard = 0
-    while True:
-        high = [
-            (mono, coeff)
-            for mono, coeff in work.terms.items()
-            if monomial_degree(mono) >= 3
-        ]
-        if not high:
-            break
-        guard += 1
-        if guard > 10_000:
-            raise RuntimeError("rewrite loop failed to terminate")
-        high.sort(key=lambda mc: (-monomial_degree(mc[0]), mc[0]))
-        mono, coeff = high[0]
-        work, aux_map, guarantee = _route_term(
-            work, mono, coeff, strategy, aux_map, guarantee
-        )
+    terms = dict(work.terms)
+    high = sorted(
+        (mono for mono in terms if monomial_degree(mono) >= 3),
+        key=lambda mono: (-monomial_degree(mono), mono),
+    )
+    for mono in high:
+        coeff = terms.pop(mono)
+        for result in _route_term(work.registry, mono, coeff, strategy):
+            guarantee = _fold(terms, aux_map, guarantee, result)
+    work = Polynomial(work.registry, terms)
     cost = cost_report(work, sorted(aux_map))
     report = None
     if strategy.verify_after:

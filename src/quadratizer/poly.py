@@ -81,7 +81,7 @@ class Domain:
     def from_tag(tag: str) -> "Domain":
         try:
             return _DOMAINS[tag]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DomainViolation(f"unknown domain tag {tag!r}") from None
 
 

@@ -232,6 +232,13 @@ def _require(payload: dict, key: str, kind: type, what: str):
     return value
 
 
+def _label(registry: VariableRegistry, record: dict):
+    label = record.get("label")
+    if label is not None and (not isinstance(label, str) or registry.by_label(label) is not None):
+        raise SchemaError(f"variable labels must be unique strings, got {label!r}")
+    return label
+
+
 def polynomial_from_json(text: str) -> Polynomial:
     try:
         payload = json.loads(text)
@@ -248,7 +255,7 @@ def polynomial_from_json(text: str) -> Polynomial:
         if record.get("id") != expected:
             raise SchemaError("variable ids must be dense 0..N-1")
         domain = Domain.from_tag(record.get("domain", ""))
-        label = record.get("label")
+        label = _label(registry, record)
         if record.get("kind") == "aux":
             registry.add_auxiliary(domain, record.get("gadget", "imported"), label)
         else:
@@ -348,10 +355,10 @@ def qubo_from_json(text: str):
         if record.get("domain", "b") != "b":
             raise SchemaError("QUBO variables must be {0,1}")
         if record.get("kind") == "aux":
-            registry.add_auxiliary(Domain.BOOLEAN, "imported", record.get("label"))
+            registry.add_auxiliary(Domain.BOOLEAN, "imported", _label(registry, record))
             aux.append(var)
         else:
-            registry.add_variable(Domain.BOOLEAN, record.get("label"))
+            registry.add_variable(Domain.BOOLEAN, _label(registry, record))
     terms = [((), _parse_fraction(payload["offset"]))]
     for key, value in linear.items():
         terms.append((((_parse_int(key, "linear key"), 1),), _parse_fraction(value)))

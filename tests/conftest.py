@@ -83,6 +83,7 @@ QUADRATIC_OBJECTIVE = "b1 b2 + b2 b3 + b3 b4 + 4 b1 - 4 b1 b2 - 4 b1 b3"
 DEDUC_INSTANCE = "4 b1 b2 + b1 b2 b3 + b1 b2 b3 b4 + b1 b3 - 3 b1 + b2 - 2 b2 b3 - b2 b4"
 DEDUC_REDUCED = "6 b1 b2 + b1 b3 - 3 b1 + b2 - 2 b2 b3 - b2 b4"
 SPLIT_INSTANCE = "1 + b1 b2 b5 + b1 b6 b7 b8 + b3 b4 b8 - b1 b3 b4"
+SPIN_INSTANCE = "- z1 z2 z3 + 1 z1 z4 - 1 z2 z3 + 3 z2 z4 + 2 z1 + 1 z3"
 
 
 @pytest.fixture

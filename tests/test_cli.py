@@ -1,14 +1,18 @@
 """CLI behavior: subcommands, exit codes, machine output."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadratizer.cli import main
 from quadratizer.textio import parse_polynomial, qubo_from_json
 from quadratizer.verify import enumerate_min
 
-from conftest import CUBIC_OBJECTIVE
+from conftest import CUBIC_OBJECTIVE, SPIN_INSTANCE
 
 
 @pytest.fixture
@@ -149,8 +153,8 @@ def test_exit_code_cap_exceeded(tmp_path):
 
 
 def test_exit_code_no_gadget(tmp_path):
-    path = tmp_path / "spin.txt"
-    path.write_text("z1 z2 z3")
+    path = tmp_path / "ternary.txt"
+    path.write_text("t1 t2 t3")
     assert main(["quadratize", "--in", str(path)]) == 4
 
 
@@ -218,3 +222,181 @@ def test_exit_code_malformed_qubo_linear_key(tmp_path, cubic_file, capsys):
     rc = main(["verify", "--original", str(cubic_file), "--quadratized", str(path)])
     assert rc == 2
     assert "linear key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"vars": [{"id": 0, "domain": []}], "terms": []}',
+        '{"vars": [{"id": 0, "domain": "b", "label": []}], "terms": []}',
+        '{"vars": [{"id": 0, "domain": "b", "label": "b1"},'
+        ' {"id": 1, "domain": "b", "label": "b1"}], "terms": []}',
+    ],
+    ids=["domain-not-a-string", "label-not-a-string", "duplicate-label"],
+)
+def test_exit_code_malformed_variable_record(tmp_path, capsys, payload):
+    path = tmp_path / "bad.json"
+    path.write_text(payload)
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_code_duplicate_qubo_label(tmp_path, cubic_file, capsys):
+    record = {"label": "b1", "kind": "orig", "domain": "b"}
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps(
+            {
+                "offset": "0",
+                "linear": {},
+                "quadratic": {},
+                "var_map": {"0": record, "1": record},
+            }
+        )
+    )
+    rc = main(["verify", "--original", str(cubic_file), "--quadratized", str(path)])
+    assert rc == 2
+    assert "labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["z1 z2 z3", "- z1 z2 z3", SPIN_INSTANCE], ids=["positive", "negative", "mixed"]
+)
+def test_quadratize_spin_objective_verifies(tmp_path, text):
+    source = tmp_path / "spin.txt"
+    source.write_text(text)
+    out = tmp_path / "out.json"
+    assert main(["quadratize", "--in", str(source), "--verify", "--out", str(out)]) == 0
+    qubo = json.loads(out.read_text())
+    assert qubo["guarantee"] == "pointwise-min"
+    used = {int(k) for k in qubo["linear"]} | {
+        int(v) for key in qubo["quadratic"] for v in key.split(",")
+    }
+    assert {qubo["var_map"][str(v)]["domain"] for v in used} == {"b"}
+
+
+# -- fuzzing: every input ends with a documented exit code --------------------
+
+_NAMES = [f"{letter}{index}" for letter in "bzt" for index in range(1, 7)]
+_TOKENS = _NAMES + ["+", "-", "\u2212", "2", "3/2", "1/0", "^2", "^0", ".5", "x"]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 7),
+    st.sampled_from(["b", "z", "t", "aux", "b1", "1", "1/2", "0,1", "x"]),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1", "id", "m", "c"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def _grammar(draw):
+    if draw(st.booleans()):
+        return " ".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=12)))
+    terms = [
+        draw(st.sampled_from(["", "2 ", "3/2 ", "- ", "- 4 "]))
+        + " ".join(draw(st.lists(st.sampled_from(_NAMES), max_size=4)))
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return " + ".join(terms)
+
+
+@st.composite
+def _polynomial_json(draw):
+    records = [
+        {
+            "id": draw(st.one_of(st.just(index), _SCALARS)),
+            "domain": draw(st.one_of(st.sampled_from("bzt"), _JSON)),
+            "label": draw(st.one_of(st.sampled_from(_NAMES), _JSON)),
+            "kind": draw(st.sampled_from(["orig", "aux"])),
+        }
+        for index in range(draw(st.integers(0, 6)))
+    ]
+    monomials = st.dictionaries(
+        st.sampled_from([str(i) for i in range(-1, 7)]), st.integers(-1, 3), max_size=4
+    )
+    terms = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {
+                    "m": st.one_of(monomials, _JSON),
+                    "c": st.one_of(st.sampled_from(["1", "-2", "3/2", "1/0"]), _JSON),
+                }
+            ),
+            max_size=4,
+        )
+    )
+    return json.dumps(
+        {
+            "vars": draw(st.one_of(st.just(records), _JSON)),
+            "terms": draw(st.one_of(st.just(terms), _JSON)),
+        }
+    )
+
+
+@st.composite
+def _qubo_json(draw):
+    count = draw(st.integers(0, 6))
+    keys = [str(i) for i in range(-1, count + 1)]
+    var_map = {
+        str(i): {
+            "label": draw(st.one_of(st.sampled_from(_NAMES[:6] + ["a1"]), _JSON)),
+            "kind": draw(st.sampled_from(["orig", "aux"])),
+            "domain": draw(st.sampled_from("bbz")),
+        }
+        for i in range(count)
+    }
+    values = st.sampled_from(["1", "-3", "2/3"])
+    pairs = [f"{i},{j}" for i in keys for j in keys] + ["1"]
+    return json.dumps(
+        {
+            "offset": draw(st.one_of(st.sampled_from(["0", "1/2"]), _JSON)),
+            "linear": draw(st.dictionaries(st.sampled_from(keys + ["x"]), values, max_size=4)),
+            "quadratic": draw(st.dictionaries(st.sampled_from(pairs), values, max_size=4)),
+            "var_map": draw(st.one_of(st.just(var_map), _JSON)),
+        }
+    )
+
+
+_INPUTS = st.one_of(_grammar(), _polynomial_json())
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(["quadratize", "verify", "analyze", "convert"]))
+    if command == "quadratize":
+        argv = [
+            "quadratize", "--in", "{a}",
+            "--format", draw(st.sampled_from(["text", "json", "qubo"])),
+            "--strategy", draw(st.sampled_from(["default", "log-aux", "fgbz", "odd-split"])),
+        ]
+        argv += draw(st.sampled_from([[], ["--verify"]]))
+        return argv, draw(_INPUTS), None
+    if command == "verify":
+        argv = [
+            "verify", "--original", "{b}", "--quadratized", "{a}",
+            "--mode", draw(st.sampled_from(["pointwise", "groundstate", "conditional"])),
+            "--aux", draw(st.sampled_from(["", "a1", "b2", "7", "x"])),
+        ]
+        return argv, draw(st.one_of(_qubo_json(), _INPUTS)), draw(_INPUTS)
+    if command == "analyze":
+        return ["analyze", "--in", "{a}"], draw(_INPUTS), None
+    target = draw(st.sampled_from(["spin", "boolean", "json", "text"]))
+    return ["convert", "--in", "{a}", "--to", target], draw(_INPUTS), None
+
+
+@given(_invocations())
+@settings(max_examples=50, deadline=None)
+def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, invocation):
+    argv, first, second = invocation
+    folder = tmp_path_factory.mktemp("fuzz")
+    paths = {"a": folder / "a", "b": folder / "b"}
+    paths["a"].write_text(first, encoding="utf-8")
+    paths["b"].write_text(second or "", encoding="utf-8")
+    argv = [arg.format(**paths) for arg in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) in (0, 1, 2, 3, 4)

@@ -1,5 +1,6 @@
 """End-to-end quadratization: routing, termination, soundness, costs."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from quadratizer.errors import (
     UnknownGadget,
     VerificationFailed,
 )
-from quadratizer.gadgets.base import Guarantee
+from quadratizer import pipeline
+from quadratizer.gadgets.base import GadgetResult, Guarantee
 from quadratizer.pipeline import (
     Strategy,
     compare_strategies,
@@ -22,7 +24,7 @@ from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import enumerate_min
 
-from conftest import all_assignments, naive_value
+from conftest import SPIN_INSTANCE, all_assignments, naive_value
 
 
 def test_quadratize_worked_cubic(cubic_objective):
@@ -107,10 +109,58 @@ def test_quadratize_spin_route():
     assert result.report.mode == "groundstate"
 
 
-def test_quadratize_no_route_for_positive_spin():
+@pytest.mark.parametrize("multi_term", [None, "rosenberg", "fgbz"])
+@pytest.mark.parametrize(
+    "text", ["z1 z2 z3", "- z1 z2 z3", SPIN_INSTANCE], ids=["positive", "negative", "mixed"]
+)
+def test_quadratize_spin_objective_through_boolean_twins(text, multi_term):
+    p = parse_polynomial(text)
+    registry = p.registry
+    result = quadratize(p, Strategy(multi_term=multi_term, verify_after=True))
+    assert result.report.passed
+    assert result.guarantee == Guarantee.POINTWISE_MIN
+    assert all(registry.domain(v) is Domain.BOOLEAN for v in result.output.variables())
+    twins = {z: registry.entry(z).partner for z in p.variables()}
+    assert {registry.label(b) for b in twins.values()} == {
+        "b" + registry.label(z)[1:] for z in twins
+    }
+    # Independent check: min over the auxiliaries at b = (1 + z) / 2 is p(z).
+    aux = sorted(result.aux)
+    aux_values = [registry.domain(a).values for a in aux]
+    for z in all_assignments(p):
+        b = {twins[v]: (1 + value) // 2 for v, value in z.items()}
+        lowest = min(
+            naive_value(result.output, {**b, **dict(zip(aux, combo))})
+            for combo in itertools.product(*aux_values)
+        )
+        assert lowest == naive_value(p, z)
+
+
+def test_quadratize_past_old_iteration_guard():
+    # More than 10,000 high-degree terms once tripped a non-termination guard.
     registry = VariableRegistry()
-    zs = [registry.add_variable(Domain.SPIN) for _ in range(3)]
-    p = Polynomial.product(registry, zs, Fraction(1))
+    bs = [registry.add_variable(Domain.BOOLEAN) for _ in range(45)]
+    cubics = itertools.islice(itertools.combinations(bs, 3), 10_001)
+    p = Polynomial(registry, {tuple((v, 1) for v in c): Fraction(-1) for c in cubics})
+    result = quadratize(p)
+    assert result.output.degree() == 2
+    assert len(result.aux) == 10_001
+
+
+def test_quadratize_rejects_non_quadratic_gadget_output(monkeypatch, cubic_objective):
+    def cubic_output(name, coeff, mono, registry, max_states):
+        return GadgetResult(Polynomial(registry, {mono: coeff}), (), Guarantee.POINTWISE_MIN, "")
+
+    monkeypatch.setattr(pipeline, "apply_gadget", cubic_output)
+    with pytest.raises(RuntimeError, match="not quadratic"):
+        quadratize(cubic_objective)
+
+
+def test_quadratize_no_route_for_positive_spin():
+    # Spin cubics now route through their {0,1} twins; ternary ones have no gadget.
+    registry = VariableRegistry()
+    ts = [registry.add_variable(Domain.TERNARY) for _ in range(3)]
+    p = Polynomial.product(registry, ts, Fraction(1))
     with pytest.raises(NoApplicableGadget):
         quadratize(p)
 
