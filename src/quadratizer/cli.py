@@ -160,6 +160,13 @@ def _cmd_verify(args) -> int:
     from .textio import parse_polynomial
 
     original = parse_polynomial(original_text, registry)
+    support = original.variables()
+    if support and all(
+        registry.domain(v) is Domain.SPIN and registry.entry(v).partner is not None
+        for v in support
+    ):
+        # a spin objective is quadratized over its {0,1} twins (z = 2b - 1)
+        original = original.to_boolean()
     if args.aux:
         aux = _resolve_aux(registry, args.aux)
     elif not aux:

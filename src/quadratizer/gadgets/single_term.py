@@ -263,10 +263,15 @@ def ptr_ishikawa(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetRes
     return _result("ptr_ishikawa", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
 
 
+def _log2_ceil(k: int) -> int:
+    """ceil(log2 k) for k >= 1, and 0 for k <= 1."""
+    return (k - 1).bit_length() if k >= 1 else 0
+
+
 def _bcr3_m(k: int) -> int:
     # Smallest m whose auxiliary range [0, 2^m - 1] can represent
     # 2^m - k + sum(b) for every sum(b) in [0, k]; i.e. 2^m >= k.
-    return max(1, (k - 1).bit_length())
+    return max(1, _log2_ceil(k))
 
 
 def ptr_bcr3(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
@@ -289,11 +294,8 @@ def ptr_bcr3(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
 
 
 def _bcr4_m(k: int) -> int:
-    # Smallest m with k <= 2^(m+1); equals ceil(log2 k) - 1 for k >= 3.
-    m = 1
-    while k > 2 ** (m + 1):
-        m += 1
-    return m
+    # Smallest m >= 1 with k <= 2^(m+1).
+    return max(1, _log2_ceil(k) - 1)
 
 
 def ptr_bcr4(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
@@ -518,10 +520,6 @@ def experimental_single_term(
 # Catalog registration
 
 
-def _log2_ceil(k: int) -> int:
-    return max(1, (k - 1).bit_length())
-
-
 def _register_all():
     B, Z = Domain.BOOLEAN, Domain.SPIN
     entries = [
@@ -541,9 +539,9 @@ def _register_all():
         ("ptr_ishikawa", "positive", B, 3, None, lambda k: (k - 1) // 2,
          Guarantee.POINTWISE_MIN, MUST_PASS,
          "symmetric-polynomial reduction, floor((k-1)/2) aux"),
-        ("ptr_bcr3", "positive", B, 3, None, _log2_ceil, Guarantee.POINTWISE_MIN,
+        ("ptr_bcr3", "positive", B, 3, None, _bcr3_m, Guarantee.POINTWISE_MIN,
          MUST_PASS, "squared binary counter, ceil(log2 k) aux"),
-        ("ptr_bcr4", "positive", B, 3, None, lambda k: max(1, _log2_ceil(k) - 1),
+        ("ptr_bcr4", "positive", B, 3, None, _bcr4_m,
          Guarantee.POINTWISE_MIN, MUST_PASS,
          "halved product counter, ceil(log2 k)-1 aux"),
         ("ptr_kz", "positive", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,

@@ -33,6 +33,7 @@ from ..verify import (
     enumerate_min,
 )
 from .base import GadgetResult, Guarantee
+from .single_term import _log2_ceil
 
 
 @dataclass(frozen=True)
@@ -42,10 +43,6 @@ class ExactCSpec:
     n: int
     c: int
     gamma: Fraction = Fraction(1)
-
-
-def _log2_ceil(x: int) -> int:
-    return (x - 1).bit_length() if x >= 1 else 0
 
 
 def sfr_aux_count(variant: int, spec: ExactCSpec) -> int:

@@ -14,6 +14,12 @@ Coefficients are exact rationals, never floats, so identity tests and the
 enumeration oracles are bit-exact.  Polynomials are immutable after
 construction; all operations return new values.  The registry is the single
 mutable object, and it only ever grows (auxiliary allocation).
+
+Because nothing is ever mutated in place, equal pieces are stored once:
+every canonical monomial takes its (variable id, exponent) factors from one
+module-wide table, so all polynomials share one tuple per factor, and a
+constructed polynomial holds one Fraction object per distinct coefficient
+value.  Sharing is invisible to `terms`, `items()` and `==`.
 """
 
 from __future__ import annotations
@@ -34,6 +40,11 @@ from .errors import (
 Monomial = tuple  # tuple[tuple[int, int], ...]
 
 ONE: Monomial = ()
+
+# The one shared tuple for each (var_id, exponent) factor.  Variable ids are
+# dense per registry and canonical exponents are 1 or 2, so this holds at most
+# twice as many entries as the largest registry has variables.
+_FACTORS: dict[tuple, tuple] = {}
 
 Rational = Union[int, Fraction]
 
@@ -241,6 +252,9 @@ class Polynomial:
                     canonical[mono] = acc
                 elif mono in canonical:
                     del canonical[mono]
+            shared: dict[tuple, Fraction] = {}
+            for mono, coeff in canonical.items():
+                canonical[mono] = shared.setdefault((coeff.numerator, coeff.denominator), coeff)
         self.terms = canonical
 
     # -- construction -------------------------------------------------------
@@ -276,7 +290,8 @@ class Polynomial:
         for var in sorted(merged):
             exp = self.registry.domain(var).canonical_exponent(merged[var])
             if exp:
-                factors.append((var, exp))
+                factor = (var, exp)
+                factors.append(_FACTORS.setdefault(factor, factor))
         return tuple(factors)
 
     # -- inspection ----------------------------------------------------------

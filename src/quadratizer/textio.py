@@ -21,9 +21,10 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .errors import DomainViolation, NotQuadratic, ParseError, SchemaError
-from .poly import Domain, Polynomial, VariableRegistry, monomial_degree
+from .poly import Domain, Polynomial, VariableRegistry
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -153,7 +154,8 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
 
 
 def format_fraction(value: Fraction) -> str:
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -281,54 +283,87 @@ def polynomial_from_json(text: str) -> Polynomial:
 # QUBO JSON
 
 
+def _json_string(value) -> str:
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
+def _json_map(lines: list) -> str:
+    """An indented JSON object from its entry lines, in `sort_keys` order.
+
+    Each line starts with its quoted key.  The keys written here are digits
+    and commas, which sort after the closing quote, so sorting the lines as
+    strings sorts the entries by key.
+    """
+    if not lines:
+        return "{}"
+    lines.sort()
+    lines[0] = "{\n" + lines[0]
+    lines[-1] += "\n  }"
+    return ",\n".join(lines)
+
+
 def qubo_to_json(
     p: Polynomial, aux_map=None, guarantee: str = None
 ) -> str:
     """Export a quadratic {0,1} polynomial as offset/linear/quadratic maps.
 
     Non-boolean variables are refused: convert (or eliminate ternary
-    variables) first, so guarantee downgrades stay visible.
+    variables) first, so guarantee downgrades stay visible.  A `var_map`
+    entry names its twin as `partner` when the variable has one, so the
+    {0,1} image of a spin objective can be checked against the original.
+
+    The text is the same as `json.dumps(payload, sort_keys=True, indent=2)`,
+    but written one entry line at a time.
     """
     if p.degree() > 2:
         raise NotQuadratic("QUBO export needs degree <= 2")
+    registry = p.registry
     for var in p.variables():
-        if p.registry.domain(var) is not Domain.BOOLEAN:
+        if registry.domain(var) is not Domain.BOOLEAN:
             raise DomainViolation(
                 "QUBO export accepts only {0,1} variables; convert first"
             )
-    offset = Fraction(0)
-    linear = {}
-    quadratic = {}
-    for mono, coeff in p.items():
-        degree = monomial_degree(mono)
-        if degree == 0:
-            offset = coeff
-        elif degree == 1:
-            linear[str(mono[0][0])] = format_fraction(coeff)
+    offset = "0"
+    linear = []
+    quadratic = []
+    for mono, coeff in p.terms.items():
+        # {0,1} canonical form: every exponent is 1, so the length is the degree
+        if not mono:
+            offset = format_fraction(coeff)
+        elif len(mono) == 1:
+            linear.append(f'    "{mono[0][0]}": "{format_fraction(coeff)}"')
         else:
-            (i, _), (j, _) = mono  # {0,1} canonical form: two distinct vars
-            quadratic[f"{i},{j}"] = format_fraction(coeff)
-    var_map = {}
-    for var in p.registry:
-        entry = p.registry.entry(var)
-        var_map[str(var)] = {
-            "label": entry.label,
-            "kind": entry.kind,
-            "domain": entry.domain.tag,
-        }
-    payload = {
-        "offset": format_fraction(offset),
-        "linear": linear,
-        "quadratic": quadratic,
-        "var_map": var_map,
-        "guarantee": guarantee or "",
-        "trace": {str(k): v for k, v in (aux_map or {}).items()},
-    }
-    return json.dumps(payload, sort_keys=True, indent=2)
+            (i, _), (j, _) = mono
+            quadratic.append(f'    "{i},{j}": "{format_fraction(coeff)}"')
+    # Rebinding each name to its member's text frees that member's lines, so
+    # the var_map and trace lines are built only after the term lines are gone.
+    linear = _json_map(linear)
+    quadratic = _json_map(quadratic)
+    var_map = []
+    for var in registry:
+        entry = registry.entry(var)
+        partner = "" if entry.partner is None else f',\n      "partner": {entry.partner}'
+        var_map.append(
+            f'    "{var}": {{\n      "domain": "{entry.domain.tag}",\n'
+            f'      "kind": "{entry.kind}",\n      "label": {_json_string(entry.label)}'
+            f"{partner}\n    }}"
+        )
+    var_map = _json_map(var_map)
+    trace = _json_map([f'    "{k}": {_json_string(v)}' for k, v in (aux_map or {}).items()])
+    return (
+        f'{{\n  "guarantee": {_json_string(guarantee or "")},\n  "linear": {linear},\n'
+        f'  "offset": "{offset}",\n  "quadratic": {quadratic},\n  "trace": {trace},\n'
+        f'  "var_map": {var_map}\n}}'
+    )
 
 
 def qubo_from_json(text: str):
-    """Rebuild (polynomial, auxiliary ids, guarantee) from QUBO JSON."""
+    """Rebuild (polynomial, auxiliary ids, guarantee) from QUBO JSON.
+
+    Every term must be over {0,1} variables.  Entries of other domains that
+    no term uses (the original spin variables of a spin objective) are kept,
+    with the `partner` links to their {0,1} twins.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
@@ -347,18 +382,29 @@ def qubo_from_json(text: str):
     )
     registry = VariableRegistry()
     aux = []
+    partners = {}
     for expected, (var, record) in enumerate(records):
         if var != expected:
             raise SchemaError("variable ids must be dense 0..N-1")
         if not isinstance(record, dict):
             raise SchemaError(f"var_map entry {var} must be an object")
-        if record.get("domain", "b") != "b":
-            raise SchemaError("QUBO variables must be {0,1}")
+        domain = Domain.from_tag(record.get("domain", "b"))
         if record.get("kind") == "aux":
-            registry.add_auxiliary(Domain.BOOLEAN, "imported", _label(registry, record))
+            registry.add_auxiliary(domain, "imported", _label(registry, record))
             aux.append(var)
         else:
-            registry.add_variable(Domain.BOOLEAN, _label(registry, record))
+            registry.add_variable(domain, _label(registry, record))
+        if "partner" in record:
+            partners[var] = record["partner"]
+    twins = {Domain.BOOLEAN, Domain.SPIN}
+    for var, partner in partners.items():
+        if (
+            type(partner) is not int
+            or partners.get(partner) != var
+            or {registry.domain(var), registry.domain(partner)} != twins
+        ):
+            raise SchemaError(f"variable {var} has a bad partner {partner!r}")
+        registry.entry(var).partner = partner
     terms = [((), _parse_fraction(payload["offset"]))]
     for key, value in linear.items():
         terms.append((((_parse_int(key, "linear key"), 1),), _parse_fraction(value)))
@@ -370,7 +416,10 @@ def qubo_from_json(text: str):
         if i >= j:
             raise SchemaError(f"quadratic keys need i < j, got {key!r}")
         terms.append((((i, 1), (j, 1)), _parse_fraction(value)))
-    return Polynomial(registry, terms), aux, payload.get("guarantee", "")
+    polynomial = Polynomial(registry, terms)
+    if any(registry.domain(var) is not Domain.BOOLEAN for var in polynomial.variables()):
+        raise SchemaError("QUBO variables must be {0,1}")
+    return polynomial, aux, payload.get("guarantee", "")
 
 
 def load_polynomial(text: str) -> Polynomial:

@@ -275,6 +275,41 @@ def test_quadratize_spin_objective_verifies(tmp_path, text):
     assert {qubo["var_map"][str(v)]["domain"] for v in used} == {"b"}
 
 
+@pytest.mark.parametrize(
+    "text", ["z1 z2 z3", "- z1 z2 z3", SPIN_INSTANCE], ids=["positive", "negative", "mixed"]
+)
+def test_verify_reads_spin_qubo(tmp_path, text, capsys):
+    """The QUBO of a spin objective lists the spin originals with their {0,1}
+    partners, so verify checks it against the original's twin image."""
+    source = tmp_path / "spin.txt"
+    source.write_text(text)
+    out = tmp_path / "spin.json"
+    assert main(["quadratize", "--in", str(source), "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["verify", "--original", str(source), "--quadratized", str(out)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_rejects_bad_spin_partner(tmp_path, capsys):
+    source = tmp_path / "spin.txt"
+    source.write_text("z1 z2 z3")
+    out = tmp_path / "spin.json"
+    assert main(["quadratize", "--in", str(source), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["var_map"]["0"]["partner"] = 4  # the twin of z2, not of z1
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--original", str(source), "--quadratized", str(out)]) == 2
+    assert "partner" in capsys.readouterr().err
+
+
+def test_exit_code_mixed_domain_cubic(tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text("b1 z2 z3")
+    assert main(["quadratize", "--in", str(path)]) == 4
+
+
 # -- fuzzing: every input ends with a documented exit code --------------------
 
 _NAMES = [f"{letter}{index}" for letter in "bzt" for index in range(1, 7)]

@@ -256,3 +256,46 @@ def test_submodularity_requires_boolean():
     p = Polynomial.product(registry, [z1, z2])
     with pytest.raises(DomainViolation):
         submodularity_report(p)
+
+
+# -- shared factors and coefficients ---------------------------------------------
+
+
+def test_polynomials_over_one_registry_share_factor_tuples():
+    registry, (b1, b2, b3, t4) = _registry("bbbt")
+    parsed = Polynomial(registry, [(((b1, 1), (b2, 3)), 2), (((t4, 4),), 1)])
+    product = Polynomial.variable(registry, b2) * Polynomial.product(registry, [b1, b3])
+    substituted = parsed.substitute(b3, Polynomial.variable(registry, b1))
+    factors = {}
+    for p in (parsed, product, substituted, parsed + product, -product):
+        for mono in p.terms:
+            for factor in mono:
+                assert factors.setdefault(factor, factor) is factor
+    assert set(factors) == {(b1, 1), (b2, 1), (b3, 1), (t4, 2)}
+
+
+def test_equal_coefficients_are_one_object():
+    registry, (b1, b2, b3) = _registry("bbb")
+    terms = {
+        (): Fraction(10**30, 3),
+        ((b1, 1),): Fraction(10**30, 3),
+        ((b2, 1),): Fraction(3 * 10**30, 9),
+        ((b1, 1), (b2, 1)): Fraction(-7, 2),
+        ((b1, 1), (b3, 1)): Fraction(-14, 4),
+        ((b3, 1),): 5,
+        ((b2, 1), (b3, 1)): Fraction(5),
+    }
+    p = Polynomial(registry, [(mono, Fraction(c)) for mono, c in terms.items()])
+    assert p.terms[()] is p.terms[((b1, 1),)] is p.terms[((b2, 1),)]
+    assert p.terms[((b1, 1), (b2, 1))] is p.terms[((b1, 1), (b3, 1))]
+    assert p.terms[((b3, 1),)] is p.terms[((b2, 1), (b3, 1))]
+    assert p.terms[()] is not p.terms[((b3, 1),)]
+    # sharing is invisible to the dict, the canonical order and equality
+    assert p.terms == terms
+    assert list(p.terms) == list(terms)
+    assert p.items() == sorted(terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    distinct = Polynomial.zero(registry)
+    for mono, coeff in terms.items():
+        distinct = distinct + Polynomial(registry, {mono: Fraction(coeff)})
+    assert p == distinct
+    assert p.evaluate({b1: 1, b2: 1, b3: 0}) == distinct.evaluate({b1: 1, b2: 1, b3: 0})
