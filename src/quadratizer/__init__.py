@@ -18,7 +18,6 @@ from .poly import (
     Polynomial,
     QuadraticProfile,
     VariableRegistry,
-    submodularity_report,
 )
 from .textio import (
     format_polynomial,
@@ -75,5 +74,4 @@ __all__ = [
     "quadratize",
     "qubo_from_json",
     "qubo_to_json",
-    "submodularity_report",
 ]

@@ -41,7 +41,6 @@ EXIT_NO_GADGET = 4
 
 STRATEGY_PRESETS = {
     "default": Strategy(),
-    "submodular": Strategy(negative_route=("ntr_kzfd",), positive_route=("ptr_ishikawa",)),
     "log-aux": Strategy(positive_route=("ptr_bcr4",)),
     "counter": Strategy(positive_route=("ptr_bcr3",)),
     "bg": Strategy(positive_route=("ptr_bg",)),
@@ -97,8 +96,6 @@ def _build_strategy(args) -> Strategy:
                 overrides["multi_term"] = None if value in ("off", "none") else value
             elif key == "odd_split":
                 overrides["odd_split"] = value.lower() in ("1", "true", "yes", "on")
-            elif key == "objective":
-                overrides["objective"] = value
             else:
                 raise errors.InvalidParameter(f"unknown route key {key!r}")
     from dataclasses import replace
@@ -280,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     quad.add_argument("--verify", action="store_true", help="prove the result by enumeration")
     quad.add_argument("--allow-experimental", action="store_true")
     quad.add_argument("--max-states", type=int, default=_default_cap())
-    quad.add_argument("--seed", type=int, default=0, help="reserved for randomized strategies")
     quad.set_defaults(func=_cmd_quadratize)
 
     ver = sub.add_parser("verify", help="check a quadratization against its original")

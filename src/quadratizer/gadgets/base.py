@@ -86,9 +86,5 @@ def register_gadget(descriptor: GadgetDescriptor):
     GADGETS[descriptor.name] = descriptor
 
 
-def must_pass_gadgets() -> list[GadgetDescriptor]:
-    return [d for d in GADGETS.values() if d.status == MUST_PASS]
-
-
 def experimental_gadgets() -> list[GadgetDescriptor]:
     return [d for d in GADGETS.values() if d.status == EXPERIMENTAL]

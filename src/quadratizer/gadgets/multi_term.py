@@ -206,15 +206,6 @@ def fgbz_positive(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
     return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
 
 
-def pairwise_cover(group: TermGroup, registry: VariableRegistry, sign: str) -> GadgetResult:
-    """Named alias for the two cover reductions, dispatched by group sign."""
-    if sign == "positive":
-        return fgbz_positive(group, registry)
-    if sign == "negative":
-        return fgbz_negative(group, registry)
-    raise InvalidParameter(f"sign must be 'positive' or 'negative', got {sign!r}")
-
-
 def discover_fgbz_groups(p: Polynomial, sign: str) -> list[TermGroup]:
     """Greedy group discovery: for each candidate common set, collect the
     same-sign terms of degree >= 3 it divides; largest groups first.

@@ -460,17 +460,6 @@ def _x_ntr_lhz_z(coeff, mono, registry):
     return _result("ntr_lhz_z", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
-_EXPERIMENTAL_APPLIERS = {
-    "ptr_bcr1": _x_ptr_bcr1,
-    "ptr_bcr2": _x_ptr_bcr2,
-    "ptr_kz_z": _x_ptr_kz_z,
-    "ptr_rbl_3to2": _x_ptr_rbl_3to2,
-    "ptr_rbl_4to2": _x_ptr_rbl_4to2,
-    "ntr_lhz": _x_ntr_lhz,
-    "ntr_lhz_z": _x_ntr_lhz_z,
-}
-
-
 def evaluate_experimental(
     name: str,
     coeff,
@@ -483,11 +472,9 @@ def evaluate_experimental(
     Returns (GadgetResult, VerificationReport) without raising on failure, so
     callers can record the verdict.
     """
-    try:
-        applier = _EXPERIMENTAL_APPLIERS[name]
-    except KeyError:
-        raise UnknownGadget(f"no experimental gadget named {name!r}") from None
-    result = applier(coeff, mono, registry)
+    if name not in GADGETS or GADGETS[name].status != EXPERIMENTAL:
+        raise UnknownGadget(f"no experimental gadget named {name!r}")
+    result = _APPLIERS[name](coeff, mono, registry)
     target = Polynomial(registry, {mono: Fraction(coeff)})
     if name == "ntr_lhz":
         target = target.to_boolean()
@@ -520,52 +507,55 @@ def experimental_single_term(
 # Catalog registration
 
 
+_APPLIERS: dict = {}
+
+
 def _register_all():
     B, Z = Domain.BOOLEAN, Domain.SPIN
+    POINTWISE, GROUND = Guarantee.POINTWISE_MIN, Guarantee.GROUND_STATE
     entries = [
-        # name, sign, domain, k-range, aux(k), guarantee, status, summary
-        ("ntr_kzfd", "negative", B, 1, None, lambda k: 1, Guarantee.POINTWISE_MIN,
+        # applier, name, sign, domain, k-range, aux(k), guarantee, status, summary
+        (ntr_kzfd, "ntr_kzfd", "negative", B, 1, None, lambda k: 1, POINTWISE,
          MUST_PASS, "single aux, fully submodular output"),
-        ("ntr_abcg", "negative", B, 3, None, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (ntr_abcg, "ntr_abcg", "negative", B, 3, None, lambda k: 1, POINTWISE,
          MUST_PASS, "single aux, one non-submodular quadratic"),
-        ("ntr_abcg2", "negative", B, 3, None, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (ntr_abcg2, "ntr_abcg2", "negative", B, 3, None, lambda k: 1, POINTWISE,
          MUST_PASS, "single aux, non-submodular part is linear"),
-        ("ntr_gbp", "negative", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (ntr_gbp, "ntr_gbp", "negative", B, 3, 3, lambda k: 1, POINTWISE,
          MUST_PASS, "asymmetric cubic variant"),
-        ("ntr_rbl", "negative", Z, 3, 3, lambda k: 1, Guarantee.GROUND_STATE,
+        (ntr_rbl, "ntr_rbl", "negative", Z, 3, 3, lambda k: 1, GROUND,
          MUST_PASS, "spin cubic via one ternary aux"),
-        ("ptr_bg", "positive", B, 3, None, lambda k: k - 2, Guarantee.POINTWISE_MIN,
+        (ptr_bg, "ptr_bg", "positive", B, 3, None, lambda k: k - 2, POINTWISE,
          MUST_PASS, "negated-literal recursion, k-2 aux"),
-        ("ptr_ishikawa", "positive", B, 3, None, lambda k: (k - 1) // 2,
-         Guarantee.POINTWISE_MIN, MUST_PASS,
-         "symmetric-polynomial reduction, floor((k-1)/2) aux"),
-        ("ptr_bcr3", "positive", B, 3, None, _bcr3_m, Guarantee.POINTWISE_MIN,
+        (ptr_ishikawa, "ptr_ishikawa", "positive", B, 3, None, lambda k: (k - 1) // 2,
+         POINTWISE, MUST_PASS, "symmetric-polynomial reduction, floor((k-1)/2) aux"),
+        (ptr_bcr3, "ptr_bcr3", "positive", B, 3, None, _bcr3_m, POINTWISE,
          MUST_PASS, "squared binary counter, ceil(log2 k) aux"),
-        ("ptr_bcr4", "positive", B, 3, None, _bcr4_m,
-         Guarantee.POINTWISE_MIN, MUST_PASS,
-         "halved product counter, ceil(log2 k)-1 aux"),
-        ("ptr_kz", "positive", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (ptr_bcr4, "ptr_bcr4", "positive", B, 3, None, _bcr4_m, POINTWISE,
+         MUST_PASS, "halved product counter, ceil(log2 k)-1 aux"),
+        (ptr_kz, "ptr_kz", "positive", B, 3, 3, lambda k: 1, POINTWISE,
          MUST_PASS, "minimum selection, all 6 quadratics"),
-        ("ptr_gbp", "positive", B, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (ptr_gbp, "ptr_gbp", "positive", B, 3, 3, lambda k: 1, POINTWISE,
          MUST_PASS, "asymmetric positive cubic"),
-        ("ptr_bcr1", "positive", B, 3, None, lambda k: (k - 1) // 2,
-         Guarantee.POINTWISE_MIN, EXPERIMENTAL,
-         "odd-k counter variant as printed"),
-        ("ptr_bcr2", "positive", B, 4, 4, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (_x_ptr_bcr1, "ptr_bcr1", "positive", B, 3, None, lambda k: (k - 1) // 2, POINTWISE,
+         EXPERIMENTAL, "odd-k counter variant as printed"),
+        (_x_ptr_bcr2, "ptr_bcr2", "positive", B, 4, 4, lambda k: 1, POINTWISE,
          EXPERIMENTAL, "quartic single-aux instance"),
-        ("ptr_kz_z", "any", Z, 3, 3, lambda k: 1, Guarantee.POINTWISE_MIN,
+        (_x_ptr_kz_z, "ptr_kz_z", "any", Z, 3, 3, lambda k: 1, POINTWISE,
          EXPERIMENTAL, "spin form of minimum selection as printed"),
-        ("ptr_rbl_3to2", "positive", Z, 3, 3, lambda k: 1, Guarantee.GROUND_STATE,
+        (_x_ptr_rbl_3to2, "ptr_rbl_3to2", "positive", Z, 3, 3, lambda k: 1, GROUND,
          EXPERIMENTAL, "ternary-aux spin cubic as printed"),
-        ("ptr_rbl_4to2", "positive", Z, 4, 4, lambda k: 1, Guarantee.GROUND_STATE,
+        (_x_ptr_rbl_4to2, "ptr_rbl_4to2", "positive", Z, 4, 4, lambda k: 1, GROUND,
          EXPERIMENTAL, "ternary-aux spin quartic as printed"),
-        ("ntr_lhz", "negative", Z, 4, 4, lambda k: 1, Guarantee.GROUND_STATE,
+        (_x_ntr_lhz, "ntr_lhz", "negative", Z, 4, 4, lambda k: 1, GROUND,
          EXPERIMENTAL, "parity gadget, printed {0,1} form"),
-        ("ntr_lhz_z", "negative", Z, 4, 4, lambda k: 1, Guarantee.GROUND_STATE,
+        (_x_ntr_lhz_z, "ntr_lhz_z", "negative", Z, 4, 4, lambda k: 1, GROUND,
          EXPERIMENTAL, "parity gadget, printed spin form"),
     ]
-    for entry in entries:
-        register_gadget(GadgetDescriptor(*entry))
+    for applier, *fields in entries:
+        descriptor = GadgetDescriptor(*fields)
+        register_gadget(descriptor)
+        _APPLIERS[descriptor.name] = applier
 
 
 _register_all()
@@ -577,7 +567,6 @@ def apply_gadget(
     mono: Monomial,
     registry: VariableRegistry,
     max_states: int = DEFAULT_STATE_CAP,
-    **params,
 ) -> GadgetResult:
     """Apply a cataloged single-term gadget by name.
 
@@ -596,19 +585,4 @@ def apply_gadget(
         )
     if GADGETS[name].status == EXPERIMENTAL:
         return experimental_single_term(name, coeff, mono, registry, max_states)
-    return _MUST_PASS_APPLIERS[name](coeff, mono, registry, **params)
-
-
-_MUST_PASS_APPLIERS = {
-    "ntr_kzfd": ntr_kzfd,
-    "ntr_abcg": ntr_abcg,
-    "ntr_abcg2": ntr_abcg2,
-    "ntr_gbp": ntr_gbp,
-    "ntr_rbl": ntr_rbl,
-    "ptr_bg": ptr_bg,
-    "ptr_ishikawa": ptr_ishikawa,
-    "ptr_bcr3": ptr_bcr3,
-    "ptr_bcr4": ptr_bcr4,
-    "ptr_kz": ptr_kz,
-    "ptr_gbp": ptr_gbp,
-}
+    return _APPLIERS[name](coeff, mono, registry)

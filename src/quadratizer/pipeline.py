@@ -45,9 +45,6 @@ from .verify import (
     cost_report,
 )
 
-OBJECTIVES = ("min_aux", "min_non_submodular", "min_max_coeff")
-
-
 @dataclass(frozen=True)
 class Strategy:
     """How quadratize() picks its rewrites.
@@ -63,7 +60,6 @@ class Strategy:
     positive_route: tuple = ("ptr_ishikawa",)
     multi_term: Optional[str] = None  # None | "rosenberg" | "fgbz"
     odd_split: bool = False
-    objective: str = "min_aux"
     verify_after: bool = False
     allow_experimental: bool = False
     max_states: int = DEFAULT_STATE_CAP
@@ -92,8 +88,6 @@ def _validate_strategy(strategy: Strategy):
         raise InvalidParameter(
             f"multi_term must be None, 'rosenberg' or 'fgbz', got {strategy.multi_term!r}"
         )
-    if strategy.objective not in OBJECTIVES:
-        raise InvalidParameter(f"objective must be one of {OBJECTIVES}")
     for name in tuple(strategy.negative_route) + tuple(strategy.positive_route):
         if name not in GADGETS:
             raise UnknownGadget(f"no gadget named {name!r}")

@@ -325,10 +325,6 @@ class Polynomial:
             return 0
         return max(monomial_degree(m) for m in self.terms)
 
-    @property
-    def is_quadratic(self) -> bool:
-        return self.degree() <= 2
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
@@ -564,7 +560,3 @@ class QuadraticProfile:
     non_submodular: int
     quadratic_terms: int
     max_abs_coefficient: Fraction
-
-
-def submodularity_report(p: Polynomial) -> QuadraticProfile:
-    return p.quadratic_profile()

@@ -190,6 +190,8 @@ def format_polynomial(p: Polynomial) -> str:
 
 
 def polynomial_to_json(p: Polynomial) -> str:
+    """Export every registry entry and term; an entry names its twin as
+    `partner` when it has one, as in QUBO JSON."""
     vars_section = []
     for var in p.registry:
         entry = p.registry.entry(var)
@@ -198,6 +200,8 @@ def polynomial_to_json(p: Polynomial) -> str:
             record["label"] = entry.label
         if entry.gadget is not None:
             record["gadget"] = entry.gadget
+        if entry.partner is not None:
+            record["partner"] = entry.partner
         vars_section.append(record)
     terms_section = [
         {"m": {str(v): e for v, e in mono}, "c": format_fraction(coeff)}
@@ -241,6 +245,20 @@ def _label(registry: VariableRegistry, record: dict):
     return label
 
 
+def _link_partners(registry: VariableRegistry, partners: dict):
+    """Restore the twin links read from `partner` fields ({var id: partner}).
+    A link must be an int, mutual, and join a {0,1} variable to a spin one."""
+    twins = {Domain.BOOLEAN, Domain.SPIN}
+    for var, partner in partners.items():
+        if (
+            type(partner) is not int
+            or partners.get(partner) != var
+            or {registry.domain(var), registry.domain(partner)} != twins
+        ):
+            raise SchemaError(f"variable {var} has a bad partner {partner!r}")
+        registry.entry(var).partner = partner
+
+
 def polynomial_from_json(text: str) -> Polynomial:
     try:
         payload = json.loads(text)
@@ -253,6 +271,7 @@ def polynomial_from_json(text: str) -> Polynomial:
         raise SchemaError("each variable needs an integer 'id'")
     records = sorted(records, key=lambda r: r["id"])
     registry = VariableRegistry()
+    partners = {}
     for expected, record in enumerate(records):
         if record.get("id") != expected:
             raise SchemaError("variable ids must be dense 0..N-1")
@@ -262,6 +281,9 @@ def polynomial_from_json(text: str) -> Polynomial:
             registry.add_auxiliary(domain, record.get("gadget", "imported"), label)
         else:
             registry.add_variable(domain, label)
+        if "partner" in record:
+            partners[expected] = record["partner"]
+    _link_partners(registry, partners)
     terms = []
     for record in _require(payload, "terms", list, "a list"):
         if not isinstance(record, dict) or "m" not in record or "c" not in record:
@@ -396,15 +418,7 @@ def qubo_from_json(text: str):
             registry.add_variable(domain, _label(registry, record))
         if "partner" in record:
             partners[var] = record["partner"]
-    twins = {Domain.BOOLEAN, Domain.SPIN}
-    for var, partner in partners.items():
-        if (
-            type(partner) is not int
-            or partners.get(partner) != var
-            or {registry.domain(var), registry.domain(partner)} != twins
-        ):
-            raise SchemaError(f"variable {var} has a bad partner {partner!r}")
-        registry.entry(var).partner = partner
+    _link_partners(registry, partners)
     terms = [((), _parse_fraction(payload["offset"]))]
     for key, value in linear.items():
         terms.append((((_parse_int(key, "linear key"), 1),), _parse_fraction(value)))

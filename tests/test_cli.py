@@ -178,9 +178,22 @@ def test_exit_code_forced_experimental_failure(tmp_path, capsys):
 def test_quadratize_deterministic_bytes(tmp_path, cubic_file):
     first = tmp_path / "a.json"
     second = tmp_path / "b.json"
-    main(["quadratize", "--in", str(cubic_file), "--out", str(first), "--seed", "1"])
-    main(["quadratize", "--in", str(cubic_file), "--out", str(second), "--seed", "1"])
+    main(["quadratize", "--in", str(cubic_file), "--out", str(first)])
+    main(["quadratize", "--in", str(cubic_file), "--out", str(second)])
     assert first.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", "1"], ["--strategy", "submodular"], ["--route", "objective=min_aux"]],
+    ids=["seed", "submodular-preset", "objective-route-key"],
+)
+def test_removed_knobs_exit_2(cubic_file, flags):
+    try:
+        rc = main(["quadratize", "--in", str(cubic_file), *flags])
+    except SystemExit as exit:  # argparse rejects an unknown flag or choice
+        rc = exit.code
+    assert rc == 2
 
 
 def test_env_var_overrides_default_cap(tmp_path, monkeypatch):
@@ -298,6 +311,35 @@ def test_verify_rejects_bad_spin_partner(tmp_path, capsys):
     assert main(["quadratize", "--in", str(source), "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     payload["var_map"]["0"]["partner"] = 4  # the twin of z2, not of z1
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--original", str(source), "--quadratized", str(out)]) == 2
+    assert "partner" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text", ["z1 z2 z3", "- z1 z2 z3", SPIN_INSTANCE], ids=["positive", "negative", "mixed"]
+)
+def test_verify_reads_spin_polynomial_json(tmp_path, text, capsys):
+    """Polynomial JSON carries the {0,1} partners too, so a spin objective's
+    `--format json` output verifies against the original."""
+    source = tmp_path / "spin.txt"
+    source.write_text(text)
+    out = tmp_path / "spin.json"
+    assert main(["quadratize", "--in", str(source), "--format", "json", "--out", str(out)]) == 0
+    capsys.readouterr()
+    rc = main(["verify", "--original", str(source), "--quadratized", str(out)])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_verify_rejects_bad_spin_partner_in_polynomial_json(tmp_path, capsys):
+    source = tmp_path / "spin.txt"
+    source.write_text("z1 z2 z3")
+    out = tmp_path / "spin.json"
+    assert main(["quadratize", "--in", str(source), "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["vars"][0]["partner"] = 4  # the twin of z2, not of z1
     out.write_text(json.dumps(payload))
     capsys.readouterr()
     assert main(["verify", "--original", str(source), "--quadratized", str(out)]) == 2

@@ -18,7 +18,6 @@ from quadratizer.gadgets import (
     fgbz_negative,
     fgbz_positive,
     ntr_kzfd,
-    pairwise_cover,
     rosenberg_auto_penalty,
     rosenberg_pair,
     scm_split,
@@ -183,8 +182,8 @@ def test_fgbz_positive_then_kzfd_cleanup_chain():
 def test_pairwise_cover_dispatch():
     p = parse_polynomial("- b1 b2 b3 - b1 b2 b4")
     group = TermGroup(tuple(sorted(p.terms.items())), ((0, 1), (1, 1)))
-    via_alias = pairwise_cover(group, p.registry, "negative")
-    assert check_pointwise(p, via_alias.output, via_alias.aux).passed
+    result = fgbz_negative(group, p.registry)
+    assert check_pointwise(p, result.output, result.aux).passed
 
 
 def test_scm_split_cubic_identity():

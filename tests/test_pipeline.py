@@ -184,8 +184,6 @@ def test_strategy_validation():
         quadratize(p, Strategy(positive_route=("ptr_bcr2",)))  # experimental
     with pytest.raises(InvalidParameter):
         quadratize(p, Strategy(multi_term="bogus"))
-    with pytest.raises(InvalidParameter):
-        quadratize(p, Strategy(objective="fastest"))
 
 
 def test_experimental_route_gate():

@@ -12,7 +12,7 @@ from quadratizer.errors import (
     NotQuadratic,
     RegistryMismatch,
 )
-from quadratizer.poly import Domain, Polynomial, VariableRegistry, submodularity_report
+from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.textio import parse_polynomial
 
 from conftest import all_assignments, naive_value
@@ -235,7 +235,7 @@ def test_degree():
 
 
 def test_submodularity_report_on_quadratic(quadratic_objective):
-    profile = submodularity_report(quadratic_objective)
+    profile = quadratic_objective.quadratic_profile()
     assert profile.non_submodular == 2  # b2b3 and b3b4 stay positive
     assert profile.quadratic_terms == 4
     assert profile.max_abs_coefficient == 4
@@ -243,19 +243,19 @@ def test_submodularity_report_on_quadratic(quadratic_objective):
 
 def test_submodularity_all_negative():
     p = parse_polynomial("- b1 b2 - 3 b2 b3")
-    assert submodularity_report(p).non_submodular == 0
+    assert p.quadratic_profile().non_submodular == 0
 
 
 def test_submodularity_requires_quadratic(cubic_objective):
     with pytest.raises(NotQuadratic):
-        submodularity_report(cubic_objective)
+        cubic_objective.quadratic_profile()
 
 
 def test_submodularity_requires_boolean():
     registry, (z1, z2) = _registry("zz")
     p = Polynomial.product(registry, [z1, z2])
     with pytest.raises(DomainViolation):
-        submodularity_report(p)
+        p.quadratic_profile()
 
 
 # -- shared factors and coefficients ---------------------------------------------

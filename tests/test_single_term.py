@@ -529,3 +529,34 @@ def test_unknown_gadget():
     registry, ids, mono = boolean_instance(3)
     with pytest.raises(UnknownGadget):
         experimental_single_term("ptr_nonsense", Fraction(1), mono, registry)
+
+
+# ---------------------------------------------------------------------------
+# The catalog table: each row's applier is the gadget the row names
+
+
+@pytest.mark.parametrize("name", list(GADGETS))
+def test_catalog_row_applies_its_named_gadget(name):
+    """A probe of the row's sign, domain and minimum degree comes back traced
+    as `name(`.  Degree <= 2 terms pass through apply_gadget unchanged, so a
+    row whose minimum degree is lower is probed at degree 3."""
+    descriptor = GADGETS[name]
+    registry = VariableRegistry()
+    ids = [
+        registry.add_variable(descriptor.domain)
+        for _ in range(max(descriptor.min_degree, 3))
+    ]
+    mono = tuple((v, 1) for v in ids)
+    coeff = Fraction(-1 if descriptor.sign == "negative" else 1)
+    if descriptor.status == MUST_PASS:
+        result = apply_gadget(name, coeff, mono, registry)
+        with pytest.raises(UnknownGadget):
+            evaluate_experimental(name, coeff, mono, VariableRegistry())
+    else:
+        result, _ = evaluate_experimental(name, coeff, mono, registry)
+    assert result.trace.startswith(f"{name}(")
+
+
+def test_experimental_reports_follow_the_catalog():
+    experimental = [d.name for d in GADGETS.values() if d.status != MUST_PASS]
+    assert list(experimental_reports()) == experimental + ["czw_count4", "ternary_to_binary"]
