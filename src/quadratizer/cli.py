@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from . import errors
 from .gadgets import experimental_reports
@@ -22,8 +23,8 @@ from .textio import (
     format_fraction,
     format_polynomial,
     load_polynomial,
+    parse_polynomial,
     polynomial_to_json,
-    qubo_from_json,
     qubo_to_json,
 )
 from .verify import (
@@ -98,8 +99,6 @@ def _build_strategy(args) -> Strategy:
                 overrides["odd_split"] = value.lower() in ("1", "true", "yes", "on")
             else:
                 raise errors.InvalidParameter(f"unknown route key {key!r}")
-    from dataclasses import replace
-
     return replace(
         strategy,
         verify_after=args.verify,
@@ -141,12 +140,7 @@ def _resolve_aux(registry, spec: str):
 
 
 def _cmd_verify(args) -> int:
-    quadratized_text = _read(args.quadratized)
-    if quadratized_text.lstrip().startswith("{") and '"offset"' in quadratized_text:
-        transformed, aux, _ = qubo_from_json(quadratized_text)
-    else:
-        transformed = load_polynomial(quadratized_text)
-        aux = []
+    transformed = load_polynomial(_read(args.quadratized))
     registry = transformed.registry
     original_text = _read(args.original)
     if original_text.lstrip().startswith("{"):
@@ -154,8 +148,6 @@ def _cmd_verify(args) -> int:
             "--original must be grammar text so it can share the quadratized "
             "polynomial's variables"
         )
-    from .textio import parse_polynomial
-
     original = parse_polynomial(original_text, registry)
     support = original.variables()
     if support and all(
@@ -164,10 +156,7 @@ def _cmd_verify(args) -> int:
     ):
         # a spin objective is quadratized over its {0,1} twins (z = 2b - 1)
         original = original.to_boolean()
-    if args.aux:
-        aux = _resolve_aux(registry, args.aux)
-    elif not aux:
-        aux = registry.auxiliaries()
+    aux = _resolve_aux(registry, args.aux) if args.aux else registry.auxiliaries()
     check = {
         "pointwise": check_pointwise,
         "groundstate": check_groundstate,

@@ -4,8 +4,9 @@ Negative-term reductions (ntr_*) rewrite one monomial with a negative
 coefficient; positive-term reductions (ptr_*) handle positive coefficients.
 Every formula below is stated for a unit coefficient and the whole output is
 scaled by |coeff|, which is sound because min_a(s*g) = s*min_a(g) for s > 0.
-Wrong-sign inputs raise WrongSign rather than being converted silently: sign
-routing belongs to the pipeline.
+Each gadget checks its term against its own catalog row (domain, sign,
+degree range); wrong-sign inputs raise WrongSign rather than being converted
+silently: sign routing belongs to the pipeline.
 
 Gadgets whose printed source formulas could not be confirmed in advance are
 registered as experimental: applying one runs the exhaustive oracle on the
@@ -37,17 +38,21 @@ from .base import (
 )
 
 
-def _monomial_vars(mono: Monomial, registry: VariableRegistry, domain: Domain) -> list[int]:
-    vars = []
+def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
+    """Check one term against the named gadget's catalog row (domain, sign,
+    degree range) and return (sorted variables, coefficient, degree)."""
+    row = GADGETS[name]
     for var, exp in mono:
         if exp != 1:
             raise DomainViolation("gadget monomials use each variable once")
-        if registry.domain(var) is not domain:
-            raise DomainViolation(
-                f"variable {var} is not in the {domain.tag!r} domain"
-            )
-        vars.append(var)
-    return sorted(vars)
+        if registry.domain(var) is not row.domain:
+            raise DomainViolation(f"variable {var} is not in the {row.domain.tag!r} domain")
+    coeff = _check_sign(coeff, row.sign)
+    k, low, high = len(mono), row.min_degree, row.max_degree
+    if k < low or (high is not None and k > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise WrongDegree(f"gadget needs degree {bound}, got {k}")
+    return sorted(var for var, _ in mono), coeff, k
 
 
 def _check_sign(coeff: Fraction, want: str) -> Fraction:
@@ -56,15 +61,9 @@ def _check_sign(coeff: Fraction, want: str) -> Fraction:
         raise WrongSign(f"expected a negative coefficient, got {coeff}")
     if want == "positive" and coeff <= 0:
         raise WrongSign(f"expected a positive coefficient, got {coeff}")
+    if not coeff:
+        raise WrongSign("coefficient must be nonzero")
     return coeff
-
-
-def _check_degree(vars, low: int, high=None):
-    k = len(vars)
-    if k < low or (high is not None and k > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise WrongDegree(f"gadget needs degree {bound}, got {k}")
-    return k
 
 
 def _vp(registry: VariableRegistry, var: int) -> Polynomial:
@@ -103,9 +102,7 @@ def ntr_kzfd(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     Every quadratic term in the output has a negative coefficient, so the
     result is entirely submodular.  Valid for any k >= 1.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "negative")
-    k = _check_degree(vars, 1)
+    vars, coeff, k = _inputs("ntr_kzfd", coeff, mono, registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_kzfd")
     a = _vp(registry, ba)
     out = (a * (k - 1) - _sum_vars(registry, vars) * a).scale(-coeff)
@@ -118,9 +115,7 @@ def ntr_abcg(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     One auxiliary; exactly one non-submodular quadratic term, (k-1)*bk*ba.
     The last variable of the monomial plays the asymmetric role.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "negative")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ntr_abcg", coeff, mono, registry)
     head, bk = vars[:-1], vars[-1]
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_abcg")
     a = _vp(registry, ba)
@@ -140,9 +135,7 @@ def ntr_abcg2(coeff, mono: Monomial, registry: VariableRegistry, scale_c=2) -> G
     The only non-submodular term is linear.  C = 1 reproduces ntr_kzfd
     exactly; the default C = 2 is the published form.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "negative")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ntr_abcg2", coeff, mono, registry)
     scale_c = Fraction(scale_c)
     if scale_c < 1:
         raise InvalidParameter(f"C must be >= 1, got {scale_c}")
@@ -157,9 +150,7 @@ def ntr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -
 
         -bp*bq*br -> ba*(-bp + bq + br) - bp*bq - bp*br + bp
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "negative")
-    _check_degree(vars, 3, 3)
+    vars, coeff, _ = _inputs("ntr_gbp", coeff, mono, registry)
     if pivot not in (1, 2, 3):
         raise InvalidParameter("pivot must be 1, 2 or 3")
     p = vars[pivot - 1]
@@ -181,9 +172,7 @@ def ntr_rbl(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
 
     Only the ground-state manifold is reproduced; excited energies shift.
     """
-    vars = _monomial_vars(mono, registry, Domain.SPIN)
-    coeff = _check_sign(coeff, "negative")
-    _check_degree(vars, 3, 3)
+    vars, coeff, _ = _inputs("ntr_rbl", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ntr_rbl")
     inner = 1 + _vp(registry, ta) * 4 + _sum_vars(registry, vars)
     out = (inner * inner - 1).scale(-coeff)
@@ -223,9 +212,7 @@ def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> 
 
 def ptr_bg(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     """b1..bk -> sum_{i=1}^{k-2} ba_i*(k-i-1 + bi - sum_{j>i} bj) + b_{k-1}*b_k."""
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ptr_bg", coeff, mono, registry)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bg") for _ in range(k - 2)]
     total = Polynomial.product(registry, vars[-2:])
     for i, ba in enumerate(aux, start=1):
@@ -249,9 +236,7 @@ def ptr_ishikawa(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetRes
     is odd, else 2.  Reproduces the full spectrum; all k(k-1)/2 original-pair
     quadratics are non-submodular.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ptr_ishikawa", coeff, mono, registry)
     n_k = (k - 1) // 2
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_ishikawa") for _ in range(n_k)]
     body_sum = _sum_vars(registry, vars)
@@ -281,9 +266,7 @@ def ptr_bcr3(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     0 the auxiliaries can cancel the bracket exactly, and when all are 1 the
     best bracket value is 1.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ptr_bcr3", coeff, mono, registry)
     m = _bcr3_m(k)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr3") for _ in range(m)]
     bracket = Polynomial.constant(registry, 2**m - k) + _sum_vars(registry, vars)
@@ -305,9 +288,7 @@ def ptr_bcr4(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     ceil(log2 k) - 1 auxiliaries: one fewer than ptr_bcr3 because the product
     of consecutive integers vanishes on {0, 1}, not just on {0}.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ptr_bcr4", coeff, mono, registry)
     m = _bcr4_m(k)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr4") for _ in range(m)]
     bracket = Polynomial.constant(registry, 2 ** (m + 1) - k) + _sum_vars(registry, vars)
@@ -326,9 +307,7 @@ def ptr_kz(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     All six possible quadratic terms appear and all are non-submodular.
     Negative cubics are the NTR family's job, so they are rejected here.
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    _check_degree(vars, 3, 3)
+    vars, coeff, _ = _inputs("ptr_kz", coeff, mono, registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_kz")
     a = _vp(registry, ba)
     body_sum = _sum_vars(registry, vars)
@@ -341,9 +320,7 @@ def ptr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -
 
         bp*bq*br -> ba - bq*ba - br*ba + bp*ba + bq*br
     """
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    _check_degree(vars, 3, 3)
+    vars, coeff, _ = _inputs("ptr_gbp", coeff, mono, registry)
     if pivot not in (1, 2, 3):
         raise InvalidParameter("pivot must be 1, 2 or 3")
     p = vars[pivot - 1]
@@ -362,9 +339,7 @@ def ptr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -
 
 
 def _x_ptr_bcr1(coeff, mono, registry):
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    k = _check_degree(vars, 3)
+    vars, coeff, k = _inputs("ptr_bcr1", coeff, mono, registry)
     if k % 2 == 0:
         raise WrongDegree("ptr_bcr1 is stated for odd k only")
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr1") for _ in range((k - 1) // 2)]
@@ -377,9 +352,7 @@ def _x_ptr_bcr1(coeff, mono, registry):
 
 
 def _x_ptr_bcr2(coeff, mono, registry):
-    vars = _monomial_vars(mono, registry, Domain.BOOLEAN)
-    coeff = _check_sign(coeff, "positive")
-    _check_degree(vars, 4, 4)
+    vars, coeff, _ = _inputs("ptr_bcr2", coeff, mono, registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr2")
     bracket = _sum_vars(registry, vars) - _vp(registry, ba) * 2
     out = (bracket * (bracket - 1)).scale(Fraction(1, 2)).scale(coeff)
@@ -387,11 +360,7 @@ def _x_ptr_bcr2(coeff, mono, registry):
 
 
 def _x_ptr_kz_z(coeff, mono, registry):
-    vars = _monomial_vars(mono, registry, Domain.SPIN)
-    coeff = Fraction(coeff)
-    if coeff == 0:
-        raise WrongSign("coefficient must be nonzero")
-    _check_degree(vars, 3, 3)
+    vars, coeff, _ = _inputs("ptr_kz_z", coeff, mono, registry)
     sign = 1 if coeff > 0 else -1
     za = registry.add_auxiliary(Domain.SPIN, "ptr_kz_z")
     body_sum = _sum_vars(registry, vars)
@@ -405,9 +374,7 @@ def _x_ptr_kz_z(coeff, mono, registry):
 
 
 def _x_ptr_rbl_3to2(coeff, mono, registry):
-    vars = _monomial_vars(mono, registry, Domain.SPIN)
-    coeff = _check_sign(coeff, "positive")
-    _check_degree(vars, 3, 3)
+    vars, coeff, _ = _inputs("ptr_rbl_3to2", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ptr_rbl_3to2")
     inner = 1 + _vp(registry, ta) * 4 + _sum_vars(registry, vars)
     out = (inner * inner - 1).scale(coeff)
@@ -425,9 +392,7 @@ def _rbl_quartic_z(registry, vars, ta):
 
 
 def _x_ptr_rbl_4to2(coeff, mono, registry):
-    vars = _monomial_vars(mono, registry, Domain.SPIN)
-    coeff = _check_sign(coeff, "positive")
-    _check_degree(vars, 4, 4)
+    vars, coeff, _ = _inputs("ptr_rbl_4to2", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ptr_rbl_4to2")
     out = _rbl_quartic_z(registry, vars, ta).scale(coeff)
     return _result("ptr_rbl_4to2", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
@@ -436,9 +401,7 @@ def _x_ptr_rbl_4to2(coeff, mono, registry):
 def _x_ntr_lhz(coeff, mono, registry):
     # The printed form couples a ternary auxiliary to the {0,1} images of the
     # spins, so the output lives over the boolean twins of the input.
-    vars = _monomial_vars(mono, registry, Domain.SPIN)
-    coeff = _check_sign(coeff, "negative")
-    _check_degree(vars, 4, 4)
+    vars, coeff, _ = _inputs("ntr_lhz", coeff, mono, registry)
     twins = [registry.twin(v, Domain.BOOLEAN) for v in vars]
     ta = registry.add_auxiliary(Domain.TERNARY, "ntr_lhz")
     t = _vp(registry, ta)
@@ -452,9 +415,7 @@ def _x_ntr_lhz(coeff, mono, registry):
 
 
 def _x_ntr_lhz_z(coeff, mono, registry):
-    vars = _monomial_vars(mono, registry, Domain.SPIN)
-    coeff = _check_sign(coeff, "negative")
-    _check_degree(vars, 4, 4)
+    vars, coeff, _ = _inputs("ntr_lhz_z", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ntr_lhz_z")
     out = _rbl_quartic_z(registry, vars, ta).scale(-coeff)
     return _result("ntr_lhz_z", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
@@ -476,7 +437,8 @@ def evaluate_experimental(
         raise UnknownGadget(f"no experimental gadget named {name!r}")
     result = _APPLIERS[name](coeff, mono, registry)
     target = Polynomial(registry, {mono: Fraction(coeff)})
-    if name == "ntr_lhz":
+    if not set(result.output.variables()) <= set(target.variables()) | set(result.aux):
+        # the output lives over the {0,1} twins of the spin input
         target = target.to_boolean()
     if result.guarantee == Guarantee.POINTWISE_MIN:
         report = check_pointwise(target, result.output, result.aux, max_states)

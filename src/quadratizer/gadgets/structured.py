@@ -29,6 +29,7 @@ from ..verify import (
     CheckMode,
     CheckStats,
     VerificationReport,
+    _state_count,
     check_groundstate,
     enumerate_min,
 )
@@ -330,7 +331,7 @@ def check_ternary_encoding(
     lam = Fraction(lam)
     min_original, argmin_original = enumerate_min(original, max_states)
     min_transformed, argmin_transformed = enumerate_min(transformed, max_states)
-    states = _state_space(original, transformed)
+    states = sum(_state_count(p.registry, p.variables()) for p in (original, transformed))
 
     def project(assignment):
         image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
@@ -353,12 +354,3 @@ def check_ternary_encoding(
         CheckMode.GROUND_STATE, counterexample is None, counterexample, stats
     )
 
-
-def _state_space(*polys: Polynomial) -> int:
-    total = 0
-    for p in polys:
-        count = 1
-        for var in p.variables():
-            count *= len(p.registry.domain(var).values)
-        total += count
-    return total

@@ -106,6 +106,15 @@ def _routes_through_twins(p: Polynomial, strategy: Strategy) -> bool:
     )
 
 
+def _add(terms: dict, mono, coeff):
+    acc = terms.get(mono)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[mono] = acc
+    else:
+        terms.pop(mono, None)
+
+
 def _fold(terms: dict, aux_map: dict, guarantee: str, result: GadgetResult) -> str:
     """Add a gadget's output into the accumulator in place, exactly as
     `work + result.output` would, and return the weakened guarantee."""
@@ -114,11 +123,7 @@ def _fold(terms: dict, aux_map: dict, guarantee: str, result: GadgetResult) -> s
     for mono, coeff in result.output.terms.items():
         if monomial_degree(mono) > 2:
             raise RuntimeError(f"gadget output is not quadratic: {result.trace}")
-        acc = terms.get(mono, 0) + coeff
-        if acc:
-            terms[mono] = acc
-        else:
-            terms.pop(mono, None)
+        _add(terms, mono, coeff)
     return Guarantee.weakest(guarantee, result.guarantee)
 
 
@@ -182,20 +187,27 @@ def _route_odd_split(registry, mono, coeff, strategy) -> list:
     head_vars, last = vars[:-1], vars[-1]
     head_mono = tuple((v, 1) for v in head_vars)
     if len(head_vars) >= 3:
-        for name in strategy.positive_route:
-            if GADGETS[name].applies_to(1, len(head_vars), Domain.BOOLEAN):
-                head = apply_gadget(name, coeff, head_mono, registry, strategy.max_states)
-                break
-        else:
-            raise NoApplicableGadget(
-                f"no routed gadget accepts the degree-{len(head_vars)} split head"
-            )
+        head = _route_term(registry, head_mono, coeff, strategy)
     else:
-        head = GadgetResult(
-            Polynomial(registry, {head_mono: coeff}), (), Guarantee.POINTWISE_MIN, ""
-        )
+        head = [
+            GadgetResult(Polynomial(registry, {head_mono: coeff}), (), Guarantee.POINTWISE_MIN, "")
+        ]
     tail = ntr_kzfd_literals(-coeff, head_vars, [last], registry)
-    return [head, replace(tail, trace=f"odd_split tail: {tail.trace}")]
+    return head + [replace(tail, trace=f"odd_split tail: {tail.trace}")]
+
+
+def _route_terms(registry, items, strategy, aux_map, guarantee):
+    """Fold (monomial, coefficient) pairs into one accumulator in the given
+    order: terms of degree <= 2 as they are, every other term through its
+    routed gadgets.  Returns the accumulated terms and the weakened guarantee."""
+    terms: dict = {}
+    for mono, coeff in items:
+        if monomial_degree(mono) <= 2:
+            _add(terms, mono, coeff)
+            continue
+        for result in _route_term(registry, mono, coeff, strategy):
+            guarantee = _fold(terms, aux_map, guarantee, result)
+    return terms, guarantee
 
 
 def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> QuadratizationResult:
@@ -210,15 +222,12 @@ def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> Quadrati
     work = p
     if strategy.multi_term:
         work, aux_map, guarantee = _apply_multi_term(work, aux_map, guarantee, strategy)
-    terms = dict(work.terms)
-    high = sorted(
-        (mono for mono in terms if monomial_degree(mono) >= 3),
-        key=lambda mono: (-monomial_degree(mono), mono),
+    items = [(mono, c) for mono, c in work.terms.items() if monomial_degree(mono) <= 2]
+    items += sorted(
+        ((mono, c) for mono, c in work.terms.items() if monomial_degree(mono) >= 3),
+        key=lambda item: (-monomial_degree(item[0]), item[0]),
     )
-    for mono in high:
-        coeff = terms.pop(mono)
-        for result in _route_term(work.registry, mono, coeff, strategy):
-            guarantee = _fold(terms, aux_map, guarantee, result)
+    terms, guarantee = _route_terms(work.registry, items, strategy, aux_map, guarantee)
     work = Polynomial(work.registry, terms)
     cost = cost_report(work, sorted(aux_map))
     report = None

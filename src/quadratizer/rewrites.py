@@ -5,7 +5,9 @@ All three trade enumeration work for auxiliary variables.  Deductions and
 excludable configurations are facts about the global minima of a reference
 polynomial; by default they must be proved here by exhaustive search
 (OracleProven) before they may justify a rewrite, because soundness otherwise
-rests entirely on the caller's prior knowledge of the problem.
+rests entirely on the caller's prior knowledge of the problem.  Split
+reduction has no routing of its own: a branch it quadratizes in place goes
+through the pipeline's routing loop with the default routes.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .errors import DeductionUnproven, DomainViolation, ElcUnproven
-from .gadgets.base import GadgetResult, Guarantee
-from .gadgets.single_term import ntr_kzfd, ptr_ishikawa
+from .gadgets.base import GADGETS, GadgetResult, Guarantee
+from .pipeline import DEFAULT_STRATEGY, _route_terms
 from .poly import (
     Domain,
     Monomial,
@@ -258,28 +260,13 @@ def _default_quad_solver(q: Polynomial):
 
 def _aux_budget(p: Polynomial) -> int:
     """Auxiliaries the default single-term routes would need to quadratize p."""
+    negative, positive = DEFAULT_STRATEGY.negative_route[0], DEFAULT_STRATEGY.positive_route[0]
     needed = 0
     for mono, coeff in p.terms.items():
         k = monomial_degree(mono)
-        if k < 3:
-            continue
-        needed += 1 if coeff < 0 else (k - 1) // 2
+        if k >= 3:
+            needed += GADGETS[negative if coeff < 0 else positive].aux_count(k)
     return needed
-
-
-def _quadratize_branch(p: Polynomial) -> Polynomial:
-    """One-shot default quadratization (negative -> single-aux reduction,
-    positive -> symmetric-polynomial reduction) for a branch whose auxiliary
-    budget fits inside the variables the branch's splits freed."""
-    out = Polynomial.zero(p.registry)
-    for mono, coeff in sorted(p.terms.items()):
-        if monomial_degree(mono) < 3:
-            out = out + Polynomial(p.registry, {mono: coeff})
-        elif coeff < 0:
-            out = out + ntr_kzfd(coeff, mono, p.registry).output
-        else:
-            out = out + ptr_ishikawa(coeff, mono, p.registry).output
-    return out
 
 
 def solve_by_splitting(
@@ -293,7 +280,8 @@ def solve_by_splitting(
     branch is quadratic.  A branch whose remaining high-degree terms can be
     quadratized with no more auxiliaries than the branch has already fixed
     (and therefore freed) is quadratized in place instead of split further,
-    so the variable count never grows past the original problem's.
+    by the pipeline's default routes over its terms in sorted order, so the
+    variable count never grows past the original problem's.
 
     Every quadratic subproblem goes to `quad_solver` (default: the exhaustive
     oracle), which must return (minimum, one argmin).  The best branch wins;
@@ -324,7 +312,10 @@ def solve_by_splitting(
             dispatch(q, fixed)
             return
         if _aux_budget(q) <= len(fixed):
-            dispatch(_quadratize_branch(q), fixed)
+            terms, _ = _route_terms(
+                q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY, {}, Guarantee.POINTWISE_MIN
+            )
+            dispatch(Polynomial(q.registry, terms), fixed)
             return
         var = pick(q)
         low, high = split(q, var)

@@ -259,11 +259,18 @@ def _link_partners(registry: VariableRegistry, partners: dict):
         registry.entry(var).partner = partner
 
 
-def polynomial_from_json(text: str) -> Polynomial:
+def _load_json(text: str):
     try:
-        payload = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as error:
         raise SchemaError(f"invalid JSON: {error}") from None
+
+
+def polynomial_from_json(text: str) -> Polynomial:
+    return _polynomial_from_payload(_load_json(text))
+
+
+def _polynomial_from_payload(payload) -> Polynomial:
     if not isinstance(payload, dict) or "vars" not in payload or "terms" not in payload:
         raise SchemaError("polynomial JSON needs 'vars' and 'terms'")
     records = _require(payload, "vars", list, "a list")
@@ -386,10 +393,10 @@ def qubo_from_json(text: str):
     no term uses (the original spin variables of a spin objective) are kept,
     with the `partner` links to their {0,1} twins.
     """
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as error:
-        raise SchemaError(f"invalid JSON: {error}") from None
+    return _qubo_from_payload(_load_json(text))
+
+
+def _qubo_from_payload(payload):
     required = {"offset", "linear", "quadratic", "var_map"}
     if not isinstance(payload, dict) or not required <= set(payload):
         raise SchemaError(f"QUBO JSON needs keys {sorted(required)}")
@@ -437,7 +444,11 @@ def qubo_from_json(text: str):
 
 
 def load_polynomial(text: str) -> Polynomial:
-    """Sniff text vs JSON input."""
-    if text.lstrip().startswith("{"):
-        return polynomial_from_json(text)
-    return parse_polynomial(text)
+    """Read grammar text, polynomial JSON or QUBO JSON; a JSON object with a
+    `var_map` key is QUBO JSON."""
+    if not text.lstrip().startswith("{"):
+        return parse_polynomial(text)
+    payload = _load_json(text)
+    if isinstance(payload, dict) and "var_map" in payload:
+        return _qubo_from_payload(payload)[0]
+    return _polynomial_from_payload(payload)

@@ -346,6 +346,40 @@ def test_verify_rejects_bad_spin_partner_in_polynomial_json(tmp_path, capsys):
     assert "partner" in capsys.readouterr().err
 
 
+def test_verify_reads_polynomial_json_with_a_variable_named_offset(tmp_path, capsys):
+    """The reader is chosen from the parsed payload's keys, so a label equal
+    to a QUBO key does not send polynomial JSON to the QUBO reader."""
+    source = tmp_path / "cubic.txt"
+    source.write_text(CUBIC_OBJECTIVE)
+    out = tmp_path / "out.json"
+    assert main(["quadratize", "--in", str(source), "--format", "json", "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["vars"][-1]["label"] = "offset"  # an auxiliary, which the original does not name
+    out.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["verify", "--original", str(source), "--quadratized", str(out)]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["convert", "--to", "text"], ["quadratize", "--format", "text"]],
+    ids=["analyze", "convert", "quadratize"],
+)
+def test_qubo_json_is_read_wherever_a_polynomial_is(tmp_path, cubic_file, argv, capsys):
+    qubo = tmp_path / "out.qubo.json"
+    assert main(["quadratize", "--in", str(cubic_file), "--out", str(qubo)]) == 0
+    assert main(["quadratize", "--in", str(cubic_file), "--format", "text"]) == 0
+    quadratic = parse_polynomial(capsys.readouterr().out)
+    assert main([argv[0], "--in", str(qubo), *argv[1:]]) == 0
+    printed = capsys.readouterr().out
+    if argv[0] == "analyze":
+        assert json.loads(printed)["terms"] == len(quadratic.terms)
+    else:
+        # the QUBO is already quadratic, so quadratize passes it through
+        assert parse_polynomial(printed) == quadratic
+
+
 def test_exit_code_mixed_domain_cubic(tmp_path):
     path = tmp_path / "mixed.txt"
     path.write_text("b1 z2 z3")

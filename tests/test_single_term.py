@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from quadratizer.errors import (
+    DomainViolation,
     InvalidParameter,
     UnknownGadget,
     VerificationFailed,
@@ -31,7 +32,8 @@ from quadratizer.gadgets import (
     ptr_kz,
 )
 from quadratizer.gadgets.base import GADGETS, MUST_PASS, Guarantee
-from quadratizer.gadgets.single_term import apply_gadget
+from quadratizer.gadgets import single_term
+from quadratizer.gadgets.single_term import _APPLIERS, apply_gadget
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import check_groundstate, check_pointwise, enumerate_min
@@ -525,6 +527,20 @@ def test_kz_z_both_signs_recorded():
         assert not check_groundstate(original, result.output, result.aux).passed
 
 
+def test_output_over_twins_is_checked_against_the_twins(monkeypatch):
+    """The check target follows from the output, not from the gadget's name:
+    an output over the {0,1} twins of its spin input is checked against the
+    input's {0,1} image under any catalog name."""
+    registry, ids, mono = spin_instance(4)
+    _, expected = evaluate_experimental("ntr_lhz", Fraction(-1), mono, registry)
+    monkeypatch.setitem(_APPLIERS, "ntr_lhz_z", single_term._x_ntr_lhz)
+    registry, ids, mono = spin_instance(4)
+    result, report = evaluate_experimental("ntr_lhz_z", Fraction(-1), mono, registry)
+    assert not set(result.output.variables()) & set(ids)
+    assert report == expected
+    assert report.stats.states_enumerated > 0
+
+
 def test_unknown_gadget():
     registry, ids, mono = boolean_instance(3)
     with pytest.raises(UnknownGadget):
@@ -535,11 +551,48 @@ def test_unknown_gadget():
 # The catalog table: each row's applier is the gadget the row names
 
 
+# Each row's sign, domain tag and degree range, written out so that a row and
+# its gadget cannot drift together unnoticed.
+CATALOG_ROWS = {
+    "ntr_kzfd": ("negative", "b", 1, None),
+    "ntr_abcg": ("negative", "b", 3, None),
+    "ntr_abcg2": ("negative", "b", 3, None),
+    "ntr_gbp": ("negative", "b", 3, 3),
+    "ntr_rbl": ("negative", "z", 3, 3),
+    "ptr_bg": ("positive", "b", 3, None),
+    "ptr_ishikawa": ("positive", "b", 3, None),
+    "ptr_bcr3": ("positive", "b", 3, None),
+    "ptr_bcr4": ("positive", "b", 3, None),
+    "ptr_kz": ("positive", "b", 3, 3),
+    "ptr_gbp": ("positive", "b", 3, 3),
+    "ptr_bcr1": ("positive", "b", 3, None),
+    "ptr_bcr2": ("positive", "b", 4, 4),
+    "ptr_kz_z": ("any", "z", 3, 3),
+    "ptr_rbl_3to2": ("positive", "z", 3, 3),
+    "ptr_rbl_4to2": ("positive", "z", 4, 4),
+    "ntr_lhz": ("negative", "z", 4, 4),
+    "ntr_lhz_z": ("negative", "z", 4, 4),
+}
+
+
+def _rejection(name, domain, degree, coeff, exponent=1):
+    registry = VariableRegistry()
+    ids = [registry.add_variable(domain) for _ in range(degree)]
+    mono = tuple((v, exponent if i == 0 else 1) for i, v in enumerate(ids))
+    with pytest.raises(Exception) as caught:
+        _APPLIERS[name](Fraction(coeff), mono, registry)
+    return type(caught.value), str(caught.value)
+
+
 @pytest.mark.parametrize("name", list(GADGETS))
 def test_catalog_row_applies_its_named_gadget(name):
     """A probe of the row's sign, domain and minimum degree comes back traced
     as `name(`.  Degree <= 2 terms pass through apply_gadget unchanged, so a
-    row whose minimum degree is lower is probed at degree 3."""
+    row whose minimum degree is lower is probed at degree 3.
+
+    Terms outside the row (wrong sign, zero, too low or too high a degree, a
+    squared factor, a foreign domain) each raise the gadget's own error,
+    checked in the order factors, then sign, then degree."""
     descriptor = GADGETS[name]
     registry = VariableRegistry()
     ids = [
@@ -555,6 +608,40 @@ def test_catalog_row_applies_its_named_gadget(name):
     else:
         result, _ = evaluate_experimental(name, coeff, mono, registry)
     assert result.trace.startswith(f"{name}(")
+    sign, tag, low, high = CATALOG_ROWS[name]
+    assert (descriptor.sign, descriptor.domain.tag, descriptor.min_degree) == (sign, tag, low)
+    assert descriptor.max_degree == high
+    domain = Domain.from_tag(tag)
+    good, right = max(low, 3), coeff
+    wrong = {"negative": 1, "positive": -1, "any": 0}[sign]
+    bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+
+    def sign_message(value):
+        if sign == "any":
+            return "coefficient must be nonzero"
+        return f"expected a {sign} coefficient, got {value}"
+
+    assert _rejection(name, domain, good, wrong) == (WrongSign, sign_message(wrong))
+    assert _rejection(name, domain, good, 0) == (WrongSign, sign_message(0))
+    assert _rejection(name, domain, low - 1, right) == (
+        WrongDegree, f"gadget needs degree {bound}, got {low - 1}"
+    )
+    if high is not None:
+        assert _rejection(name, domain, high + 1, right) == (
+            WrongDegree, f"gadget needs degree {bound}, got {high + 1}"
+        )
+    for other in (Domain.BOOLEAN, Domain.SPIN, Domain.TERNARY):
+        if other is not domain:
+            assert _rejection(name, other, good, right) == (
+                DomainViolation, f"variable 0 is not in the {tag!r} domain"
+            )
+    assert _rejection(name, domain, good, right, exponent=2) == (
+        DomainViolation, "gadget monomials use each variable once"
+    )
+    # the check order: factors before sign, sign before degree
+    other = Domain.SPIN if domain is Domain.BOOLEAN else Domain.BOOLEAN
+    assert _rejection(name, other, low - 1 or 1, wrong)[0] is DomainViolation
+    assert _rejection(name, domain, low - 1, wrong) == (WrongSign, sign_message(wrong))
 
 
 def test_experimental_reports_follow_the_catalog():

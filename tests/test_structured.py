@@ -257,6 +257,29 @@ def test_ternary_linear_encoding():
         assert minimum == -1 - lam
 
 
+def test_ternary_encoding_check_pins_states_and_counterexample():
+    # p = t - 3 t b + b has two minimizers, (t, b) = (-1, 0) and (1, 1), at -1
+    registry = VariableRegistry()
+    t = registry.add_variable(Domain.TERNARY, "t1")
+    b = registry.add_variable(Domain.BOOLEAN, "b2")
+    p = parse_polynomial("t1 - 3 t1 b2 + b2", registry)
+    output = ternary_to_binary(p, t, 2, registry)
+    z1, z2 = registry.auxiliaries()[-2:]
+    report = check_ternary_encoding(p, output, t, (z1, z2), 2)
+    assert report.passed and report.counterexample is None
+    # 3 * 2 states of the original plus 2 * 2 * 2 of the encoding
+    assert report.stats.states_enumerated == 14
+    assert (report.stats.min_original, report.stats.min_transformed) == (-1, -3)
+    # the wrong lam misses the minimum; an extra z1 z2 term moves the argmin
+    wrong_lam = check_ternary_encoding(p, output, t, (z1, z2), 3)
+    moved = output + Polynomial.product(registry, [z1, z2], Fraction(1, 2))
+    wrong_argmin = check_ternary_encoding(p, moved, t, (z1, z2), 2)
+    for report in (wrong_lam, wrong_argmin):
+        assert not report.passed
+        assert report.counterexample == {t: -1, b: 0}
+        assert report.stats.states_enumerated == 14
+
+
 def test_ternary_without_t_unchanged():
     registry = VariableRegistry()
     t = registry.add_variable(Domain.TERNARY)
