@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..poly import Domain, Polynomial, VariableRegistry
-from ..verify import DEFAULT_STATE_CAP, VerificationReport
+from ..verify import DEFAULT_STATE_CAP, VerificationReport, check_groundstate
 from .base import (
     EXPERIMENTAL,
     GADGETS,
@@ -66,8 +66,6 @@ def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
     Experimental catalog entries are probed on `min_degree` fresh variables
     of their domain, with coefficient -1 for a negative-term gadget, else +1.
     """
-    from ..verify import check_groundstate
-
     reports: dict[str, VerificationReport] = {}
     for descriptor in experimental_gadgets():
         registry = VariableRegistry()

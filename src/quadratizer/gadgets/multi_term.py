@@ -16,7 +16,6 @@ from typing import Optional
 
 from ..errors import (
     CommonTooSmall,
-    DomainViolation,
     InvalidParameter,
     InvalidSplit,
     MixedSigns,
@@ -28,6 +27,7 @@ from ..poly import (
     Monomial,
     Polynomial,
     VariableRegistry,
+    _require_boolean,
     monomial_degree,
     monomial_divides,
     monomial_vars,
@@ -50,12 +50,6 @@ class TermGroup:
                 raise InvalidParameter(
                     "the common monomial must divide every group member"
                 )
-
-
-def _require_boolean(registry: VariableRegistry, vars):
-    for var in vars:
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
 
 
 # ---------------------------------------------------------------------------
@@ -106,10 +100,9 @@ def rosenberg_pair(
         if i in vars and j in vars:
             mono = tuple(sorted([(v, e) for v, e in mono if v not in (i, j)] + [(ba, 1)]))
         rewritten[mono] = rewritten.get(mono, Fraction(0)) + coeff
-    bi = Polynomial.variable(registry, i)
-    bj = Polynomial.variable(registry, j)
-    a = Polynomial.variable(registry, ba)
-    penalty_poly = (bi * bj - 2 * bi * a - 2 * bj * a + 3 * a).scale(penalty)
+    penalty_poly = Polynomial.from_products(registry, [
+        ((i, j), penalty), ((i, ba), -2 * penalty), ((j, ba), -2 * penalty), ((ba,), 3 * penalty),
+    ])
     output = Polynomial(registry, rewritten) + penalty_poly
     trace = (
         f"rosenberg({registry.display_name(i)},{registry.display_name(j)} -> "
@@ -158,17 +151,13 @@ def fgbz_negative(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
             raise MixedSigns("fgbz_negative needs all-negative coefficients")
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "fgbz_negative")
-    a = Polynomial.variable(registry, ba)
-    common_sum = Polynomial.zero(registry)
-    for var in common_vars:
-        common_sum = common_sum + Polynomial.variable(registry, var)
-    bracket = Polynomial.zero(registry)
+    products = []
     for mono, coeff in group.members:
-        tail = tuple((v, e) for v, e in mono if v not in common_vars)
-        _require_boolean(registry, monomial_vars(tail))
-        tail_poly = Polynomial(registry, {tail: Fraction(1)})
-        bracket = bracket + (common_sum - len(common_vars) + tail_poly).scale(coeff)
-    output = a * bracket
+        tail = tuple(v for v in monomial_vars(mono) if v not in common_vars)
+        _require_boolean(registry, tail)
+        products += [((v, ba), coeff) for v in common_vars]
+        products += [((ba,), -len(common_vars) * coeff), ((*tail, ba), coeff)]
+    output = Polynomial.from_products(registry, products)
     names = "".join(registry.display_name(v) for v in common_vars)
     trace = f"fgbz_negative(C={names}, {len(group.members)} terms)"
     return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
@@ -191,16 +180,13 @@ def fgbz_positive(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
             raise MixedSigns("fgbz_positive needs all-positive coefficients")
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "fgbz_positive")
-    a = Polynomial.variable(registry, ba)
     total_weight = sum((coeff for _, coeff in group.members), Fraction(0))
-    common_poly = Polynomial(registry, {group.common: Fraction(1)})
-    output = a * common_poly.scale(total_weight)
-    one_minus_a = 1 - a
+    products = [((*common_vars, ba), total_weight)]
     for mono, coeff in group.members:
-        tail = tuple((v, e) for v, e in mono if v not in common_vars)
-        _require_boolean(registry, monomial_vars(tail))
-        tail_poly = Polynomial(registry, {tail: Fraction(1)})
-        output = output + one_minus_a * tail_poly.scale(coeff)
+        tail = tuple(v for v in monomial_vars(mono) if v not in common_vars)
+        _require_boolean(registry, tail)
+        products += [((*tail, ba), -coeff), (tail, coeff)]
+    output = Polynomial.from_products(registry, products)
     names = "".join(registry.display_name(v) for v in common_vars)
     trace = f"fgbz_positive(C={names}, {len(group.members)} terms)"
     return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)

@@ -2,8 +2,9 @@
 
 Negative-term reductions (ntr_*) rewrite one monomial with a negative
 coefficient; positive-term reductions (ptr_*) handle positive coefficients.
-Every formula below is stated for a unit coefficient and the whole output is
-scaled by |coeff|, which is sound because min_a(s*g) = s*min_a(g) for s > 0.
+Every formula below is stated for a unit coefficient.  Each gadget multiplies
+each output term's coefficient by |coeff| once (a bracket form scales its one
+product), which is sound because min_a(s*g) = s*min_a(g) for s > 0.
 Each gadget checks its term against its own catalog row (domain, sign,
 degree range); wrong-sign inputs raise WrongSign rather than being converted
 silently: sign routing belongs to the pipeline.
@@ -16,6 +17,7 @@ spot and the result is only returned when its claimed guarantee holds.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from ..errors import (
     DomainViolation,
@@ -25,7 +27,14 @@ from ..errors import (
     WrongDegree,
     WrongSign,
 )
-from ..poly import Domain, Monomial, Polynomial, VariableRegistry, monomial_degree
+from ..poly import (
+    Domain,
+    Monomial,
+    Polynomial,
+    VariableRegistry,
+    _require_boolean,
+    monomial_degree,
+)
 from ..verify import DEFAULT_STATE_CAP, check_groundstate, check_pointwise
 from .base import (
     EXPERIMENTAL,
@@ -42,17 +51,20 @@ def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
     """Check one term against the named gadget's catalog row (domain, sign,
     degree range) and return (sorted variables, coefficient, degree)."""
     row = GADGETS[name]
+    vars = sorted(var for var, _ in mono)
     for var, exp in mono:
         if exp != 1:
             raise DomainViolation("gadget monomials use each variable once")
         if registry.domain(var) is not row.domain:
             raise DomainViolation(f"variable {var} is not in the {row.domain.tag!r} domain")
+    if len(set(vars)) != len(vars):  # a repeated factor is a power too
+        raise DomainViolation("gadget monomials use each variable once")
     coeff = _check_sign(coeff, row.sign)
     k, low, high = len(mono), row.min_degree, row.max_degree
     if k < low or (high is not None and k > high):
         bound = f">= {low}" if high is None else f"in [{low}, {high}]"
         raise WrongDegree(f"gadget needs degree {bound}, got {k}")
-    return sorted(var for var, _ in mono), coeff, k
+    return vars, coeff, k
 
 
 def _check_sign(coeff: Fraction, want: str) -> Fraction:
@@ -64,25 +76,6 @@ def _check_sign(coeff: Fraction, want: str) -> Fraction:
     if not coeff:
         raise WrongSign("coefficient must be nonzero")
     return coeff
-
-
-def _vp(registry: VariableRegistry, var: int) -> Polynomial:
-    return Polynomial.variable(registry, var)
-
-
-def _sum_vars(registry: VariableRegistry, vars) -> Polynomial:
-    total = Polynomial.zero(registry)
-    for var in vars:
-        total = total + _vp(registry, var)
-    return total
-
-
-def _pair_sum(registry: VariableRegistry, vars) -> Polynomial:
-    total = Polynomial.zero(registry)
-    for i, u in enumerate(vars):
-        for w in vars[i + 1 :]:
-            total = total + Polynomial.product(registry, [u, w])
-    return total
 
 
 def _result(name, registry, output, aux, guarantee, coeff, vars) -> GadgetResult:
@@ -104,8 +97,9 @@ def ntr_kzfd(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     """
     vars, coeff, k = _inputs("ntr_kzfd", coeff, mono, registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_kzfd")
-    a = _vp(registry, ba)
-    out = (a * (k - 1) - _sum_vars(registry, vars) * a).scale(-coeff)
+    out = Polynomial.from_products(registry, [
+        ((ba,), (1 - k) * coeff), *(((v, ba), coeff) for v in vars)
+    ])
     return _result("ntr_kzfd", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -118,14 +112,12 @@ def ntr_abcg(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     vars, coeff, k = _inputs("ntr_abcg", coeff, mono, registry)
     head, bk = vars[:-1], vars[-1]
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_abcg")
-    a = _vp(registry, ba)
-    z = _vp(registry, bk)
-    out = (
-        _sum_vars(registry, head)
-        - _sum_vars(registry, head) * z
-        - _sum_vars(registry, vars) * a
-        + (z * a) * (k - 1)
-    ).scale(-coeff)
+    out = Polynomial.from_products(registry, [
+        *(((v,), -coeff) for v in head),
+        *(((v, bk), coeff) for v in head),
+        *(((v, ba), coeff) for v in vars),
+        ((bk, ba), (1 - k) * coeff),
+    ])
     return _result("ntr_abcg", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -140,8 +132,9 @@ def ntr_abcg2(coeff, mono: Monomial, registry: VariableRegistry, scale_c=2) -> G
     if scale_c < 1:
         raise InvalidParameter(f"C must be >= 1, got {scale_c}")
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_abcg2")
-    a = _vp(registry, ba)
-    out = (a * (scale_c * k - 1) - _sum_vars(registry, vars) * a * scale_c).scale(-coeff)
+    out = Polynomial.from_products(registry, [
+        ((ba,), (1 - scale_c * k) * coeff), *(((v, ba), scale_c * coeff) for v in vars)
+    ])
     return _result("ntr_abcg2", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -156,15 +149,17 @@ def ntr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -
     p = vars[pivot - 1]
     q, r = (v for v in vars if v != p)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_gbp")
-    a = _vp(registry, ba)
-    bp = _vp(registry, p)
-    out = (
-        a * (_vp(registry, q) + _vp(registry, r) - bp)
-        - Polynomial.product(registry, [p, q])
-        - Polynomial.product(registry, [p, r])
-        + bp
-    ).scale(-coeff)
+    out = Polynomial.from_products(registry, [
+        ((q, ba), -coeff), ((r, ba), -coeff), ((p, ba), coeff),
+        ((p, q), coeff), ((p, r), coeff), ((p,), -coeff),
+    ])
     return _result("ntr_gbp", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+
+
+def _rbl_square(registry: VariableRegistry, vars, ta: int) -> Polynomial:
+    """(1 + 4*ta + sum_i zi)^2 - 1."""
+    inner = Polynomial.from_products(registry, [((ta,), 4), ((), 1), *(((v,), 1) for v in vars)])
+    return inner * inner - 1
 
 
 def ntr_rbl(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
@@ -174,8 +169,7 @@ def ntr_rbl(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     """
     vars, coeff, _ = _inputs("ntr_rbl", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ntr_rbl")
-    inner = 1 + _vp(registry, ta) * 4 + _sum_vars(registry, vars)
-    out = (inner * inner - 1).scale(-coeff)
+    out = _rbl_square(registry, vars, ta).scale(-coeff)
     return _result("ntr_rbl", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
@@ -193,16 +187,16 @@ def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> 
     vars = pos_vars + neg_vars
     if len(set(vars)) != len(vars) or not vars:
         raise InvalidParameter("literal sets must be disjoint and nonempty")
-    for var in vars:
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+    _require_boolean(registry, vars)
     k = len(vars)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_kzfd")
-    a = _vp(registry, ba)
-    total = a * (k - 1) - _sum_vars(registry, pos_vars) * a
-    for var in neg_vars:
-        total = total - (1 - _vp(registry, var)) * a
-    out = total.scale(-coeff)
+    # Each -(1-bj)*ba adds bj*ba before -ba, so with no positive literal the
+    # ba term cancels to zero and is added back last.
+    out = Polynomial.from_products(registry, [
+        ((ba,), (1 - k) * coeff),
+        *(((v, ba), coeff) for v in pos_vars),
+        *(term for v in neg_vars for term in (((v, ba), -coeff), ((ba,), coeff))),
+    ])
     return _result("ntr_kzfd~", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -214,15 +208,11 @@ def ptr_bg(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     """b1..bk -> sum_{i=1}^{k-2} ba_i*(k-i-1 + bi - sum_{j>i} bj) + b_{k-1}*b_k."""
     vars, coeff, k = _inputs("ptr_bg", coeff, mono, registry)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bg") for _ in range(k - 2)]
-    total = Polynomial.product(registry, vars[-2:])
+    products = [(vars[-2:], coeff)]
     for i, ba in enumerate(aux, start=1):
-        inner = (
-            Polynomial.constant(registry, k - i - 1)
-            + _vp(registry, vars[i - 1])
-            - _sum_vars(registry, vars[i:])
-        )
-        total = total + _vp(registry, ba) * inner
-    out = total.scale(coeff)
+        products += [((ba,), (k - i - 1) * coeff), ((vars[i - 1], ba), coeff)]
+        products += [((v, ba), -coeff) for v in vars[i:]]
+    out = Polynomial.from_products(registry, products)
     return _result("ptr_bg", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -239,12 +229,12 @@ def ptr_ishikawa(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetRes
     vars, coeff, k = _inputs("ptr_ishikawa", coeff, mono, registry)
     n_k = (k - 1) // 2
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_ishikawa") for _ in range(n_k)]
-    body_sum = _sum_vars(registry, vars)
-    total = _pair_sum(registry, vars)
+    products = [(pair, coeff) for pair in combinations(vars, 2)]
     for i, ba in enumerate(aux, start=1):
         c_ik = 1 if (i == n_k and k % 2 == 1) else 2
-        total = total + _vp(registry, ba) * ((body_sum * (-1) + 2 * i) * c_ik - 1)
-    out = total.scale(coeff)
+        products += [((v, ba), -c_ik * coeff) for v in vars]
+        products.append(((ba,), (2 * i * c_ik - 1) * coeff))
+    out = Polynomial.from_products(registry, products)
     return _result("ptr_ishikawa", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -259,6 +249,14 @@ def _bcr3_m(k: int) -> int:
     return max(1, _log2_ceil(k))
 
 
+def _counter(registry: VariableRegistry, offset: int, vars, aux, first_weight: int):
+    """offset + sum_i bi - sum_i first_weight*2^(i-1)*ba_i."""
+    return Polynomial.from_products(registry, [
+        ((), offset), *(((v,), 1) for v in vars),
+        *(((ba,), -first_weight * 2**i) for i, ba in enumerate(aux)),
+    ])
+
+
 def ptr_bcr3(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     """b1..bk -> (2^m - k + sum_i bi - sum_{i=1}^m 2^{i-1}*ba_i)^2.
 
@@ -269,9 +267,7 @@ def ptr_bcr3(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     vars, coeff, k = _inputs("ptr_bcr3", coeff, mono, registry)
     m = _bcr3_m(k)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr3") for _ in range(m)]
-    bracket = Polynomial.constant(registry, 2**m - k) + _sum_vars(registry, vars)
-    for i, ba in enumerate(aux, start=1):
-        bracket = bracket - _vp(registry, ba) * 2 ** (i - 1)
+    bracket = _counter(registry, 2**m - k, vars, aux, 1)
     out = (bracket * bracket).scale(coeff)
     return _result("ptr_bcr3", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
 
@@ -291,10 +287,8 @@ def ptr_bcr4(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     vars, coeff, k = _inputs("ptr_bcr4", coeff, mono, registry)
     m = _bcr4_m(k)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr4") for _ in range(m)]
-    bracket = Polynomial.constant(registry, 2 ** (m + 1) - k) + _sum_vars(registry, vars)
-    for i, ba in enumerate(aux, start=1):
-        bracket = bracket - _vp(registry, ba) * 2**i
-    out = (bracket * (bracket - 1)).scale(Fraction(1, 2)).scale(coeff)
+    bracket = _counter(registry, 2 ** (m + 1) - k, vars, aux, 2)
+    out = (bracket * (bracket - 1)).scale(coeff / 2)
     return _result("ptr_bcr4", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -309,9 +303,10 @@ def ptr_kz(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     """
     vars, coeff, _ = _inputs("ptr_kz", coeff, mono, registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_kz")
-    a = _vp(registry, ba)
-    body_sum = _sum_vars(registry, vars)
-    out = (1 - (a + body_sum) + a * body_sum + _pair_sum(registry, vars)).scale(coeff)
+    out = Polynomial.from_products(registry, [
+        ((ba,), -coeff), *(((v,), -coeff) for v in vars), ((), coeff),
+        *(((v, ba), coeff) for v in vars), *((pair, coeff) for pair in combinations(vars, 2)),
+    ])
     return _result("ptr_kz", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -326,11 +321,9 @@ def ptr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -
     p = vars[pivot - 1]
     q, r = (v for v in vars if v != p)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_gbp")
-    a = _vp(registry, ba)
-    out = (
-        a * (1 - _vp(registry, q) - _vp(registry, r) + _vp(registry, p))
-        + Polynomial.product(registry, [q, r])
-    ).scale(coeff)
+    out = Polynomial.from_products(registry, [
+        ((q, ba), -coeff), ((ba,), coeff), ((r, ba), -coeff), ((p, ba), coeff), ((q, r), coeff),
+    ])
     return _result("ptr_gbp", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
@@ -343,58 +336,54 @@ def _x_ptr_bcr1(coeff, mono, registry):
     if k % 2 == 0:
         raise WrongDegree("ptr_bcr1 is stated for odd k only")
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr1") for _ in range((k - 1) // 2)]
-    body_sum = _sum_vars(registry, vars)
-    total = body_sum + _pair_sum(registry, vars)
+    products = [((v,), coeff) for v in vars] + [(pair, coeff) for pair in combinations(vars, 2)]
     for i, ba in enumerate(aux, start=1):
-        total = total + _vp(registry, ba) * (body_sum * (-1) + (4 * i - 3))
-    out = total.scale(coeff)
+        products += [((v, ba), -coeff) for v in vars]
+        products.append(((ba,), (4 * i - 3) * coeff))
+    out = Polynomial.from_products(registry, products)
     return _result("ptr_bcr1", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
 
 
 def _x_ptr_bcr2(coeff, mono, registry):
     vars, coeff, _ = _inputs("ptr_bcr2", coeff, mono, registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr2")
-    bracket = _sum_vars(registry, vars) - _vp(registry, ba) * 2
-    out = (bracket * (bracket - 1)).scale(Fraction(1, 2)).scale(coeff)
+    bracket = _counter(registry, 0, vars, [ba], 2)
+    out = (bracket * (bracket - 1)).scale(coeff / 2)
     return _result("ptr_bcr2", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
 def _x_ptr_kz_z(coeff, mono, registry):
     vars, coeff, _ = _inputs("ptr_kz_z", coeff, mono, registry)
-    sign = 1 if coeff > 0 else -1
     za = registry.add_auxiliary(Domain.SPIN, "ptr_kz_z")
-    body_sum = _sum_vars(registry, vars)
-    out = (
-        3
-        + (body_sum + _vp(registry, za)) * sign
-        + _vp(registry, za) * body_sum * 2
-        + _pair_sum(registry, vars)
-    ).scale(abs(coeff))
+    weight = abs(coeff)
+    out = Polynomial.from_products(registry, [
+        *(((v,), coeff) for v in vars), ((za,), coeff), ((), 3 * weight),
+        *(((v, za), 2 * weight) for v in vars),
+        *((pair, weight) for pair in combinations(vars, 2)),
+    ])
     return _result("ptr_kz_z", registry, out, [za], Guarantee.POINTWISE_MIN, coeff, vars)
 
 
 def _x_ptr_rbl_3to2(coeff, mono, registry):
     vars, coeff, _ = _inputs("ptr_rbl_3to2", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ptr_rbl_3to2")
-    inner = 1 + _vp(registry, ta) * 4 + _sum_vars(registry, vars)
-    out = (inner * inner - 1).scale(coeff)
+    out = _rbl_square(registry, vars, ta).scale(coeff)
     return _result("ptr_rbl_3to2", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
-def _rbl_quartic_z(registry, vars, ta):
-    t = _vp(registry, ta)
-    return (
-        t * t * 16
-        + t * _sum_vars(registry, vars) * 4
-        + _pair_sum(registry, vars) * 2
-        + 4
-    )
+def _ternary_quartic(registry, vars, ta, weights, coeff) -> Polynomial:
+    """coeff * (w0*ta^2 + w1*ta*sum_i vi + w2*sum_{i<j} vi*vj + w3)."""
+    square, linear, pair, const = (w * coeff for w in weights)
+    return Polynomial.from_products(registry, [
+        ((ta, ta), square), *(((v, ta), linear) for v in vars),
+        *((uv, pair) for uv in combinations(vars, 2)), ((), const),
+    ])
 
 
 def _x_ptr_rbl_4to2(coeff, mono, registry):
     vars, coeff, _ = _inputs("ptr_rbl_4to2", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ptr_rbl_4to2")
-    out = _rbl_quartic_z(registry, vars, ta).scale(coeff)
+    out = _ternary_quartic(registry, vars, ta, (16, 4, 2, 4), coeff)
     return _result("ptr_rbl_4to2", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
@@ -404,20 +393,14 @@ def _x_ntr_lhz(coeff, mono, registry):
     vars, coeff, _ = _inputs("ntr_lhz", coeff, mono, registry)
     twins = [registry.twin(v, Domain.BOOLEAN) for v in vars]
     ta = registry.add_auxiliary(Domain.TERNARY, "ntr_lhz")
-    t = _vp(registry, ta)
-    out = (
-        t * t * 16
-        + t * _sum_vars(registry, twins) * 8
-        + _pair_sum(registry, twins) * 8
-        + 16
-    ).scale(-coeff)
+    out = _ternary_quartic(registry, twins, ta, (16, 8, 8, 16), -coeff)
     return _result("ntr_lhz", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
 def _x_ntr_lhz_z(coeff, mono, registry):
     vars, coeff, _ = _inputs("ntr_lhz_z", coeff, mono, registry)
     ta = registry.add_auxiliary(Domain.TERNARY, "ntr_lhz_z")
-    out = _rbl_quartic_z(registry, vars, ta).scale(-coeff)
+    out = _ternary_quartic(registry, vars, ta, (16, 4, 2, 4), -coeff)
     return _result("ntr_lhz_z", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 

@@ -23,7 +23,7 @@ from ..errors import (
     VariantRangeViolation,
     VerificationFailed,
 )
-from ..poly import Domain, Polynomial, VariableRegistry
+from ..poly import Domain, Polynomial, VariableRegistry, _require_boolean
 from ..verify import (
     DEFAULT_STATE_CAP,
     CheckMode,
@@ -102,28 +102,22 @@ def sfr_bcr(
     vars = sorted(vars)
     if len(vars) != spec.n or len(set(vars)) != spec.n:
         raise InvalidParameter(f"expected {spec.n} distinct variables")
-    for var in vars:
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+    _require_boolean(registry, vars)
     _validate_spec(variant, spec)
     m = sfr_aux_count(variant, spec)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, f"sfr_bcr_{variant}") for _ in range(m)]
 
-    body = Polynomial.zero(registry)
-    for var in vars:
-        body = body + Polynomial.variable(registry, var)
-    bracket = body - (spec.c + 1) if variant in (1, 3) else (spec.c - 1) - body
-    for i, ba in enumerate(aux[:-1], start=1):
-        step = 2 ** (i - 1) if variant in (1, 2) else 2**i
-        bracket = bracket - Polynomial.variable(registry, ba) * step
-    top = 1 + 2 ** (m - 1) if variant in (1, 2) else 1 + 2**m
-    bracket = bracket + Polynomial.variable(registry, aux[-1]) * top
-
+    sign, base = (1, -(spec.c + 1)) if variant in (1, 3) else (-1, spec.c - 1)
+    shift = 0 if variant in (1, 2) else 1  # the binomial forms double each weight
+    bracket = Polynomial.from_products(registry, [
+        *(((v,), sign) for v in vars), ((), base),
+        *(((ba,), -(2 ** (i + shift))) for i, ba in enumerate(aux[:-1])),
+        ((aux[-1],), 1 + 2 ** (m - 1 + shift)),
+    ])
     if variant in (1, 2):
-        out = bracket * bracket
+        out = (bracket * bracket).scale(spec.gamma)
     else:
-        out = (bracket * (bracket - 1)).scale(Fraction(1, 2))
-    out = out.scale(spec.gamma)
+        out = (bracket * (bracket - 1)).scale(spec.gamma * Fraction(1, 2))
     trace = f"sfr_bcr_{variant}(n={spec.n}, c={spec.c}, gamma={spec.gamma})"
     return GadgetResult(out, tuple(aux), Guarantee.POINTWISE_MIN, trace)
 
@@ -134,13 +128,23 @@ def exact_c_indicator(spec: ExactCSpec, vars, registry: VariableRegistry) -> Pol
     Uses [sum = c] = sum_{j>=c} (-1)^(j-c) * C(j, c) * e_j(b) over the
     elementary symmetric polynomials e_j.
     """
-    vars = sorted(vars)
-    total = Polynomial.zero(registry)
+    return Polynomial.from_products(registry, _exact_c_products(spec, vars))
+
+
+def _exact_c_products(spec: ExactCSpec, vars):
+    vars = _distinct(vars)
     for j in range(spec.c, spec.n + 1):
         weight = Fraction((-1) ** (j - spec.c) * comb(j, spec.c)) * spec.gamma
         for subset in itertools.combinations(vars, j):
-            total = total + Polynomial.product(registry, subset, weight)
-    return total
+            yield subset, weight
+
+
+def _distinct(vars) -> list:
+    """`vars` sorted, with a repeat rejected as Polynomial.product rejects it."""
+    vars = sorted(vars)
+    if len(set(vars)) != len(vars):
+        raise ValueError("product() expects distinct variables")
+    return vars
 
 
 # ---------------------------------------------------------------------------
@@ -166,44 +170,28 @@ def czw_counting_hamiltonian(vars, registry: VariableRegistry):
     vars = sorted(vars)
     if len(vars) != 4:
         raise InvalidParameter("the counting gadget is defined for exactly 4 variables")
-    for var in vars:
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+    _require_boolean(registry, vars)
+    vars = _distinct(vars)
     aux = [registry.add_auxiliary(Domain.BOOLEAN, "czw_count4") for _ in range(4)]
-    body = Polynomial.zero(registry)
-    for var in vars:
-        body = body + Polynomial.variable(registry, var)
-    aux_sum = Polynomial.zero(registry)
-    for ba in aux:
-        aux_sum = aux_sum + Polynomial.variable(registry, ba)
-    pair_sum = Polynomial.zero(registry)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            pair_sum = pair_sum + Polynomial.product(registry, [vars[i], vars[j]])
-    single = (
-        5 * Polynomial.variable(registry, aux[0])
-        + Polynomial.variable(registry, aux[1])
-        - 3 * Polynomial.variable(registry, aux[2])
-        - 7 * Polynomial.variable(registry, aux[3])
-    )
-    h_count = (
-        pair_sum * 4 + body * aux_sum * 4 - body * 15 - aux_sum * 8 + single + 26
-    )
+    h_count = Polynomial.from_products(registry, [
+        *((pair, 4) for pair in itertools.combinations(vars, 2)),
+        *(((v, ba), 4) for v in vars for ba in aux),
+        *(((v,), -15) for v in vars),
+        *(((ba,), weight - 8) for ba, weight in zip(aux, (5, 1, -3, -7))),
+        ((), 26),
+    ])
     return h_count, aux
 
 
 def _czw_target(bias, vars, registry: VariableRegistry) -> Polynomial:
     """Spectrum the bias reproduces on the counting manifold:
     sum_j bias_j * [sum(b) <= j-1], as a multilinear polynomial."""
-    total = Polynomial.zero(registry)
-    for j, beta in enumerate(bias, start=1):
-        if not beta:
-            continue
-        for s in range(0, j):
-            total = total + exact_c_indicator(
-                ExactCSpec(n=4, c=s, gamma=Fraction(1)), vars, registry
-            ).scale(beta)
-    return total
+    return Polynomial.from_products(registry, [
+        term
+        for j, beta in enumerate(bias, start=1) if beta
+        for s in range(0, j)
+        for term in _exact_c_products(ExactCSpec(n=4, c=s, gamma=beta), vars)
+    ])
 
 
 def czw_count4(
@@ -244,9 +232,7 @@ def czw_count4(
         raise InvalidParameter(f"lam must be positive, got {lam}")
 
     h_count, aux = czw_counting_hamiltonian(vars, registry)
-    bias_poly = Polynomial.zero(registry)
-    for ba, beta in zip(aux, bias):
-        bias_poly = bias_poly + Polynomial.variable(registry, ba) * beta
+    bias_poly = Polynomial.from_products(registry, [((ba,), beta) for ba, beta in zip(aux, bias)])
     output = bias_poly + h_count.scale(lam)
 
     report = check_groundstate(target, output, aux, max_states)
@@ -262,11 +248,10 @@ def czw_count4(
 def _spin_product_in_boolean(vars, registry: VariableRegistry) -> Polynomial:
     """The 4-spin product written over the {0,1} images of the same variables:
     16*b1b2b3b4 - 8*(triples) + 4*(pairs) - 2*(singles) + 1."""
-    total = Polynomial.constant(registry, 1)
-    for size, weight in ((1, -2), (2, 4), (3, -8), (4, 16)):
-        for subset in itertools.combinations(sorted(vars), size):
-            total = total + Polynomial.product(registry, subset, weight)
-    return total
+    vars = _distinct(vars)
+    return Polynomial.from_products(registry, [
+        (subset, (-2) ** size) for size in range(5) for subset in itertools.combinations(vars, size)
+    ])
 
 
 # ---------------------------------------------------------------------------

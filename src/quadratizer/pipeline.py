@@ -151,7 +151,7 @@ def _apply_multi_term(work, aux_map, guarantee, strategy):
         sign = "negative" if group.members[0][1] < 0 else "positive"
         apply = fgbz_negative if sign == "negative" else fgbz_positive
         result = apply(group, work.registry)
-        removed = Polynomial(work.registry, dict(group.members))
+        removed = Polynomial._wrap(work.registry, dict(group.members))
         for aux in result.aux:
             aux_map[aux] = result.trace
         work = (work - removed) + result.output
@@ -228,7 +228,8 @@ def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> Quadrati
         key=lambda item: (-monomial_degree(item[0]), item[0]),
     )
     terms, guarantee = _route_terms(work.registry, items, strategy, aux_map, guarantee)
-    work = Polynomial(work.registry, terms)
+    shared: dict = {}  # the output keeps one Fraction per distinct coefficient
+    work = Polynomial._wrap(work.registry, {m: shared.setdefault(c, c) for m, c in terms.items()})
     cost = cost_report(work, sorted(aux_map))
     report = None
     if strategy.verify_after:

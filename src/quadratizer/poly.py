@@ -218,6 +218,12 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _require_boolean(registry: VariableRegistry, vars):
+    for var in vars:
+        if registry.domain(var) is not Domain.BOOLEAN:
+            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+
+
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
@@ -281,6 +287,25 @@ class Polynomial:
             raise ValueError("product() expects distinct variables")
         mono = tuple(sorted((v, 1) for v in vars))
         return cls(registry, {mono: _as_fraction(coeff)})
+
+    @classmethod
+    def from_products(cls, registry: VariableRegistry, products) -> "Polynomial":
+        """Sum of coeff * v1*v2*... over (variables, coeff) pairs.
+
+        The pairs are added in the order given, exactly as the constructor adds
+        terms: a repeated variable is a power, equal monomials merge in place,
+        and a monomial whose sum is zero drops out.
+        """
+        return cls(registry, ((tuple((v, 1) for v in vars), c) for vars, c in products))
+
+    @classmethod
+    def _wrap(cls, registry: VariableRegistry, terms: dict) -> "Polynomial":
+        """A polynomial that takes ownership of `terms` as they are: canonical
+        monomials mapped to nonzero coefficients."""
+        result = Polynomial.__new__(cls)
+        result.registry = registry
+        result.terms = terms
+        return result
 
     def _canonical_monomial(self, mono) -> Monomial:
         merged: dict[int, int] = {}
@@ -367,18 +392,12 @@ class Polynomial:
                 terms[mono] = acc
             else:
                 terms.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result.registry = self.registry
-        result.terms = terms
-        return result
+        return Polynomial._wrap(self.registry, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        result = Polynomial.__new__(Polynomial)
-        result.registry = self.registry
-        result.terms = {m: -c for m, c in self.terms.items()}
-        return result
+        return Polynomial._wrap(self.registry, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -394,10 +413,7 @@ class Polynomial:
         factor = _as_fraction(factor)
         if not factor:
             return Polynomial.zero(self.registry)
-        result = Polynomial.__new__(Polynomial)
-        result.registry = self.registry
-        result.terms = {m: c * factor for m, c in self.terms.items()}
-        return result
+        return Polynomial._wrap(self.registry, {m: c * factor for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -418,10 +434,7 @@ class Polynomial:
                     out[mono] = acc
                 else:
                     out.pop(mono, None)
-        result = Polynomial.__new__(Polynomial)
-        result.registry = self.registry
-        result.terms = out
-        return result
+        return Polynomial._wrap(self.registry, out)
 
     def __rmul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -493,9 +506,7 @@ class Polynomial:
         argmin assignments later; flipping twice restores the original.
         """
         mask = frozenset(vars)
-        for var in mask:
-            if self.registry.domain(var) is not Domain.BOOLEAN:
-                raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+        _require_boolean(self.registry, mask)
         flipped = self
         for var in sorted(mask):
             flipped = flipped.substitute(

@@ -24,6 +24,7 @@ from .poly import (
     Domain,
     Monomial,
     Polynomial,
+    _require_boolean,
     monomial_degree,
     monomial_vars,
 )
@@ -222,8 +223,7 @@ def elc_cancel(
 
 def split(p: Polynomial, var: int):
     """Condition on one {0,1} variable: (p at var=0, p at var=1)."""
-    if p.registry.domain(var) is not Domain.BOOLEAN:
-        raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+    _require_boolean(p.registry, [var])
     return p.substitute(var, 0), p.substitute(var, 1)
 
 
@@ -315,7 +315,7 @@ def solve_by_splitting(
             terms, _ = _route_terms(
                 q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY, {}, Guarantee.POINTWISE_MIN
             )
-            dispatch(Polynomial(q.registry, terms), fixed)
+            dispatch(Polynomial._wrap(q.registry, terms), fixed)
             return
         var = pick(q)
         low, high = split(q, var)

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadratizer.errors import (
     InvalidParameter,
@@ -21,6 +23,7 @@ from quadratizer.pipeline import (
     quadratize,
 )
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
+from quadratizer.rewrites import solve_by_splitting
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import enumerate_min
 
@@ -337,3 +340,33 @@ def test_guarantee_weakest_merge():
     strategy = Strategy(negative_route=("ntr_kzfd", "ntr_rbl"), verify_after=False)
     result = quadratize(p, strategy)
     assert result.guarantee == Guarantee.GROUND_STATE  # weakest of the two fired
+
+
+def _seeded_boolean(seed):
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    bs = [registry.add_variable(Domain.BOOLEAN) for _ in range(rng.randint(3, 7))]
+    # few variables and coefficients, so gadget outputs often cancel input terms
+    terms = [
+        (
+            tuple((v, 1) for v in sorted(rng.sample(bs, rng.randint(1, min(4, len(bs)))))),
+            Fraction(rng.choice((-2, -1, 1, 2))),
+        )
+        for _ in range(rng.randint(1, 16))
+    ]
+    return Polynomial(registry, terms)
+
+
+def _rebuilt_unchanged(p):
+    return list(p.terms.items()) == list(Polynomial(p.registry, p.terms).terms.items())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([None, "rosenberg", "fgbz"]))
+@settings(max_examples=60, deadline=None)
+def test_accumulated_outputs_are_canonical(seed, multi_term):
+    """quadratize and split reduction keep their accumulated terms as they
+    are, so rebuilding them through the constructor must change nothing."""
+    result = quadratize(_seeded_boolean(seed), Strategy(multi_term=multi_term))
+    assert _rebuilt_unchanged(result.output)
+    for q in solve_by_splitting(_seeded_boolean(seed)).subproblems:
+        assert _rebuilt_unchanged(q)
