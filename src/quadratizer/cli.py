@@ -4,6 +4,12 @@ Subcommands: quadratize, verify, analyze, convert, list-gadgets.
 Exit codes: 0 success, 1 verification failed (counterexample printed),
 2 parse/schema error, 3 enumeration cap exceeded, 4 no applicable gadget.
 Human diagnostics go to stderr; machine output goes to stdout.
+
+Each command imports the library modules it uses when it runs, so building
+the parser and `--help` load only argparse, json and errors.  The state cap
+(`--max-states`, else QUADRATIZER_MAX_STATES, else verify.DEFAULT_STATE_CAP)
+must be a positive integer; it is read after parsing, only for the commands
+that take it.
 """
 
 from __future__ import annotations
@@ -12,27 +18,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import errors
-from .gadgets import experimental_reports
-from .gadgets.base import GADGETS
-from .pipeline import Strategy, quadratize
-from .poly import Domain
-from .textio import (
-    format_fraction,
-    format_polynomial,
-    load_polynomial,
-    parse_polynomial,
-    polynomial_to_json,
-    qubo_to_json,
-)
-from .verify import (
-    DEFAULT_STATE_CAP,
-    check_conditional,
-    check_groundstate,
-    check_pointwise,
-)
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -40,24 +27,45 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_NO_GADGET = 4
 
+# Strategy keyword arguments per preset; Strategy's defaults fill the rest.
 STRATEGY_PRESETS = {
-    "default": Strategy(),
-    "log-aux": Strategy(positive_route=("ptr_bcr4",)),
-    "counter": Strategy(positive_route=("ptr_bcr3",)),
-    "bg": Strategy(positive_route=("ptr_bg",)),
-    "rosenberg": Strategy(multi_term="rosenberg"),
-    "fgbz": Strategy(multi_term="fgbz"),
-    "odd-split": Strategy(odd_split=True),
+    "default": {},
+    "log-aux": {"positive_route": ("ptr_bcr4",)},
+    "counter": {"positive_route": ("ptr_bcr3",)},
+    "bg": {"positive_route": ("ptr_bg",)},
+    "rosenberg": {"multi_term": "rosenberg"},
+    "fgbz": {"multi_term": "fgbz"},
+    "odd-split": {"odd_split": True},
 }
+CAP_HELP = "enumeration cap, a positive integer (default: $QUADRATIZER_MAX_STATES, else 2^20)"
+
+
+def _state_cap(text: str) -> int:
+    """`--max-states`: a positive integer, else argparse exits 2."""
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return cap
 
 
 def _default_cap() -> int:
     value = os.environ.get("QUADRATIZER_MAX_STATES")
     if value:
         try:
-            return int(value)
+            cap = int(value)
         except ValueError:
             print(f"ignoring malformed QUADRATIZER_MAX_STATES={value!r}", file=sys.stderr)
+        else:
+            if cap <= 0:
+                raise errors.InvalidParameter(
+                    f"QUADRATIZER_MAX_STATES must be a positive integer, got {value!r}"
+                )
+            return cap
+    from .verify import DEFAULT_STATE_CAP
+
     return DEFAULT_STATE_CAP
 
 
@@ -78,9 +86,10 @@ def _write(path, text: str):
             handle.write(text)
 
 
-def _build_strategy(args) -> Strategy:
-    strategy = STRATEGY_PRESETS[args.strategy]
-    overrides = {}
+def _build_strategy(args):
+    from .pipeline import Strategy
+
+    overrides = dict(STRATEGY_PRESETS[args.strategy])
     for clause in args.route or []:
         for part in clause.split(","):
             if not part:
@@ -99,16 +108,18 @@ def _build_strategy(args) -> Strategy:
                 overrides["odd_split"] = value.lower() in ("1", "true", "yes", "on")
             else:
                 raise errors.InvalidParameter(f"unknown route key {key!r}")
-    return replace(
-        strategy,
+    return Strategy(
+        **overrides,
         verify_after=args.verify,
         allow_experimental=args.allow_experimental,
         max_states=args.max_states,
-        **overrides,
     )
 
 
 def _cmd_quadratize(args) -> int:
+    from .pipeline import quadratize
+    from .textio import format_polynomial, load_polynomial, polynomial_to_json, qubo_to_json
+
     p = load_polynomial(_read(args.input))
     strategy = _build_strategy(args)
     result = quadratize(p, strategy)
@@ -140,6 +151,10 @@ def _resolve_aux(registry, spec: str):
 
 
 def _cmd_verify(args) -> int:
+    from .poly import Domain
+    from .textio import format_fraction, load_polynomial, parse_polynomial
+    from .verify import check_conditional, check_groundstate, check_pointwise
+
     transformed = load_polynomial(_read(args.quadratized))
     registry = transformed.registry
     original_text = _read(args.original)
@@ -183,6 +198,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .poly import Domain
+    from .textio import format_fraction, load_polynomial
+
     p = load_polynomial(_read(args.input))
     histogram = {}
     for mono, _ in p.items():
@@ -209,6 +227,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    from .textio import format_polynomial, load_polynomial, polynomial_to_json
+
     p = load_polynomial(_read(args.input))
     if args.to == "spin":
         output = format_polynomial(p.to_spin())
@@ -223,6 +243,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_list_gadgets(args) -> int:
+    from .gadgets import GADGETS, experimental_reports
+
     rows = []
     reports = experimental_reports(args.max_states) if args.verdicts else {}
     for name in sorted(GADGETS):
@@ -265,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     quad.add_argument("--verify", action="store_true", help="prove the result by enumeration")
     quad.add_argument("--allow-experimental", action="store_true")
-    quad.add_argument("--max-states", type=int, default=_default_cap())
+    quad.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
     quad.set_defaults(func=_cmd_quadratize)
 
     ver = sub.add_parser("verify", help="check a quadratization against its original")
@@ -273,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--quadratized", required=True)
     ver.add_argument("--aux", default="", help="comma-separated auxiliary labels or ids")
     ver.add_argument("--mode", choices=("pointwise", "groundstate", "conditional"), default="pointwise")
-    ver.add_argument("--max-states", type=int, default=_default_cap())
+    ver.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
     ver.set_defaults(func=_cmd_verify)
 
     ana = sub.add_parser("analyze", help="degree/term/submodularity report")
@@ -288,15 +310,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     lst = sub.add_parser("list-gadgets", help="descriptors, guarantees, status")
     lst.add_argument("--verdicts", action="store_true", help="also run the experimental probes")
-    lst.add_argument("--max-states", type=int, default=_default_cap())
+    lst.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
     lst.set_defaults(func=_cmd_list_gadgets)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "max_states" in vars(args) and args.max_states is None:
+            args.max_states = _default_cap()
         return args.func(args)
     except errors.VerificationFailed as error:
         print(f"error: {error}", file=sys.stderr)

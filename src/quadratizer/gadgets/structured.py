@@ -128,6 +128,8 @@ def exact_c_indicator(spec: ExactCSpec, vars, registry: VariableRegistry) -> Pol
     Uses [sum = c] = sum_{j>=c} (-1)^(j-c) * C(j, c) * e_j(b) over the
     elementary symmetric polynomials e_j.
     """
+    if len(vars) != spec.n:
+        raise InvalidParameter(f"expected {spec.n} variables")
     return Polynomial.from_products(registry, _exact_c_products(spec, vars))
 
 

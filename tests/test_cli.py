@@ -205,6 +205,42 @@ def test_env_var_overrides_default_cap(tmp_path, monkeypatch):
     assert main(["quadratize", "--in", str(path), "--verify"]) == 0
 
 
+@pytest.mark.parametrize("command, warnings", [("analyze", 0), ("quadratize", 1)])
+def test_malformed_env_cap_warns_once_and_only_where_read(
+    cubic_file, monkeypatch, capsys, command, warnings
+):
+    monkeypatch.setenv("QUADRATIZER_MAX_STATES", "abc")
+    assert main([command, "--in", str(cubic_file)]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert lines.count("ignoring malformed QUADRATIZER_MAX_STATES='abc'") == warnings
+    assert len(lines) == warnings
+
+
+@pytest.mark.parametrize("cap", ["0", "-5", "abc"])
+@pytest.mark.parametrize("command", ["quadratize", "verify", "list-gadgets"])
+def test_non_positive_cap_flag_exits_2(cubic_file, capsys, cap, command):
+    inputs = {
+        "quadratize": ["--in", str(cubic_file), "--verify"],
+        "verify": ["--original", str(cubic_file), "--quadratized", str(cubic_file)],
+        "list-gadgets": ["--verdicts"],
+    }[command]
+    with pytest.raises(SystemExit) as exit:
+        main([command, *inputs, f"--max-states={cap}"])
+    assert exit.value.code == 2
+    assert f"must be a positive integer, got {cap!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_non_positive_env_cap_exits_2(cubic_file, monkeypatch, capsys, cap):
+    monkeypatch.setenv("QUADRATIZER_MAX_STATES", cap)
+    assert main(["quadratize", "--in", str(cubic_file), "--verify"]) == 2
+    err = capsys.readouterr().err
+    assert f"QUADRATIZER_MAX_STATES must be a positive integer, got {cap!r}" in err
+    assert "exceed" not in err
+    # a command without a state cap never reads the variable
+    assert main(["analyze", "--in", str(cubic_file)]) == 0
+
+
 @pytest.mark.parametrize(
     "payload",
     [

@@ -315,3 +315,15 @@ def test_rbl_output_through_ternary_encoding():
     minimum, minimizers = enumerate_min(fully_spin)
     products = {m[zs[0]] * m[zs[1]] * m[zs[2]] for m in minimizers}
     assert products == {1}
+
+
+def test_exact_c_indicator_rejects_wrong_variable_count():
+    # built over three variables, the two-variable indicator would be -3 at
+    # (1, 1, 1), where gamma * [sum == 1] is 0
+    registry, ids = _vars(3)
+    with pytest.raises(InvalidParameter, match="expected 2 variables"):
+        exact_c_indicator(ExactCSpec(2, 1), ids, registry)
+    with pytest.raises(InvalidParameter, match="expected 3 variables"):
+        exact_c_indicator(ExactCSpec(3, 1), ids[:2], registry)
+    target = exact_c_indicator(ExactCSpec(3, 1), ids, registry)
+    assert target.evaluate(dict.fromkeys(ids, 1)) == 0
