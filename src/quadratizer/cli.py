@@ -105,7 +105,10 @@ def _build_strategy(args):
             elif key == "multi_term":
                 overrides["multi_term"] = None if value in ("off", "none") else value
             elif key == "odd_split":
-                overrides["odd_split"] = value.lower() in ("1", "true", "yes", "on")
+                on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+                if value.lower() not in on + off:
+                    raise errors.InvalidParameter(f"odd_split takes {on + off}, got {value!r}")
+                overrides["odd_split"] = value.lower() in on
             else:
                 raise errors.InvalidParameter(f"unknown route key {key!r}")
     return Strategy(

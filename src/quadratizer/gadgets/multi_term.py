@@ -94,16 +94,16 @@ def rosenberg_pair(
         raise NonPositivePenalty(f"penalty must be positive, got {penalty}")
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "rosenberg")
-    rewritten = {}
+    terms = []
     for mono, coeff in p.terms.items():
         vars = monomial_vars(mono)
         if i in vars and j in vars:
-            mono = tuple(sorted([(v, e) for v, e in mono if v not in (i, j)] + [(ba, 1)]))
-        rewritten[mono] = rewritten.get(mono, Fraction(0)) + coeff
-    penalty_poly = Polynomial.from_products(registry, [
-        ((i, j), penalty), ((i, ba), -2 * penalty), ((j, ba), -2 * penalty), ((ba,), 3 * penalty),
+            mono = tuple((v, e) for v, e in mono if v not in (i, j)) + ((ba, 1),)
+        terms.append((mono, coeff))
+    output = Polynomial(registry, terms + [
+        (((i, 1), (j, 1)), penalty), (((i, 1), (ba, 1)), -2 * penalty),
+        (((j, 1), (ba, 1)), -2 * penalty), (((ba, 1),), 3 * penalty),
     ])
-    output = Polynomial(registry, rewritten) + penalty_poly
     trace = (
         f"rosenberg({registry.display_name(i)},{registry.display_name(j)} -> "
         f"{registry.display_name(ba)}, penalty={penalty})"

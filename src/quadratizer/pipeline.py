@@ -35,7 +35,7 @@ from .gadgets.multi_term import (
     rosenberg_pair,
 )
 from .gadgets.single_term import apply_gadget, ntr_kzfd_literals
-from .poly import Domain, Polynomial, monomial_degree, monomial_vars
+from .poly import Domain, Polynomial, _accumulate, monomial_degree, monomial_vars
 from .verify import (
     DEFAULT_STATE_CAP,
     CostReport,
@@ -106,56 +106,36 @@ def _routes_through_twins(p: Polynomial, strategy: Strategy) -> bool:
     )
 
 
-def _add(terms: dict, mono, coeff):
-    acc = terms.get(mono)
-    acc = coeff if acc is None else acc + coeff
-    if acc:
-        terms[mono] = acc
-    else:
-        terms.pop(mono, None)
-
-
 def _fold(terms: dict, aux_map: dict, guarantee: str, result: GadgetResult) -> str:
     """Add a gadget's output into the accumulator in place, exactly as
     `work + result.output` would, and return the weakened guarantee."""
     for aux in result.aux:
         aux_map[aux] = result.trace
     for mono, coeff in result.output.terms.items():
-        if monomial_degree(mono) > 2:
-            raise RuntimeError(f"gadget output is not quadratic: {result.trace}")
-        _add(terms, mono, coeff)
+        _accumulate(terms, mono, coeff)
     return Guarantee.weakest(guarantee, result.guarantee)
 
 
 def _apply_multi_term(work, aux_map, guarantee, strategy):
-    if strategy.multi_term == "rosenberg":
-        while work.degree() > 2:
-            pair = choose_rosenberg_pair(work)
-            if pair is None:
-                break
-            result = rosenberg_pair(work, *pair, penalty="auto")
-            for aux in result.aux:
-                aux_map[aux] = result.trace
-            work = result.output
-            guarantee = Guarantee.weakest(guarantee, result.guarantee)
-        return work, aux_map, guarantee
-    # Cover reductions: negative groups first (they finish in one step), then
-    # positive singleton-common groups; iterate until no group of >= 2 terms.
     while work.degree() > 2:
-        groups = discover_fgbz_groups(work, "negative") or discover_fgbz_groups(
-            work, "positive"
-        )
-        if not groups:
-            break
-        group = groups[0]
-        sign = "negative" if group.members[0][1] < 0 else "positive"
-        apply = fgbz_negative if sign == "negative" else fgbz_positive
-        result = apply(group, work.registry)
-        removed = Polynomial._wrap(work.registry, dict(group.members))
-        for aux in result.aux:
-            aux_map[aux] = result.trace
-        work = (work - removed) + result.output
-        guarantee = Guarantee.weakest(guarantee, result.guarantee)
+        if strategy.multi_term == "rosenberg":
+            # a term of degree >= 3 holds at least two variables, so a pair exists
+            result = rosenberg_pair(work, *choose_rosenberg_pair(work), penalty="auto")
+            terms = {}  # the output is the whole rewritten polynomial
+        else:
+            # Cover reductions: negative groups first (they finish in one step),
+            # then positive singleton-common groups, until no group of >= 2 terms.
+            groups = discover_fgbz_groups(work, "negative") or discover_fgbz_groups(work, "positive")
+            if not groups:
+                break
+            group = groups[0]
+            apply = fgbz_negative if group.members[0][1] < 0 else fgbz_positive
+            result = apply(group, work.registry)
+            terms = dict(work.terms)
+            for mono, _ in group.members:
+                del terms[mono]
+        guarantee = _fold(terms, aux_map, guarantee, result)
+        work = Polynomial._wrap(work.registry, terms)
     return work, aux_map, guarantee
 
 
@@ -203,9 +183,11 @@ def _route_terms(registry, items, strategy, aux_map, guarantee):
     terms: dict = {}
     for mono, coeff in items:
         if monomial_degree(mono) <= 2:
-            _add(terms, mono, coeff)
+            _accumulate(terms, mono, coeff)
             continue
         for result in _route_term(registry, mono, coeff, strategy):
+            if result.output.degree() > 2:
+                raise RuntimeError(f"gadget output is not quadratic: {result.trace}")
             guarantee = _fold(terms, aux_map, guarantee, result)
     return terms, guarantee
 
@@ -272,22 +254,31 @@ def compare_strategies(p: Polynomial, strategies) -> list[StrategyOutcome]:
 
 def flip_to_submodular(p: Polynomial):
     """Greedy post-pass: repeatedly flip the single {0,1} variable whose
-    negation most reduces the non-submodular quadratic count.
+    negation most reduces the non-submodular quadratic count, ties to the
+    lowest id.
 
     Returns (flipped polynomial, flip mask); apply the mask to assignments
     recovered from the flipped problem.  Quadratic {0,1} inputs only.
+
+    The rounds read a sign table, not the polynomial: flipping v turns c*v*u
+    into c*u - c*v*u, so it negates exactly the quadratic coefficients that
+    hold v and never zeroes or merges one.  The polynomial is flipped once.
     """
-    current = p
-    mask: frozenset = frozenset()
+    p.quadratic_profile()  # raises NotQuadratic or DomainViolation
+    positive = {m: c > 0 for m, c in p.terms.items() if monomial_degree(m) == 2}
+    incident: dict = {var: [] for var in p.variables()}
+    for mono in positive:
+        for var, _ in mono:
+            incident[var].append(mono)
+    count, mask = sum(positive.values()), frozenset()
     while True:
-        best_var = None
-        best_count = current.quadratic_profile().non_submodular
-        for var in current.variables():
-            flipped, _ = current.flip([var])
-            count = flipped.quadratic_profile().non_submodular
-            if count < best_count:
-                best_var, best_count = var, count
+        best_var, best_count = None, count
+        for var, monos in incident.items():
+            flipped = count + sum(-1 if positive[m] else 1 for m in monos)
+            if flipped < best_count:
+                best_var, best_count = var, flipped
         if best_var is None:
-            return current, mask
-        current, _ = current.flip([best_var])
-        mask = mask ^ frozenset([best_var])
+            return p.flip(mask)
+        for mono in incident[best_var]:
+            positive[mono] = not positive[mono]
+        count, mask = best_count, mask ^ {best_var}

@@ -218,6 +218,17 @@ def _as_fraction(value: Rational) -> Fraction:
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
 
 
+def _accumulate(terms: dict, mono: Monomial, coeff: Fraction) -> None:
+    """Add `coeff` to `terms[mono]` in place; a monomial whose sum is zero
+    drops out.  The constructor, `+`, `*` and `substitute` sum through here."""
+    acc = terms.get(mono)
+    acc = coeff if acc is None else acc + coeff
+    if acc:
+        terms[mono] = acc
+    else:
+        terms.pop(mono, None)
+
+
 def _require_boolean(registry: VariableRegistry, vars):
     for var in vars:
         if registry.domain(var) is not Domain.BOOLEAN:
@@ -249,15 +260,8 @@ class Polynomial:
         if terms:
             for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
                 coeff = _as_fraction(coeff)
-                if not coeff:
-                    continue
-                mono = self._canonical_monomial(mono)
-                acc = canonical.get(mono)
-                acc = coeff if acc is None else acc + coeff
-                if acc:
-                    canonical[mono] = acc
-                elif mono in canonical:
-                    del canonical[mono]
+                if coeff:
+                    _accumulate(canonical, self._canonical_monomial(mono), coeff)
             shared: dict[tuple, Fraction] = {}
             for mono, coeff in canonical.items():
                 canonical[mono] = shared.setdefault((coeff.numerator, coeff.denominator), coeff)
@@ -387,11 +391,7 @@ class Polynomial:
         self._check_registry(other)
         terms = dict(self.terms)
         for mono, coeff in other.terms.items():
-            acc = terms.get(mono, Fraction(0)) + coeff
-            if acc:
-                terms[mono] = acc
-            else:
-                terms.pop(mono, None)
+            _accumulate(terms, mono, coeff)
         return Polynomial._wrap(self.registry, terms)
 
     __radd__ = __add__
@@ -428,12 +428,7 @@ class Polynomial:
                 merged = dict(map_a)
                 for var, exp in mono_b:
                     merged[var] = merged.get(var, 0) + exp
-                mono = self._canonical_monomial(merged.items())
-                acc = out.get(mono, Fraction(0)) + coeff_a * coeff_b
-                if acc:
-                    out[mono] = acc
-                else:
-                    out.pop(mono, None)
+                _accumulate(out, self._canonical_monomial(merged.items()), coeff_a * coeff_b)
         return Polynomial._wrap(self.registry, out)
 
     def __rmul__(self, other) -> "Polynomial":
@@ -479,25 +474,34 @@ class Polynomial:
 
         The replacement may be a Polynomial over the same registry or an exact
         rational constant.  The substitution is formal: the replacement's
-        range is not required to lie inside the variable's domain.
+        range is not required to lie inside the variable's domain.  Each term
+        holding `var` is expanded once against the cached power of the
+        replacement into one dict; the other terms are then added as they are.
         """
         self.registry.entry(var)
-        if isinstance(replacement, (int, Fraction)):
+        if not isinstance(replacement, Polynomial):
             replacement = Polynomial.constant(self.registry, replacement)
         self._check_registry(replacement)
-        untouched: dict[Monomial, Fraction] = {}
-        rewritten = Polynomial.zero(self.registry)
+        terms: dict[Monomial, Fraction] = {}
+        untouched = []
         powers = {1: replacement}
         for mono, coeff in self.terms.items():
             exp = dict(mono).get(var, 0)
             if not exp:
-                untouched[mono] = coeff
+                untouched.append((mono, coeff))
                 continue
-            rest = tuple((v, e) for v, e in mono if v != var)
             if exp not in powers:
-                powers[exp] = powers[max(powers)] * replacement  # exponents <= 2
-            rewritten = rewritten + Polynomial(self.registry, {rest: coeff}) * powers[exp]
-        return rewritten + Polynomial(self.registry, untouched)
+                powers[exp] = replacement * replacement
+            rest = [(v, e) for v, e in mono if v != var]
+            product: dict[Monomial, Fraction] = {}  # summed alone, as `+` would
+            for mono_r, coeff_r in powers[exp].terms.items():
+                mono_r = self._canonical_monomial(rest + list(mono_r))
+                _accumulate(product, mono_r, coeff * coeff_r)
+            for mono_p, coeff_p in product.items():
+                _accumulate(terms, mono_p, coeff_p)
+        for mono, coeff in untouched:
+            _accumulate(terms, mono, coeff)
+        return Polynomial._wrap(self.registry, terms)
 
     def flip(self, vars: Iterable[int]):
         """Exchange b for its negation 1-b on each listed variable.

@@ -296,14 +296,14 @@ def _polynomial_from_payload(payload) -> Polynomial:
         if not isinstance(record, dict) or "m" not in record or "c" not in record:
             raise SchemaError("each term needs 'm' and 'c'")
         try:
-            mono = tuple(sorted((int(v), int(e)) for v, e in record["m"].items()))
+            mono = tuple(sorted((int(v), e) for v, e in record["m"].items()))
         except (ValueError, TypeError, AttributeError):
             raise SchemaError(f"bad monomial {record['m']!r}") from None
         for var, exponent in mono:
             if not 0 <= var < len(registry):
                 raise SchemaError(f"term references unknown variable {var}")
-            if exponent < 1:
-                raise SchemaError("exponents must be positive")
+            if type(exponent) is not int or exponent < 1:  # not bool, float or str
+                raise SchemaError(f"exponents must be positive integers, got {exponent!r}")
         terms.append((mono, _parse_fraction(record["c"])))
     return Polynomial(registry, terms)
 

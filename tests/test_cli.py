@@ -196,6 +196,27 @@ def test_removed_knobs_exit_2(cubic_file, flags):
     assert rc == 2
 
 
+@pytest.mark.parametrize("value", ["banana", "", "2", "onn", " on"])
+def test_odd_split_rejects_unknown_spellings(cubic_file, capsys, value):
+    rc = main(["quadratize", "--in", str(cubic_file), "--route", f"odd_split={value}"])
+    assert rc == 2
+    assert "odd_split" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value, on",
+    [("1", True), ("true", True), ("YES", True), ("On", True),
+     ("0", False), ("false", False), ("No", False), ("OFF", False)],
+)
+def test_odd_split_spellings(cubic_file, value, on):
+    from quadratizer.cli import _build_strategy, build_parser
+
+    args = build_parser().parse_args(
+        ["quadratize", "--in", str(cubic_file), "--route", f"odd_split={value}"]
+    )
+    assert _build_strategy(args).odd_split is on
+
+
 def test_env_var_overrides_default_cap(tmp_path, monkeypatch):
     path = tmp_path / "big.txt"
     path.write_text(" ".join(f"b{i}" for i in range(1, 9)))

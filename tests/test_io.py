@@ -179,6 +179,28 @@ def test_polynomial_json_schema_errors():
         )
 
 
+@pytest.mark.parametrize("exponent", [1.5, 2.9, 1.0, True, "1", None, [1]])
+def test_polynomial_json_rejects_non_integer_exponents(exponent):
+    payload = {
+        "vars": [{"id": 0, "domain": "t", "kind": "orig"}],
+        "terms": [{"m": {"0": exponent}, "c": "1"}],
+    }
+    with pytest.raises(SchemaError):
+        polynomial_from_json(json.dumps(payload))
+
+
+def test_polynomial_json_rejects_non_integer_exponent_at_the_cli(tmp_path, capsys):
+    from quadratizer.cli import main
+
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "vars": [{"id": 0, "domain": "t", "kind": "orig"}],
+        "terms": [{"m": {"0": 1.5}, "c": "1"}],
+    }))
+    assert main(["analyze", "--in", str(path)]) == 2
+    assert "exponents must be positive integers" in capsys.readouterr().err
+
+
 def test_qubo_export_shape():
     p = parse_polynomial(CUBIC_OBJECTIVE)
     result = quadratize(p)

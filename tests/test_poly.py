@@ -179,6 +179,12 @@ def test_substitute_zero_kills_terms(cubic_objective):
         assert naive_value(reduced, a) == naive_value(cubic_objective, {**a, 0: 0})
 
 
+@pytest.mark.parametrize("replacement", [0.5, "x", None, [1]])
+def test_substitute_rejects_inexact_replacements(cubic_objective, replacement):
+    with pytest.raises(TypeError, match="coefficients must be exact rationals"):
+        cubic_objective.substitute(0, replacement)
+
+
 def test_substitute_degree_never_grows_with_linear_replacement(cubic_objective):
     registry = cubic_objective.registry
     replacement = 1 - Polynomial.variable(registry, 3)
