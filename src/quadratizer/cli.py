@@ -335,18 +335,11 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
         return EXIT_VERIFICATION
-    except (errors.ParseError, errors.SchemaError, errors.DomainViolation) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_PARSE
-    except errors.EnumerationCapExceeded as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_CAP
-    except errors.NoApplicableGadget as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_NO_GADGET
     except errors.QuadratizerError as error:
         print(f"error: {error}", file=sys.stderr)
-        return EXIT_PARSE
+        if isinstance(error, errors.EnumerationCapExceeded):
+            return EXIT_CAP
+        return EXIT_NO_GADGET if isinstance(error, errors.NoApplicableGadget) else EXIT_PARSE
 
 
 if __name__ == "__main__":

@@ -24,15 +24,7 @@ from ..errors import (
     VerificationFailed,
 )
 from ..poly import Domain, Polynomial, VariableRegistry, _require_boolean
-from ..verify import (
-    DEFAULT_STATE_CAP,
-    CheckMode,
-    CheckStats,
-    VerificationReport,
-    _state_count,
-    check_groundstate,
-    enumerate_min,
-)
+from ..verify import DEFAULT_STATE_CAP, check_groundstate, check_ternary_encoding
 from .base import GadgetResult, Guarantee
 from .single_term import _log2_ceil
 
@@ -297,47 +289,3 @@ def ternary_to_binary(
                 f"ternary encoding failed its ground-space check at lam={lam}", report
             )
     return output
-
-
-def check_ternary_encoding(
-    original: Polynomial,
-    transformed: Polynomial,
-    t: int,
-    z_pair,
-    lam,
-    max_states: int = DEFAULT_STATE_CAP,
-) -> VerificationReport:
-    """Ground-space check for the two-spin encoding of one ternary variable.
-
-    Each minimizer of the transformed polynomial is projected back through
-    t = (z1 + z2)/2; the projected argmin set must equal the original's and
-    the minimum must sit exactly lam below (the valid manifold's penalty
-    energy).
-    """
-    z1, z2 = z_pair
-    lam = Fraction(lam)
-    min_original, argmin_original = enumerate_min(original, max_states)
-    min_transformed, argmin_transformed = enumerate_min(transformed, max_states)
-    states = sum(_state_count(p.registry, p.variables()) for p in (original, transformed))
-
-    def project(assignment):
-        image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
-        image[t] = (assignment[z1] + assignment[z2]) // 2
-        return tuple(sorted(image.items()))
-
-    want = {tuple(sorted(a.items())) for a in argmin_original}
-    got = {project(a) for a in argmin_transformed}
-    counterexample = None
-    if min_transformed != min_original - lam:
-        counterexample = dict(min(want))
-    elif want != got:
-        counterexample = dict(min(want ^ got))
-    stats = CheckStats(
-        states_enumerated=states,
-        min_original=min_original,
-        min_transformed=min_transformed,
-    )
-    return VerificationReport(
-        CheckMode.GROUND_STATE, counterexample is None, counterexample, stats
-    )
-

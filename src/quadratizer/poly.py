@@ -229,10 +229,10 @@ def _accumulate(terms: dict, mono: Monomial, coeff: Fraction) -> None:
         terms.pop(mono, None)
 
 
-def _require_boolean(registry: VariableRegistry, vars):
+def _require_boolean(registry: VariableRegistry, vars, message=None):
     for var in vars:
         if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
+            raise DomainViolation(message or f"variable {var} is not a {{0,1}} variable")
 
 
 def monomial_degree(mono: Monomial) -> int:
@@ -557,9 +557,7 @@ class Polynomial:
         """
         if self.degree() > 2:
             raise NotQuadratic("submodularity is defined for degree <= 2")
-        for var in self.variables():
-            if self.registry.domain(var) is not Domain.BOOLEAN:
-                raise DomainViolation("submodularity requires {0,1} variables")
+        _require_boolean(self.registry, self.variables(), "submodularity requires {0,1} variables")
         quadratics = [c for m, c in self.terms.items() if monomial_degree(m) == 2]
         return QuadraticProfile(
             non_submodular=sum(1 for c in quadratics if c > 0),

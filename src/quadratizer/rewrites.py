@@ -28,7 +28,7 @@ from .poly import (
     monomial_degree,
     monomial_vars,
 )
-from .verify import DEFAULT_STATE_CAP, enumerate_min, value_range
+from .verify import DEFAULT_STATE_CAP, _extends, enumerate_min, value_range
 
 ORACLE_PROVEN = "oracle-proven"
 ASSERTED = "asserted"
@@ -57,9 +57,7 @@ def find_zero_deductions(
     """Every monomial of arity <= max_arity over p's {0,1} variables that
     vanishes at all global minima of p, in deterministic order."""
     support = p.variables()
-    for var in support:
-        if p.registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation("deductions are defined over {0,1} variables")
+    _require_boolean(p.registry, support, "deductions are defined over {0,1} variables")
     _, minimizers = enumerate_min(p, max_states)
     found = []
     for arity in range(1, max_arity + 1):
@@ -73,13 +71,11 @@ def find_zero_deductions(
 def _cofactor(p: Polynomial, mono: Monomial):
     """Write p = mono * cofactor + rest (multilinear split)."""
     vars = set(monomial_vars(mono))
-    cofactor = {}
+    cofactor = []
     rest = {}
     for term, coeff in p.terms.items():
-        term_vars = set(monomial_vars(term))
-        if vars <= term_vars:
-            reduced = tuple((v, e) for v, e in term if v not in vars)
-            cofactor[reduced] = cofactor.get(reduced, Fraction(0)) + coeff
+        if vars <= set(monomial_vars(term)):
+            cofactor.append((tuple((v, e) for v, e in term if v not in vars), coeff))
         else:
             rest[term] = coeff
     return Polynomial(p.registry, cofactor), Polynomial(p.registry, rest)
@@ -120,9 +116,7 @@ def find_elcs(
     """All partial assignments over nonempty subsets of `vars` that no global
     minimizer of p extends (excludable local configurations)."""
     vars = sorted(vars)
-    for var in vars:
-        if p.registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation("excludable configurations use {0,1} variables")
+    _require_boolean(p.registry, vars, "excludable configurations use {0,1} variables")
     _, minimizers = enumerate_min(p, max_states)
     found = []
     for arity in range(1, len(vars) + 1):
@@ -131,10 +125,7 @@ def find_elcs(
                 config = dict(zip(subset, values))
                 # a variable outside p's support is free, so a minimizer
                 # always extends to match it
-                if not any(
-                    all(m.get(v, x) == x for v, x in config.items())
-                    for m in minimizers
-                ):
+                if not any(_extends(m, config) for m in minimizers):
                     found.append(config)
     return found
 
@@ -167,13 +158,8 @@ def apply_elc(
             raise DomainViolation("excludable configurations use {0,1} variables")
         if value not in (0, 1):
             raise DomainViolation(f"value {value} is not in {{0,1}}")
-    if not allow_unproven:
-        _, minimizers = enumerate_min(p, max_states)
-        for minimizer in minimizers:
-            if all(minimizer.get(v, x) == x for v, x in elc.items()):
-                raise ElcUnproven(
-                    f"a global minimizer extends the configuration {elc}"
-                )
+    if not allow_unproven and any(_extends(m, elc) for m in enumerate_min(p, max_states)[1]):
+        raise ElcUnproven(f"a global minimizer extends the configuration {elc}")
     if alpha == "auto":
         low, high = value_range(p, max_states)
         alpha = high - low + 1
@@ -209,11 +195,8 @@ def elc_cancel(
         if (-1) ** values.count(0) != want_parity:
             continue
         config = dict(zip(vars, values))
-        if any(
-            all(m.get(v) == x for v, x in config.items()) for m in minimizers
-        ):
-            continue
-        return config, abs(coeff)
+        if not any(_extends(m, config) for m in minimizers):
+            return config, abs(coeff)
     return None
 
 
@@ -290,9 +273,7 @@ def solve_by_splitting(
     """
     quad_solver = quad_solver or _default_quad_solver
     pick = pick or most_connected_variable
-    for var in p.variables():
-        if p.registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation("split reduction is defined over {0,1} variables")
+    _require_boolean(p.registry, p.variables(), "split reduction is defined over {0,1} variables")
     original_vars = set(p.variables())
     subproblems: list[Polynomial] = []
     best: list = [None, None]  # (minimum, argmin)

@@ -24,7 +24,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import DomainViolation, NotQuadratic, ParseError, SchemaError
-from .poly import Domain, Polynomial, VariableRegistry
+from .poly import Domain, Polynomial, VariableRegistry, _require_boolean
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -347,11 +347,9 @@ def qubo_to_json(
     if p.degree() > 2:
         raise NotQuadratic("QUBO export needs degree <= 2")
     registry = p.registry
-    for var in p.variables():
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(
-                "QUBO export accepts only {0,1} variables; convert first"
-            )
+    _require_boolean(
+        registry, p.variables(), "QUBO export accepts only {0,1} variables; convert first"
+    )
     offset = "0"
     linear = []
     quadratic = []

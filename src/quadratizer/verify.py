@@ -87,11 +87,16 @@ def _state_count(registry, vars: Sequence[int]) -> int:
     return count
 
 
-def _check_cap(n_states: int, max_states: int):
+def _space(registry, vars: Sequence[int], max_states: int, *polys: Polynomial):
+    """(number of states over `vars`, common scale of the coefficients of
+    `polys`); a space larger than the cap raises before anything is scaled."""
+    n_states = _state_count(registry, vars)
     if n_states > max_states:
         raise EnumerationCapExceeded(
             f"{n_states} states exceed the cap of {max_states}"
         )
+    denominators = [c.denominator for p in polys for c in p.terms.values()]
+    return n_states, lcm(*denominators) if denominators else 1
 
 
 def _scaled_terms(p: Polynomial, scale: int):
@@ -100,11 +105,6 @@ def _scaled_terms(p: Polynomial, scale: int):
         (c.numerator * (scale // c.denominator), mono)
         for mono, c in sorted(p.terms.items())
     ]
-
-
-def _common_scale(*polys: Polynomial) -> int:
-    denominators = [c.denominator for p in polys for c in p.terms.values()]
-    return lcm(*denominators) if denominators else 1
 
 
 def _value_blocks(terms, vars: Sequence[int], registry):
@@ -204,8 +204,7 @@ def _state_assignment(registry, vars: Sequence[int], index: int) -> dict:
 def enumerate_min(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
     """Exact global minimum of p and ALL minimizers, in deterministic order."""
     vars = p.variables()
-    _check_cap(_state_count(p.registry, vars), max_states)
-    scale = _common_scale(p)
+    _, scale = _space(p.registry, vars, max_states, p)
     best, indices = _argmin(_blocks(p, vars, scale))
     minimizers = [_state_assignment(p.registry, vars, i) for i in indices]
     return Fraction(best, scale), minimizers
@@ -214,8 +213,7 @@ def enumerate_min(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
 def value_range(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
     """Exact (minimum, maximum) of p over every assignment of its variables."""
     vars = p.variables()
-    _check_cap(_state_count(p.registry, vars), max_states)
-    scale = _common_scale(p)
+    _, scale = _space(p.registry, vars, max_states, p)
     lows, highs = [], []
     for _, values in _blocks(p, vars, scale):
         lows.append(min(values))
@@ -225,7 +223,7 @@ def value_range(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
 
 def _split_vars(original: Polynomial, transformed: Polynomial, aux: Sequence[int]):
     x_vars = original.variables()
-    aux = sorted(aux)
+    aux = sorted(set(aux))
     if set(aux) & set(x_vars):
         raise VariableMismatch("auxiliary variables overlap the original variables")
     allowed = set(x_vars) | set(aux)
@@ -251,9 +249,7 @@ def _folded_minima(
     x_vars, aux = _split_vars(original, transformed, aux)
     registry = original.registry
     size = _state_count(registry, x_vars)
-    n_states = size * _state_count(registry, aux)
-    _check_cap(n_states, max_states)
-    scale = _common_scale(original, transformed)
+    n_states, scale = _space(registry, x_vars + aux, max_states, original, transformed)
     folded: list = []
     for first, values in _blocks(transformed, x_vars + aux, scale):
         if len(values) > size:
@@ -269,6 +265,24 @@ def _folded_minima(
 
 def _first_difference(want: list, got: list) -> Optional[int]:
     return next((i for i, (w, g) in enumerate(zip(want, got)) if w != g), None)
+
+
+def _report(mode, counterexample, n_states, low_original, low_transformed, scale=1):
+    """The verdict: passed exactly when there is no counterexample.  The
+    minima are exact values times `scale`."""
+    stats = CheckStats(
+        states_enumerated=n_states,
+        min_original=Fraction(low_original, scale),
+        min_transformed=Fraction(low_transformed, scale),
+    )
+    return VerificationReport(mode, counterexample is None, counterexample, stats)
+
+
+def _argmin_mismatch(registry, vars, argmin_original, argmin_transformed):
+    """The state with the lowest index in exactly one of the two argmin
+    sets, or None when they are equal."""
+    index = min(set(argmin_original) ^ set(argmin_transformed), default=None)
+    return None if index is None else _state_assignment(registry, vars, index)
 
 
 def check_pointwise(
@@ -294,13 +308,8 @@ def check_pointwise(
                 counterexample = _state_assignment(
                     original.registry, x_vars, first + index
                 )
-    stats = CheckStats(
-        states_enumerated=n_states,
-        min_original=Fraction(min(lows), scale),
-        min_transformed=Fraction(min(folded), scale),
-    )
-    return VerificationReport(
-        CheckMode.POINTWISE, counterexample is None, counterexample, stats
+    return _report(
+        CheckMode.POINTWISE, counterexample, n_states, min(lows), min(folded), scale
     )
 
 
@@ -321,17 +330,11 @@ def check_groundstate(
     )
     best_original, argmin_original = _argmin(_blocks(original, x_vars, scale))
     best_transformed, argmin_transformed = _argmin([(0, folded)])
-    counterexample = None
-    difference = set(argmin_original) ^ set(argmin_transformed)
-    if difference:
-        counterexample = _state_assignment(original.registry, x_vars, min(difference))
-    stats = CheckStats(
-        states_enumerated=n_states,
-        min_original=Fraction(best_original, scale),
-        min_transformed=Fraction(best_transformed, scale),
+    counterexample = _argmin_mismatch(
+        original.registry, x_vars, argmin_original, argmin_transformed
     )
-    return VerificationReport(
-        CheckMode.GROUND_STATE, counterexample is None, counterexample, stats
+    return _report(
+        CheckMode.GROUND_STATE, counterexample, n_states, best_original, best_transformed, scale
     )
 
 
@@ -352,13 +355,8 @@ def check_spectrum(
     if sorted(original_values) != sorted(folded):
         index = _first_difference(original_values, folded)
         counterexample = _state_assignment(original.registry, x_vars, index)
-    stats = CheckStats(
-        states_enumerated=n_states,
-        min_original=Fraction(min(original_values), scale),
-        min_transformed=Fraction(min(folded), scale),
-    )
-    return VerificationReport(
-        CheckMode.SPECTRUM, counterexample is None, counterexample, stats
+    return _report(
+        CheckMode.SPECTRUM, counterexample, n_states, min(original_values), min(folded), scale
     )
 
 
@@ -377,36 +375,33 @@ def check_conditional(
     """
     vars = sorted(set(original.variables()) | set(transformed.variables()))
     registry = original.registry
-    n_states = _state_count(registry, vars)
-    _check_cap(n_states, max_states)
-    scale = _common_scale(original, transformed)
+    n_states, scale = _space(registry, vars, max_states, original, transformed)
     best_original, argmin_original = _argmin(_blocks(original, vars, scale))
     best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
-
-    counterexample = None
-    for fact in evidence:
-        for index in argmin_original:
-            assignment = _state_assignment(registry, vars, index)
-            if not _evidence_holds_at(fact, assignment):
-                counterexample = assignment
-                break
-        if counterexample:
-            break
-    if counterexample is None and (
-        best_original != best_transformed or argmin_original != argmin_transformed
-    ):
-        difference = set(argmin_original) ^ set(argmin_transformed)
-        index = min(difference) if difference else argmin_original[0]
-        counterexample = _state_assignment(registry, vars, index)
-
-    stats = CheckStats(
-        states_enumerated=n_states,
-        min_original=Fraction(best_original, scale),
-        min_transformed=Fraction(best_transformed, scale),
+    counterexample = next(
+        (
+            minimizer
+            for fact in evidence
+            for minimizer in (_state_assignment(registry, vars, i) for i in argmin_original)
+            if not _evidence_holds_at(fact, minimizer)
+        ),
+        None,
     )
-    return VerificationReport(
-        CheckMode.CONDITIONAL, counterexample is None, counterexample, stats
+    if counterexample is None:
+        counterexample = _argmin_mismatch(
+            registry, vars, argmin_original, argmin_transformed
+        )
+    if counterexample is None and best_original != best_transformed:
+        counterexample = _state_assignment(registry, vars, argmin_original[0])
+    return _report(
+        CheckMode.CONDITIONAL, counterexample, n_states, best_original, best_transformed, scale
     )
+
+
+def _extends(assignment: dict, config: dict) -> bool:
+    """Does `assignment` match every value of `config`?  A variable missing
+    from the assignment is free, so it matches any value."""
+    return all(assignment.get(v, x) == x for v, x in config.items())
 
 
 def _evidence_holds_at(fact, assignment: dict) -> bool:
@@ -419,8 +414,47 @@ def _evidence_holds_at(fact, assignment: dict) -> bool:
     monomial = getattr(fact, "monomial", None)
     if monomial is not None:
         return any(assignment.get(v, 1) == 0 for v, _ in monomial)
-    mapping = fact if isinstance(fact, dict) else fact.values
-    return any(assignment.get(v, value) != value for v, value in mapping.items())
+    return not _extends(assignment, fact if isinstance(fact, dict) else fact.values)
+
+
+def check_ternary_encoding(
+    original: Polynomial,
+    transformed: Polynomial,
+    t: int,
+    z_pair,
+    lam,
+    max_states: int = DEFAULT_STATE_CAP,
+) -> VerificationReport:
+    """Ground-space check for the two-spin encoding of one ternary variable.
+
+    Each minimizer of the transformed polynomial is projected back through
+    t = (z1 + z2)/2; the projected argmin set must equal the original's and
+    the minimum must sit exactly lam below (the valid manifold's penalty
+    energy).  The projection is not a minimum over auxiliaries, so this is
+    not a fold: both polynomials are minimized over their own spaces, and
+    the states enumerated are the sum of the two.
+    """
+    z1, z2 = z_pair
+    lam = Fraction(lam)
+    min_original, argmin_original = enumerate_min(original, max_states)
+    min_transformed, argmin_transformed = enumerate_min(transformed, max_states)
+    n_states = sum(_state_count(p.registry, p.variables()) for p in (original, transformed))
+
+    def project(assignment):
+        image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
+        image[t] = (assignment[z1] + assignment[z2]) // 2
+        return tuple(sorted(image.items()))
+
+    want = {tuple(sorted(a.items())) for a in argmin_original}
+    got = {project(a) for a in argmin_transformed}
+    counterexample = None
+    if min_transformed != min_original - lam:
+        counterexample = dict(min(want))
+    elif want != got:
+        counterexample = dict(min(want ^ got))
+    return _report(
+        CheckMode.GROUND_STATE, counterexample, n_states, min_original, min_transformed
+    )
 
 
 def cost_report(transformed: Polynomial, aux: Sequence[int]) -> CostReport:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadratizer import cli, errors
 from quadratizer.cli import main
 from quadratizer.textio import parse_polynomial, qubo_from_json
 from quadratizer.verify import enumerate_min
@@ -568,3 +569,50 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, invocation):
     argv = [arg.format(**paths) for arg in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2, 3, 4)
+
+
+def test_verify_repeated_aux_label_is_one_variable(tmp_path, capsys):
+    """`--aux a1,a2,a1` names two auxiliaries: 4 + 2 {0,1} variables make 64
+    states, which fit a cap of 100."""
+    original = tmp_path / "dup.txt"
+    original.write_text("b1 b2 b3 - 2 b1 b2 b3 b4\n")
+    out = tmp_path / "dup.json"
+    assert main(["quadratize", "--in", str(original), "--out", str(out)]) == 0
+    argv = ["verify", "--original", str(original), "--quadratized", str(out), "--max-states", "100"]
+    assert main(argv + ["--aux", "a1,a2,a1"]) == 0
+    repeated = json.loads(capsys.readouterr().out)
+    assert repeated["states"] == 64 and repeated["passed"]
+    assert main(argv + ["--aux", "a1,a2"]) == 0
+    assert json.loads(capsys.readouterr().out) == repeated
+
+
+def _error_classes(base=errors.QuadratizerError):
+    for cls in base.__subclasses__():
+        yield cls
+        yield from _error_classes(cls)
+
+
+EXPECTED_EXIT = {
+    errors.VerificationFailed: 1,
+    errors.EnumerationCapExceeded: 3,
+    errors.NoApplicableGadget: 4,
+}
+
+
+@pytest.mark.parametrize(
+    "error_class", [errors.QuadratizerError, *_error_classes()], ids=lambda cls: cls.__name__
+)
+def test_each_library_error_maps_to_its_exit_code(cubic_file, monkeypatch, capsys, error_class):
+    """A library error raised inside a command exits with its documented code
+    and prints `error: <message>` on stderr: verification 1, cap 3, no gadget
+    4, anything else 2."""
+    error = error_class("boom")
+
+    def command(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_analyze", command)
+    assert main(["analyze", "--in", str(cubic_file)]) == EXPECTED_EXIT.get(error_class, 2)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error}\n"

@@ -12,8 +12,9 @@ from quadratizer.errors import (
     NotQuadratic,
     RegistryMismatch,
 )
-from quadratizer.poly import Domain, Polynomial, VariableRegistry
-from quadratizer.textio import parse_polynomial
+from quadratizer.poly import Domain, Polynomial, VariableRegistry, _require_boolean
+from quadratizer.rewrites import find_elcs, find_zero_deductions, solve_by_splitting
+from quadratizer.textio import parse_polynomial, qubo_to_json
 
 from conftest import all_assignments, naive_value
 
@@ -305,3 +306,23 @@ def test_equal_coefficients_are_one_object():
         distinct = distinct + Polynomial(registry, {mono: Fraction(coeff)})
     assert p == distinct
     assert p.evaluate({b1: 1, b2: 1, b3: 0}) == distinct.evaluate({b1: 1, b2: 1, b3: 0})
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda p: _require_boolean(p.registry, p.variables()), "variable 1 is not a {0,1} variable"),
+        (lambda p: find_zero_deductions(p, 1), "deductions are defined over {0,1} variables"),
+        (lambda p: find_elcs(p, p.variables()), "excludable configurations use {0,1} variables"),
+        (solve_by_splitting, "split reduction is defined over {0,1} variables"),
+        (Polynomial.quadratic_profile, "submodularity requires {0,1} variables"),
+        (qubo_to_json, "QUBO export accepts only {0,1} variables; convert first"),
+    ],
+    ids=["default", "deductions", "elcs", "split", "profile", "qubo"],
+)
+def test_boolean_guards_keep_their_callers_messages(call, message):
+    """One {0,1} guard, each caller's own message."""
+    p = parse_polynomial("z1 b2 - b2")  # b2 is variable 0, z1 variable 1
+    with pytest.raises(DomainViolation) as raised:
+        call(p)
+    assert str(raised.value) == message

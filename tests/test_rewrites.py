@@ -4,13 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadratizer.errors import DeductionUnproven, DomainViolation, ElcUnproven
-from quadratizer.poly import Domain, Polynomial, VariableRegistry
+from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
     ASSERTED,
     ORACLE_PROVEN,
     Deduction,
+    _cofactor,
     apply_deduc_reduc,
     apply_elc,
     elc_cancel,
@@ -21,7 +24,7 @@ from quadratizer.rewrites import (
     split,
 )
 from quadratizer.textio import parse_polynomial
-from quadratizer.verify import check_conditional, enumerate_min
+from quadratizer.verify import check_conditional, enumerate_min, value_range
 
 from conftest import (
     DEDUC_INSTANCE,
@@ -268,3 +271,64 @@ def test_solve_by_splitting_rejects_spin():
     p = Polynomial.product(registry, zs)
     with pytest.raises(DomainViolation):
         solve_by_splitting(p)
+
+
+def _ref_cofactor(p, mono):
+    """The cofactor split as it was, summing the cofactor in its own dict."""
+    vars = set(monomial_vars(mono))
+    cofactor = {}
+    rest = {}
+    for term, coeff in p.terms.items():
+        term_vars = set(monomial_vars(term))
+        if vars <= term_vars:
+            reduced = tuple((v, e) for v, e in term if v not in vars)
+            cofactor[reduced] = cofactor.get(reduced, Fraction(0)) + coeff
+        else:
+            rest[term] = coeff
+    return Polynomial(p.registry, cofactor), Polynomial(p.registry, rest)
+
+
+def _ref_deduc_reduc(p, mono):
+    """apply_deduc_reduc's automatic lam and output over the old split."""
+    cofactor, rest = _ref_cofactor(p, mono)
+    lam = value_range(cofactor)[1] if cofactor else Fraction(0)
+    return lam, rest + Polynomial(p.registry, {mono: lam})
+
+
+def _check_deduc_reduc_against_reference(p, mono):
+    cofactor, rest = _cofactor(p, mono)
+    ref_cofactor, ref_rest = _ref_cofactor(p, mono)
+    assert (cofactor.terms, rest.terms) == (ref_cofactor.terms, ref_rest.terms)
+    lam, output = _ref_deduc_reduc(p, mono)
+    result = apply_deduc_reduc(p, Deduction(mono), allow_asserted=True)
+    assert result.output.terms == output.terms
+    assert result.trace.endswith(f", lam={lam})")
+
+
+def test_cofactor_with_a_zero_partial_sum_matches_the_old_loop():
+    """Over two ternary variables t1^2 t2 and t1 t2^2 reduce to the same
+    cofactor monomial as t1 t2, and the first two of the three constants sum
+    to zero on the way: the constructor drops that entry and adds it again
+    after b3, where the old loop kept its place.  Only the order differs."""
+    p = parse_polynomial("t1 t2 - t1^2 t2 + t1 t2 b3 + 2 t1 t2^2")
+    mono = tuple((p.registry.by_label(name), 1) for name in ("t1", "t2"))
+    assert list(_cofactor(p, mono)[0].terms) != list(_ref_cofactor(p, mono)[0].terms)
+    _check_deduc_reduc_against_reference(p, mono)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_asserted_deduc_reduc_matches_the_old_cofactor_loop(seed):
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    vars = [registry.add_variable(Domain.from_tag(rng.choice("bbtz"))) for _ in range(rng.randint(2, 4))]
+    terms = [
+        (
+            tuple((v, rng.randint(1, 2)) for v in sorted(rng.sample(vars, rng.randint(0, len(vars))))),
+            rng.choice((-3, -2, -1, 1, 2, 3)),
+        )
+        for _ in range(rng.randint(1, 8))
+    ]
+    p = Polynomial(registry, terms)
+    mono = tuple((v, 1) for v in sorted(rng.sample(vars, rng.randint(1, len(vars)))))
+    _check_deduc_reduc_against_reference(p, mono)

@@ -1,24 +1,44 @@
 """The oracle itself, cross-checked against the tests' naive enumeration."""
 
 import os
+import random
+import re
 import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import quadratizer
-from quadratizer.errors import EnumerationCapExceeded, VariableMismatch
-from quadratizer.gadgets import ntr_kzfd, ptr_ishikawa
+from quadratizer.errors import EnumerationCapExceeded, QuadratizerError, VariableMismatch
+from quadratizer.gadgets import ntr_kzfd, ptr_ishikawa, ternary_to_binary
+from quadratizer.pipeline import quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
+from quadratizer.rewrites import Deduction
+from quadratizer.textio import parse_polynomial
 from quadratizer.verify import (
     BLOCK_STATES,
+    DEFAULT_STATE_CAP,
+    CheckMode,
+    CheckStats,
+    VerificationReport,
+    _argmin,
+    _blocks,
+    _first_difference,
+    _split_vars,
+    _state_assignment,
+    _state_count,
+    check_conditional,
     check_groundstate,
     check_pointwise,
     check_spectrum,
+    check_ternary_encoding,
     cost_report,
     enumerate_min,
 )
@@ -422,3 +442,298 @@ def test_verified_quadratize_does_not_import_numpy():
         env={**os.environ, "PYTHONPATH": package_root},
     )
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("check", [check_pointwise, check_groundstate, check_spectrum])
+def test_repeated_auxiliary_ids_add_no_axis(check):
+    """An auxiliary id listed twice is one variable: 4 original and 2
+    auxiliary {0,1} variables make 64 states, under a cap of 100 too."""
+    p = parse_polynomial("b1 b2 b3 - 2 b1 b2 b3 b4")
+    result = quadratize(p)
+    assert len(result.aux) == 2
+    once = check(p, result.output, result.aux)
+    assert once.stats.states_enumerated == 64
+    assert check(p, result.output, list(result.aux) * 2, max_states=100) == once
+
+
+# ---------------------------------------------------------------------------
+# The checks against the code they replaced
+#
+# The `_ref_*` functions are the checks as they were when each built its own
+# CheckStats / VerificationReport, with the cap check and common scale
+# written out in each, and check_ternary_encoding in gadgets.structured.  The
+# value kernel (`_blocks`, `_argmin`, `_state_assignment`) did not change and
+# is shared.  Auxiliary ids are drawn distinct: a repeated id was counted as
+# another axis then and is one variable now.
+
+
+def _ref_check_cap(n_states, max_states):
+    if n_states > max_states:
+        raise EnumerationCapExceeded(f"{n_states} states exceed the cap of {max_states}")
+
+
+def _ref_common_scale(*polys):
+    denominators = [c.denominator for p in polys for c in p.terms.values()]
+    return lcm(*denominators) if denominators else 1
+
+
+def _ref_folded_minima(original, transformed, aux, max_states):
+    x_vars, aux = _split_vars(original, transformed, aux)
+    registry = original.registry
+    size = _state_count(registry, x_vars)
+    n_states = size * _state_count(registry, aux)
+    _ref_check_cap(n_states, max_states)
+    scale = _ref_common_scale(original, transformed)
+    folded = []
+    for first, values in _blocks(transformed, x_vars + aux, scale):
+        if len(values) > size:
+            values = [min(values[j::size]) for j in range(size)]
+        if first < size:
+            folded += values
+        else:
+            offset = first % size
+            end = offset + len(values)
+            folded[offset:end] = map(min, folded[offset:end], values)
+    return x_vars, n_states, scale, folded
+
+
+def _ref_check_pointwise(original, transformed, aux, max_states=DEFAULT_STATE_CAP):
+    x_vars, n_states, scale, folded = _ref_folded_minima(original, transformed, aux, max_states)
+    counterexample, lows = None, []
+    for first, want in _blocks(original, x_vars, scale):
+        lows.append(min(want))
+        if counterexample is None:
+            index = _first_difference(want, folded[first : first + len(want)])
+            if index is not None:
+                counterexample = _state_assignment(original.registry, x_vars, first + index)
+    stats = CheckStats(
+        states_enumerated=n_states,
+        min_original=Fraction(min(lows), scale),
+        min_transformed=Fraction(min(folded), scale),
+    )
+    return VerificationReport(CheckMode.POINTWISE, counterexample is None, counterexample, stats)
+
+
+def _ref_check_groundstate(original, transformed, aux, max_states=DEFAULT_STATE_CAP):
+    x_vars, n_states, scale, folded = _ref_folded_minima(original, transformed, aux, max_states)
+    best_original, argmin_original = _argmin(_blocks(original, x_vars, scale))
+    best_transformed, argmin_transformed = _argmin([(0, folded)])
+    counterexample = None
+    difference = set(argmin_original) ^ set(argmin_transformed)
+    if difference:
+        counterexample = _state_assignment(original.registry, x_vars, min(difference))
+    stats = CheckStats(
+        states_enumerated=n_states,
+        min_original=Fraction(best_original, scale),
+        min_transformed=Fraction(best_transformed, scale),
+    )
+    return VerificationReport(CheckMode.GROUND_STATE, counterexample is None, counterexample, stats)
+
+
+def _ref_check_spectrum(original, transformed, aux, max_states=DEFAULT_STATE_CAP):
+    x_vars, n_states, scale, folded = _ref_folded_minima(original, transformed, aux, max_states)
+    original_values = [v for _, values in _blocks(original, x_vars, scale) for v in values]
+    counterexample = None
+    if sorted(original_values) != sorted(folded):
+        index = _first_difference(original_values, folded)
+        counterexample = _state_assignment(original.registry, x_vars, index)
+    stats = CheckStats(
+        states_enumerated=n_states,
+        min_original=Fraction(min(original_values), scale),
+        min_transformed=Fraction(min(folded), scale),
+    )
+    return VerificationReport(CheckMode.SPECTRUM, counterexample is None, counterexample, stats)
+
+
+def _ref_evidence_holds_at(fact, assignment):
+    monomial = getattr(fact, "monomial", None)
+    if monomial is not None:
+        return any(assignment.get(v, 1) == 0 for v, _ in monomial)
+    mapping = fact if isinstance(fact, dict) else fact.values
+    return any(assignment.get(v, value) != value for v, value in mapping.items())
+
+
+def _ref_check_conditional(original, transformed, evidence=(), max_states=DEFAULT_STATE_CAP):
+    vars = sorted(set(original.variables()) | set(transformed.variables()))
+    registry = original.registry
+    n_states = _state_count(registry, vars)
+    _ref_check_cap(n_states, max_states)
+    scale = _ref_common_scale(original, transformed)
+    best_original, argmin_original = _argmin(_blocks(original, vars, scale))
+    best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
+
+    counterexample = None
+    for fact in evidence:
+        for index in argmin_original:
+            assignment = _state_assignment(registry, vars, index)
+            if not _ref_evidence_holds_at(fact, assignment):
+                counterexample = assignment
+                break
+        if counterexample:
+            break
+    if counterexample is None and (
+        best_original != best_transformed or argmin_original != argmin_transformed
+    ):
+        difference = set(argmin_original) ^ set(argmin_transformed)
+        index = min(difference) if difference else argmin_original[0]
+        counterexample = _state_assignment(registry, vars, index)
+
+    stats = CheckStats(
+        states_enumerated=n_states,
+        min_original=Fraction(best_original, scale),
+        min_transformed=Fraction(best_transformed, scale),
+    )
+    return VerificationReport(CheckMode.CONDITIONAL, counterexample is None, counterexample, stats)
+
+
+def _ref_check_ternary_encoding(
+    original, transformed, t, z_pair, lam, max_states=DEFAULT_STATE_CAP
+):
+    z1, z2 = z_pair
+    lam = Fraction(lam)
+    min_original, argmin_original = enumerate_min(original, max_states)
+    min_transformed, argmin_transformed = enumerate_min(transformed, max_states)
+    states = sum(_state_count(p.registry, p.variables()) for p in (original, transformed))
+
+    def project(assignment):
+        image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
+        image[t] = (assignment[z1] + assignment[z2]) // 2
+        return tuple(sorted(image.items()))
+
+    want = {tuple(sorted(a.items())) for a in argmin_original}
+    got = {project(a) for a in argmin_transformed}
+    counterexample = None
+    if min_transformed != min_original - lam:
+        counterexample = dict(min(want))
+    elif want != got:
+        counterexample = dict(min(want ^ got))
+    stats = CheckStats(
+        states_enumerated=states,
+        min_original=min_original,
+        min_transformed=min_transformed,
+    )
+    return VerificationReport(CheckMode.GROUND_STATE, counterexample is None, counterexample, stats)
+
+
+def _random_poly(rng, registry, vars, terms=4):
+    """Up to `terms` random terms over `vars` with exponents 1..2 and small
+    rational coefficients."""
+    return Polynomial(registry, [
+        (
+            tuple((v, rng.randint(1, 2)) for v in sorted(rng.sample(vars, rng.randint(0, len(vars))))),
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        )
+        for _ in range(rng.randint(1, terms))
+    ])
+
+
+def _random_evidence(rng, registry, vars):
+    """0..2 facts over `vars`: a Deduction, an excludable configuration as a
+    dict, or an object carrying the configuration as `.values`."""
+    facts = []
+    for _ in range(rng.randint(0, 2)):
+        subset = sorted(rng.sample(vars, rng.randint(1, len(vars))))
+        kind = rng.randrange(3)
+        if kind == 0:
+            facts.append(Deduction(tuple((v, 1) for v in subset)))
+            continue
+        config = {v: rng.choice(registry.domain(v).values) for v in subset}
+        facts.append(config if kind == 1 else SimpleNamespace(values=config))
+    return facts
+
+
+def _outcome(check, *args):
+    """A report with its printed form, or the error raised."""
+    try:
+        report = check(*args)
+    except QuadratizerError as error:
+        return type(error), str(error)
+    return report, str(report)
+
+
+FOLDED_CHECKS = [
+    (check_pointwise, _ref_check_pointwise),
+    (check_groundstate, _ref_check_groundstate),
+    (check_spectrum, _ref_check_spectrum),
+]
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_checks_match_their_references(seed):
+    """Full reports (mode, verdict, counterexample, stats and printed form)
+    or errors equal the references' on b, z, t and mixed polynomials:
+    passing and failing transforms, shifted minima, real quadratizations,
+    conditional checks with deduction and excludable-configuration
+    evidence, and state caps small enough to trip."""
+    rng = random.Random(seed)
+    family = rng.choice(["b", "z", "t", "bzt"])
+    registry = VariableRegistry()
+    xs = [registry.add_variable(Domain.from_tag(rng.choice(family))) for _ in range(rng.randint(1, 3))]
+    aux = [registry.add_variable(Domain.from_tag(rng.choice(family))) for _ in range(rng.randint(0, 2))]
+    free = registry.add_variable(Domain.from_tag(rng.choice(family)))  # in no polynomial
+    original = _random_poly(rng, registry, xs)
+    kind = rng.choice(["random", "same", "shift", "padded", "quadratized"])
+    if kind == "random":
+        transformed = _random_poly(rng, registry, original.variables() + aux)
+    elif kind == "same":
+        transformed = original
+    elif kind == "shift":
+        transformed = original + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+    elif kind == "padded":
+        # a penalty at least 0 whose minimum over the auxiliaries may be 0
+        transformed = original + sum(
+            (Polynomial.variable(registry, a) * Polynomial.variable(registry, a) for a in aux),
+            Polynomial.constant(registry, rng.randint(0, 1)),
+        )
+    else:
+        original = parse_polynomial("b1 b2 b3 - 2 b2 b3 b4 + 3 b1 b3 b4")
+        registry, xs = original.registry, original.variables()
+        result = quadratize(original)
+        transformed, aux = result.output, list(result.aux)
+        if rng.random() < 0.5:
+            mono = rng.choice(sorted(transformed.terms))
+            transformed = transformed + Polynomial(registry, {mono: 1})
+        free = registry.add_variable(Domain.BOOLEAN)
+    max_states = rng.choice([DEFAULT_STATE_CAP, rng.randint(1, 40)])
+    for check, reference in FOLDED_CHECKS:
+        args = (original, transformed, aux, max_states)
+        assert _outcome(check, *args) == _outcome(reference, *args)
+    evidence = _random_evidence(rng, registry, xs + [free])
+    args = (original, transformed, evidence, max_states)
+    assert _outcome(check_conditional, *args) == _outcome(_ref_check_conditional, *args)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ternary_encoding_check_matches_its_reference(seed):
+    """The encoding check against its reference at the lam used, at a wrong
+    lam, and with an extra z1 z2 term that moves the argmin."""
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    t = registry.add_variable(Domain.TERNARY)
+    others = [registry.add_variable(Domain.from_tag(rng.choice("bzt"))) for _ in range(rng.randint(0, 2))]
+    p = _random_poly(rng, registry, [t] + others)
+    if t not in p.variables():
+        p = p + Polynomial.variable(registry, t)
+    lam = Fraction(rng.randint(1, 12), rng.randint(1, 2))
+    z1 = len(registry)
+    output = ternary_to_binary(p, t, lam, registry, verify=False)
+    moved = output + Polynomial.product(registry, [z1, z1 + 1], Fraction(rng.randint(-2, 2), 2))
+    max_states = rng.choice([DEFAULT_STATE_CAP, rng.randint(1, 60)])
+    for transformed, used in ((output, lam), (output, lam + rng.randint(1, 2)), (moved, lam)):
+        args = (p, transformed, t, (z1, z1 + 1), used, max_states)
+        got = _outcome(check_ternary_encoding, *args)
+        assert got == _outcome(_ref_check_ternary_encoding, *args)
+
+
+def test_reports_are_built_only_in_verify():
+    """The oracle's verdicts have one constructor: no module but verify
+    builds a CheckStats or a VerificationReport."""
+    package = Path(quadratizer.__file__).parent
+    builders = {
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if re.search(r"\b(CheckStats|VerificationReport)\(", path.read_text(encoding="utf-8"))
+    }
+    assert builders == {"verify.py"}
