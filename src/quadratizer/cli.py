@@ -175,6 +175,11 @@ def _cmd_verify(args) -> int:
         # a spin objective is quadratized over its {0,1} twins (z = 2b - 1)
         original = original.to_boolean()
     aux = _resolve_aux(registry, args.aux) if args.aux else registry.auxiliaries()
+    if args.mode == "conditional" and aux:
+        raise errors.InvalidParameter(
+            f"--mode conditional takes no auxiliaries, got {len(set(aux))};"
+            " use --mode pointwise or groundstate"
+        )
     check = {
         "pointwise": check_pointwise,
         "groundstate": check_groundstate,

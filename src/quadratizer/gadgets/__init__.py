@@ -13,7 +13,6 @@ from .base import (
     GadgetDescriptor,
     GadgetResult,
     Guarantee,
-    experimental_gadgets,
 )
 from .multi_term import (
     TermGroup,
@@ -67,7 +66,7 @@ def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
     of their domain, with coefficient -1 for a negative-term gadget, else +1.
     """
     reports: dict[str, VerificationReport] = {}
-    for descriptor in experimental_gadgets():
+    for descriptor in (d for d in GADGETS.values() if d.status == EXPERIMENTAL):
         registry = VariableRegistry()
         mono = tuple(
             (registry.add_variable(descriptor.domain), 1) for _ in range(descriptor.min_degree)

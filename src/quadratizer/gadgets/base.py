@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..poly import Domain, Polynomial
@@ -49,7 +49,7 @@ EXPERIMENTAL = "experimental"
 
 @dataclass(frozen=True)
 class GadgetDescriptor:
-    """Catalog entry: when a gadget applies and what it is said to cost."""
+    """Catalog entry: when a gadget applies, what it is said to cost, and its applier."""
 
     name: str
     sign: str  # "negative" | "positive" | "any"
@@ -60,6 +60,7 @@ class GadgetDescriptor:
     guarantee: str
     status: str
     summary: str
+    apply: Callable = field(compare=False, repr=False)
 
     def applies_to(self, coefficient_sign: int, degree: int, domain: Domain) -> bool:
         if self.sign == "negative" and coefficient_sign >= 0:
@@ -80,11 +81,3 @@ class GadgetDescriptor:
 
 
 GADGETS: dict[str, GadgetDescriptor] = {}
-
-
-def register_gadget(descriptor: GadgetDescriptor):
-    GADGETS[descriptor.name] = descriptor
-
-
-def experimental_gadgets() -> list[GadgetDescriptor]:
-    return [d for d in GADGETS.values() if d.status == EXPERIMENTAL]

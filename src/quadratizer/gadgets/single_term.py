@@ -43,7 +43,6 @@ from .base import (
     GadgetDescriptor,
     GadgetResult,
     Guarantee,
-    register_gadget,
 )
 
 
@@ -418,7 +417,7 @@ def evaluate_experimental(
     """
     if name not in GADGETS or GADGETS[name].status != EXPERIMENTAL:
         raise UnknownGadget(f"no experimental gadget named {name!r}")
-    result = _APPLIERS[name](coeff, mono, registry)
+    result = GADGETS[name].apply(coeff, mono, registry)
     target = Polynomial(registry, {mono: Fraction(coeff)})
     if not set(result.output.variables()) <= set(target.variables()) | set(result.aux):
         # the output lives over the {0,1} twins of the spin input
@@ -450,9 +449,6 @@ def experimental_single_term(
 
 # ---------------------------------------------------------------------------
 # Catalog registration
-
-
-_APPLIERS: dict = {}
 
 
 def _register_all():
@@ -498,9 +494,7 @@ def _register_all():
          EXPERIMENTAL, "parity gadget, printed spin form"),
     ]
     for applier, *fields in entries:
-        descriptor = GadgetDescriptor(*fields)
-        register_gadget(descriptor)
-        _APPLIERS[descriptor.name] = applier
+        GADGETS[fields[0]] = GadgetDescriptor(*fields, apply=applier)
 
 
 _register_all()
@@ -530,4 +524,4 @@ def apply_gadget(
         )
     if GADGETS[name].status == EXPERIMENTAL:
         return experimental_single_term(name, coeff, mono, registry, max_states)
-    return _APPLIERS[name](coeff, mono, registry)
+    return GADGETS[name].apply(coeff, mono, registry)

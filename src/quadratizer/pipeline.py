@@ -139,56 +139,52 @@ def _apply_multi_term(work, aux_map, guarantee, strategy):
     return work, aux_map, guarantee
 
 
-def _route_term(registry, mono, coeff, strategy) -> list:
-    """The gadget results that replace one term of degree >= 3."""
+def _pick_gadget(registry, mono, coeff, strategy) -> str:
+    """The first gadget on the term's route whose catalog row accepts the term."""
     domains = {registry.domain(v) for v in monomial_vars(mono)}
     if len(domains) != 1:
         raise NoApplicableGadget("no gadget accepts monomials mixing variable domains")
     domain = domains.pop()
     degree = monomial_degree(mono)
     sign = 1 if coeff > 0 else -1
-    if strategy.odd_split and sign > 0 and degree % 2 == 1 and domain is Domain.BOOLEAN:
-        return _route_odd_split(registry, mono, coeff, strategy)
     route = strategy.positive_route if sign > 0 else strategy.negative_route
     for name in route:
         if GADGETS[name].applies_to(sign, degree, domain):
-            return [apply_gadget(name, coeff, mono, registry, strategy.max_states)]
+            return name
     raise NoApplicableGadget(
         f"no routed gadget accepts a degree-{degree} {domain.tag!r} term "
         f"with coefficient {coeff}"
     )
 
 
-def _route_odd_split(registry, mono, coeff, strategy) -> list:
-    """b1..bk (odd k) = b1..b_{k-1} - b1..b_{k-1}*(1-bk): route the even head
-    through the positive route and fold the negated-literal tail with the
-    generalized single-aux negative reduction."""
-    vars = sorted(monomial_vars(mono))
-    head_vars, last = vars[:-1], vars[-1]
-    head_mono = tuple((v, 1) for v in head_vars)
-    if len(head_vars) >= 3:
-        head = _route_term(registry, head_mono, coeff, strategy)
-    else:
-        head = [
-            GadgetResult(Polynomial(registry, {head_mono: coeff}), (), Guarantee.POINTWISE_MIN, "")
-        ]
-    tail = ntr_kzfd_literals(-coeff, head_vars, [last], registry)
-    return head + [replace(tail, trace=f"odd_split tail: {tail.trace}")]
-
-
-def _route_terms(registry, items, strategy, aux_map, guarantee):
+def _route_terms(registry, items, strategy, aux_map=None, guarantee=Guarantee.POINTWISE_MIN):
     """Fold (monomial, coefficient) pairs into one accumulator in the given
     order: terms of degree <= 2 as they are, every other term through its
-    routed gadgets.  Returns the accumulated terms and the weakened guarantee."""
+    routed gadget.  odd_split folds b1..bk (odd k) as its head b1..b_{k-1},
+    then the negated-literal tail -b1..b_{k-1}*(1-bk).  Returns the
+    accumulated terms and the weakened guarantee; aux_map fills in place."""
     terms: dict = {}
+    aux_map = {} if aux_map is None else aux_map
     for mono, coeff in items:
-        if monomial_degree(mono) <= 2:
+        last = None
+        degree = monomial_degree(mono)
+        if strategy.odd_split and coeff > 0 and degree > 2 and degree % 2 and all(
+            registry.domain(v) is Domain.BOOLEAN for v in monomial_vars(mono)
+        ):
+            *head, last = sorted(monomial_vars(mono))
+            mono, degree = tuple((v, 1) for v in head), degree - 1
+        if degree <= 2:
             _accumulate(terms, mono, coeff)
-            continue
-        for result in _route_term(registry, mono, coeff, strategy):
+        else:
+            name = _pick_gadget(registry, mono, coeff, strategy)
+            result = apply_gadget(name, coeff, mono, registry, strategy.max_states)
             if result.output.degree() > 2:
                 raise RuntimeError(f"gadget output is not quadratic: {result.trace}")
             guarantee = _fold(terms, aux_map, guarantee, result)
+        if last is not None:
+            tail = ntr_kzfd_literals(-coeff, head, [last], registry)
+            tail = replace(tail, trace=f"odd_split tail: {tail.trace}")
+            guarantee = _fold(terms, aux_map, guarantee, tail)
     return terms, guarantee
 
 

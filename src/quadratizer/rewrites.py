@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 from .errors import DeductionUnproven, DomainViolation, ElcUnproven
 from .gadgets.base import GADGETS, GadgetResult, Guarantee
-from .pipeline import DEFAULT_STRATEGY, _route_terms
+from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
 from .poly import (
     Domain,
     Monomial,
@@ -242,29 +242,28 @@ def _default_quad_solver(q: Polynomial):
 
 
 def _aux_budget(p: Polynomial) -> int:
-    """Auxiliaries the default single-term routes would need to quadratize p."""
-    negative, positive = DEFAULT_STRATEGY.negative_route[0], DEFAULT_STRATEGY.positive_route[0]
+    """Auxiliaries the default routes would need to quadratize p."""
     needed = 0
     for mono, coeff in p.terms.items():
         k = monomial_degree(mono)
         if k >= 3:
-            needed += GADGETS[negative if coeff < 0 else positive].aux_count(k)
+            needed += GADGETS[_pick_gadget(p.registry, mono, coeff, DEFAULT_STRATEGY)].aux_count(k)
     return needed
 
 
 def solve_by_splitting(
     p: Polynomial,
     quad_solver: Callable = None,
-    pick: Callable = None,
 ) -> SplitSolveResult:
     """Minimize p by conditioning on the most connected variables.
 
-    Each split fixes one variable and recurses on both restrictions until a
-    branch is quadratic.  A branch whose remaining high-degree terms can be
-    quadratized with no more auxiliaries than the branch has already fixed
-    (and therefore freed) is quadratized in place instead of split further,
-    by the pipeline's default routes over its terms in sorted order, so the
-    variable count never grows past the original problem's.
+    Each split fixes the variable that `most_connected_variable` names and
+    recurses on both restrictions until a branch is quadratic.  A branch
+    whose remaining high-degree terms can be quadratized with no more
+    auxiliaries than the branch has already fixed (and therefore freed) is
+    quadratized in place instead of split further, by the pipeline's default
+    routes over its terms in sorted order, so the variable count never grows
+    past the original problem's.
 
     Every quadratic subproblem goes to `quad_solver` (default: the exhaustive
     oracle), which must return (minimum, one argmin).  The best branch wins;
@@ -272,7 +271,6 @@ def solve_by_splitting(
     values, and variables absent everywhere default to 0.
     """
     quad_solver = quad_solver or _default_quad_solver
-    pick = pick or most_connected_variable
     _require_boolean(p.registry, p.variables(), "split reduction is defined over {0,1} variables")
     original_vars = set(p.variables())
     subproblems: list[Polynomial] = []
@@ -293,12 +291,10 @@ def solve_by_splitting(
             dispatch(q, fixed)
             return
         if _aux_budget(q) <= len(fixed):
-            terms, _ = _route_terms(
-                q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY, {}, Guarantee.POINTWISE_MIN
-            )
+            terms, _ = _route_terms(q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY)
             dispatch(Polynomial._wrap(q.registry, terms), fixed)
             return
-        var = pick(q)
+        var = most_connected_variable(q)
         low, high = split(q, var)
         recurse(low, {**fixed, var: 0})
         recurse(high, {**fixed, var: 1})

@@ -430,9 +430,11 @@ def check_ternary_encoding(
     Each minimizer of the transformed polynomial is projected back through
     t = (z1 + z2)/2; the projected argmin set must equal the original's and
     the minimum must sit exactly lam below (the valid manifold's penalty
-    energy).  The projection is not a minimum over auxiliaries, so this is
-    not a fold: both polynomials are minimized over their own spaces, and
-    the states enumerated are the sum of the two.
+    energy).  A spin that cancelled out of the transformed polynomial is
+    missing from its minimizers and free, so both of its values project.
+    The projection is not a minimum over auxiliaries, so this is not a fold:
+    both polynomials are minimized over their own spaces, and the states
+    enumerated are the sum of the two.
     """
     z1, z2 = z_pair
     lam = Fraction(lam)
@@ -442,11 +444,12 @@ def check_ternary_encoding(
 
     def project(assignment):
         image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
-        image[t] = (assignment[z1] + assignment[z2]) // 2
-        return tuple(sorted(image.items()))
+        spins = ([assignment[z]] if z in assignment else Domain.SPIN.values for z in (z1, z2))
+        for x1, x2 in itertools.product(*spins):
+            yield tuple(sorted({**image, t: (x1 + x2) // 2}.items()))
 
     want = {tuple(sorted(a.items())) for a in argmin_original}
-    got = {project(a) for a in argmin_transformed}
+    got = {image for a in argmin_transformed for image in project(a)}
     counterexample = None
     if min_transformed != min_original - lam:
         counterexample = dict(min(want))
@@ -458,8 +461,8 @@ def check_ternary_encoding(
 
 
 def cost_report(transformed: Polynomial, aux: Sequence[int]) -> CostReport:
-    """Auxiliary count, non-submodular quadratic count ({0,1} parts only),
-    largest absolute coefficient, and total stored terms."""
+    """Distinct auxiliary count, non-submodular quadratic count ({0,1} parts
+    only), largest absolute coefficient, and total stored terms."""
     non_submodular = 0
     for mono, coeff in transformed.terms.items():
         if monomial_degree(mono) != 2 or coeff <= 0:
@@ -469,7 +472,7 @@ def cost_report(transformed: Polynomial, aux: Sequence[int]) -> CostReport:
         ):
             non_submodular += 1
     return CostReport(
-        aux_count=len(aux),
+        aux_count=len(set(aux)),
         non_submodular=non_submodular,
         max_abs_coefficient=max(
             (abs(c) for c in transformed.terms.values()), default=Fraction(0)

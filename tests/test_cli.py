@@ -586,6 +586,28 @@ def test_verify_repeated_aux_label_is_one_variable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == repeated
 
 
+def test_verify_conditional_refuses_auxiliaries(tmp_path, capsys):
+    """Conditional mode checks zero-auxiliary rewrites, so it exits 2 when
+    the quadratized file's registry or `--aux` names an auxiliary, instead of
+    comparing argmin sets over the auxiliaries too."""
+    original = tmp_path / "cond.txt"
+    original.write_text("b1 b2 b3 - 2 b1 b2 b3 b4\n")
+    out = tmp_path / "cond.json"
+    assert main(["quadratize", "--in", str(original), "--out", str(out)]) == 0
+    argv = ["verify", "--original", str(original), "--quadratized", str(out), "--mode", "conditional"]
+    message = (
+        "error: --mode conditional takes no auxiliaries, got 2;"
+        " use --mode pointwise or groundstate\n"
+    )
+    for aux in ([], ["--aux", "a1,a2,a1"]):
+        capsys.readouterr()
+        assert main(argv + aux) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", message)
+    assert main(["verify", "--original", str(original), "--quadratized", str(out)]) == 0
+    assert main(argv[:4] + [str(original), "--mode", "conditional"]) == 0
+
+
 def _error_classes(base=errors.QuadratizerError):
     for cls in base.__subclasses__():
         yield cls

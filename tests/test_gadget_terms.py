@@ -563,7 +563,7 @@ def _ref_fgbz_positive(group, registry):
 
 
 NEW = SimpleNamespace(
-    appliers=single_term._APPLIERS,
+    appliers={name: row.apply for name, row in GADGETS.items()},
     ntr_abcg2=single_term.ntr_abcg2,
     ntr_gbp=single_term.ntr_gbp,
     ptr_gbp=single_term.ptr_gbp,

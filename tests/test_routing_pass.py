@@ -18,6 +18,7 @@ from quadratizer.gadgets.base import GADGETS, GadgetResult, Guarantee
 from quadratizer.gadgets.single_term import apply_gadget, ntr_kzfd_literals
 from quadratizer.pipeline import Strategy, quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_degree, monomial_vars
+from quadratizer.textio import parse_polynomial
 
 
 def _term_domain(p, mono):
@@ -124,3 +125,21 @@ def test_single_pass_matches_rescan_loop(multi_term, seed, size, odd_split):
     assert list(result.aux_map.items()) == list(aux_map.items())
     assert result.guarantee == guarantee
     assert _labels(actual.registry) == _labels(expected.registry)
+
+
+@pytest.mark.parametrize(
+    "text,strategy,message",
+    [
+        ("b1 b2 z1", Strategy(odd_split=True),
+         "no gadget accepts monomials mixing variable domains"),
+        ("b1 b2 b3 b4 b5", Strategy(odd_split=True, positive_route=("ptr_kz",)),
+         "no routed gadget accepts a degree-4 'b' term with coefficient 1"),
+    ],
+    ids=["mixed-domains", "unroutable-head"],
+)
+def test_odd_split_keeps_routing_errors(text, strategy, message):
+    """A mixed-domain odd positive cubic is not split, and a split head no
+    routed gadget accepts is refused with the head's degree."""
+    with pytest.raises(NoApplicableGadget) as caught:
+        quadratize(parse_polynomial(text), strategy)
+    assert str(caught.value) == message

@@ -2,6 +2,7 @@
 experimental gate."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from quadratizer.gadgets import (
 )
 from quadratizer.gadgets.base import GADGETS, MUST_PASS, Guarantee
 from quadratizer.gadgets import single_term
-from quadratizer.gadgets.single_term import _APPLIERS, apply_gadget
+from quadratizer.gadgets.single_term import apply_gadget
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import check_groundstate, check_pointwise, enumerate_min
@@ -533,7 +534,7 @@ def test_output_over_twins_is_checked_against_the_twins(monkeypatch):
     input's {0,1} image under any catalog name."""
     registry, ids, mono = spin_instance(4)
     _, expected = evaluate_experimental("ntr_lhz", Fraction(-1), mono, registry)
-    monkeypatch.setitem(_APPLIERS, "ntr_lhz_z", single_term._x_ntr_lhz)
+    monkeypatch.setitem(GADGETS, "ntr_lhz_z", replace(GADGETS["ntr_lhz_z"], apply=single_term._x_ntr_lhz))
     registry, ids, mono = spin_instance(4)
     result, report = evaluate_experimental("ntr_lhz_z", Fraction(-1), mono, registry)
     assert not set(result.output.variables()) & set(ids)
@@ -580,7 +581,7 @@ def _rejection(name, domain, degree, coeff, exponent=1):
     ids = [registry.add_variable(domain) for _ in range(degree)]
     mono = tuple((v, exponent if i == 0 else 1) for i, v in enumerate(ids))
     with pytest.raises(Exception) as caught:
-        _APPLIERS[name](Fraction(coeff), mono, registry)
+        GADGETS[name].apply(Fraction(coeff), mono, registry)
     return type(caught.value), str(caught.value)
 
 

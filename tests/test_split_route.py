@@ -13,8 +13,10 @@ import random
 from fractions import Fraction
 
 from quadratizer.gadgets.single_term import ntr_kzfd, ptr_ishikawa
+from quadratizer.pipeline import DEFAULT_STRATEGY, _route_terms
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_degree
 from quadratizer.rewrites import (
+    _aux_budget,
     _default_quad_solver,
     most_connected_variable,
     solve_by_splitting,
@@ -122,3 +124,14 @@ def test_split_route_matches_reference_branch():
         in_place += bool(actual.registry.auxiliaries())
     # the generator must reach the in-place branch often enough to matter
     assert in_place >= 1000
+
+
+def test_aux_budget_counts_the_auxiliaries_routing_allocates():
+    """The budget that decides in-place quadratization picks each term's
+    gadget as the routing loop does, so it predicts the loop's auxiliaries."""
+    for seed in range(300):
+        p = _random_instance(seed)
+        before = len(p.registry)
+        aux_map = {}
+        _route_terms(p.registry, sorted(p.terms.items()), DEFAULT_STRATEGY, aux_map)
+        assert _aux_budget(p) == len(aux_map) == len(p.registry) - before, seed

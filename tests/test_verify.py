@@ -1,5 +1,6 @@
 """The oracle itself, cross-checked against the tests' naive enumeration."""
 
+import itertools
 import os
 import random
 import re
@@ -21,7 +22,7 @@ from quadratizer.gadgets import ntr_kzfd, ptr_ishikawa, ternary_to_binary
 from quadratizer.pipeline import quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.rewrites import Deduction
-from quadratizer.textio import parse_polynomial
+from quadratizer.textio import format_polynomial, parse_polynomial
 from quadratizer.verify import (
     BLOCK_STATES,
     DEFAULT_STATE_CAP,
@@ -456,6 +457,13 @@ def test_repeated_auxiliary_ids_add_no_axis(check):
     assert check(p, result.output, list(result.aux) * 2, max_states=100) == once
 
 
+def test_cost_report_counts_each_auxiliary_once():
+    """cost_report counts distinct auxiliary ids, as the checks do."""
+    result = quadratize(parse_polynomial("b1 b2 b3 - 2 b1 b2 b3 b4"))
+    assert cost_report(result.output, list(result.aux) * 2) == result.cost
+    assert result.cost.aux_count == 2
+
+
 # ---------------------------------------------------------------------------
 # The checks against the code they replaced
 #
@@ -597,11 +605,12 @@ def _ref_check_ternary_encoding(
 
     def project(assignment):
         image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
-        image[t] = (assignment[z1] + assignment[z2]) // 2
-        return tuple(sorted(image.items()))
+        spins = ([assignment[z]] if z in assignment else Domain.SPIN.values for z in (z1, z2))
+        for x1, x2 in itertools.product(*spins):
+            yield tuple(sorted({**image, t: (x1 + x2) // 2}.items()))
 
     want = {tuple(sorted(a.items())) for a in argmin_original}
-    got = {project(a) for a in argmin_transformed}
+    got = {image for a in argmin_transformed for image in project(a)}
     counterexample = None
     if min_transformed != min_original - lam:
         counterexample = dict(min(want))
@@ -725,6 +734,54 @@ def test_ternary_encoding_check_matches_its_reference(seed):
         args = (p, transformed, t, (z1, z1 + 1), used, max_states)
         got = _outcome(check_ternary_encoding, *args)
         assert got == _outcome(_ref_check_ternary_encoding, *args)
+
+
+def _naive_ternary_encoding_holds(original, transformed, t, z_pair, lam):
+    """The encoding check by the brute force in conftest, with both spins
+    enumerated whether or not they occur in the transformed polynomial."""
+    min_original, _ = brute_force_min(original)
+    z1, z2 = z_pair
+    values = [
+        (naive_value(transformed, a), a)
+        for a in all_assignments(transformed, set(transformed.variables()) | {z1, z2})
+    ]
+    low = min(value for value, _ in values)
+    got = set()
+    for value, a in values:
+        if value == low:
+            image = {v: x for v, x in a.items() if v not in z_pair}
+            image[t] = (a[z1] + a[z2]) // 2
+            got.add(tuple(sorted(image.items())))
+    return low == min_original - Fraction(lam) and got == argmin_set(original)
+
+
+def test_ternary_encoding_check_projects_a_cancelled_spin_both_ways():
+    """A spin that cancels out of the transformed polynomial is free: each of
+    its values projects.  The instance is the one hypothesis seed 321 draws:
+    `8/3 + t1` at lam 1/2, next to a spin in no polynomial, where the moved
+    transform loses z3."""
+    registry = VariableRegistry()
+    t = registry.add_variable(Domain.TERNARY)
+    registry.add_variable(Domain.SPIN)
+    p = parse_polynomial("8/3 + t1", registry)
+    z1 = len(registry)
+    output = ternary_to_binary(p, t, "1/2", registry, verify=False)
+    moved = output + Polynomial.product(registry, [z1, z1 + 1], Fraction(1, 2))
+    assert format_polynomial(moved) == "8/3 + z4"
+    for transformed in (output, moved):
+        report = check_ternary_encoding(p, transformed, t, (z1, z1 + 1), "1/2")
+        assert report.passed == _naive_ternary_encoding_holds(p, transformed, t, (z1, z1 + 1), "1/2")
+    assert report == _ref_check_ternary_encoding(p, moved, t, (z1, z1 + 1), "1/2")
+    assert not report.passed and report.counterexample == {t: -1}
+
+
+def test_ternary_to_binary_returns_an_encoding_with_a_free_spin():
+    """`t1 + t1^2` at lam 1/2 encodes as `1/2 + z3`: z2 cancels, and z3 = -1
+    with z2 free projects to the original argmin {-1, 0}."""
+    p = parse_polynomial("t1 + t1^2")
+    output = ternary_to_binary(p, 0, "1/2")
+    assert format_polynomial(output) == "1/2 + z3"
+    assert _naive_ternary_encoding_holds(p, output, 0, (1, 2), "1/2")
 
 
 def test_reports_are_built_only_in_verify():
