@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 _SUBMODULE = {
     "QuadratizerError": "errors",
-    **dict.fromkeys(("GadgetDescriptor", "GadgetResult", "Guarantee"), "gadgets.base"),
+    **dict.fromkeys(("GadgetDescriptor", "GadgetResult"), "gadgets.base"),
     **dict.fromkeys(
         ("QuadratizationResult", "Strategy", "compare_strategies", "flip_to_submodular",
          "quadratize"),
@@ -30,7 +30,7 @@ _SUBMODULE = {
         "textio",
     ),
     **dict.fromkeys(
-        ("DEFAULT_STATE_CAP", "CheckStats", "CostReport", "VerificationReport",
+        ("DEFAULT_STATE_CAP", "CheckStats", "CostReport", "Guarantee", "VerificationReport",
          "check_conditional", "check_groundstate", "check_pointwise", "check_spectrum",
          "cost_report", "enumerate_min"),
         "verify",

@@ -37,6 +37,9 @@ STRATEGY_PRESETS = {
     "fgbz": {"multi_term": "fgbz"},
     "odd-split": {"odd_split": True},
 }
+# The guarantee label each `verify --mode` proves.
+VERIFY_MODES = {"pointwise": "pointwise-min", "groundstate": "ground-state",
+                "conditional": "conditional-min"}
 CAP_HELP = "enumeration cap, a positive integer (default: $QUADRATIZER_MAX_STATES, else 2^20)"
 
 
@@ -154,9 +157,8 @@ def _resolve_aux(registry, spec: str):
 
 
 def _cmd_verify(args) -> int:
-    from .poly import Domain
     from .textio import format_fraction, load_polynomial, parse_polynomial
-    from .verify import check_conditional, check_groundstate, check_pointwise
+    from .verify import check_claim
 
     transformed = load_polynomial(_read(args.quadratized))
     registry = transformed.registry
@@ -167,25 +169,13 @@ def _cmd_verify(args) -> int:
             "polynomial's variables"
         )
     original = parse_polynomial(original_text, registry)
-    support = original.variables()
-    if support and all(
-        registry.domain(v) is Domain.SPIN and registry.entry(v).partner is not None
-        for v in support
-    ):
-        # a spin objective is quadratized over its {0,1} twins (z = 2b - 1)
-        original = original.to_boolean()
     aux = _resolve_aux(registry, args.aux) if args.aux else registry.auxiliaries()
     if args.mode == "conditional" and aux:
         raise errors.InvalidParameter(
             f"--mode conditional takes no auxiliaries, got {len(set(aux))};"
             " use --mode pointwise or groundstate"
         )
-    check = {
-        "pointwise": check_pointwise,
-        "groundstate": check_groundstate,
-        "conditional": lambda o, t, a, m: check_conditional(o, t, (), m),
-    }[args.mode]
-    report = check(original, transformed, aux, args.max_states)
+    report = check_claim(VERIFY_MODES[args.mode], original, transformed, aux, args.max_states)
     payload = {
         "mode": report.mode,
         "passed": report.passed,
@@ -302,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--original", required=True)
     ver.add_argument("--quadratized", required=True)
     ver.add_argument("--aux", default="", help="comma-separated auxiliary labels or ids")
-    ver.add_argument("--mode", choices=("pointwise", "groundstate", "conditional"), default="pointwise")
+    ver.add_argument("--mode", choices=tuple(VERIFY_MODES), default="pointwise")
     ver.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
     ver.set_defaults(func=_cmd_verify)
 

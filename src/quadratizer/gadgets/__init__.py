@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..poly import Domain, Polynomial, VariableRegistry
-from ..verify import DEFAULT_STATE_CAP, VerificationReport, check_groundstate
+from ..verify import DEFAULT_STATE_CAP, VerificationReport, check_claim
 from .base import (
     EXPERIMENTAL,
     GADGETS,
@@ -81,8 +81,8 @@ def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
     target = Polynomial.product(registry, vars)
     try:
         result = czw_count4(None, "b1b2b3b4", vars, registry, max_states)
-        reports["czw_count4"] = check_groundstate(
-            target, result.output, result.aux, max_states
+        reports["czw_count4"] = check_claim(
+            result.guarantee, target, result.output, result.aux, max_states
         )
     except Exception as error:  # VerificationFailed carries the report
         reports["czw_count4"] = getattr(error, "report", None)

@@ -1,4 +1,5 @@
-"""Shared gadget types: guarantees, results, descriptors, and the catalog."""
+"""Shared gadget types: results, descriptors, and the catalog.  Guarantee
+lives in verify, next to the gate that proves each label."""
 
 from __future__ import annotations
 
@@ -6,31 +7,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from ..poly import Domain, Polynomial
-
-
-class Guarantee:
-    """What a transformation claims to preserve, weakest first.
-
-    CONDITIONAL_MIN: minima preserved only under stated side conditions.
-    GROUND_STATE:    minimum value/argmin set (projected) preserved.
-    POINTWISE_MIN:   for every original assignment, minimizing over the
-                     auxiliaries reproduces the original value exactly.
-
-    Pointwise rewrites compose freely (auxiliary sets are disjoint, so the
-    minima distribute over sums).  Ground-state rewrites do not: they reshape
-    excited energies, so applying one to a term inside a larger objective is
-    a claim that only a verification pass can confirm.
-    """
-
-    CONDITIONAL_MIN = "conditional-min"
-    GROUND_STATE = "ground-state"
-    POINTWISE_MIN = "pointwise-min"
-
-    _ORDER = {CONDITIONAL_MIN: 0, GROUND_STATE: 1, POINTWISE_MIN: 2}
-
-    @classmethod
-    def weakest(cls, *levels: str) -> str:
-        return min(levels, key=cls._ORDER.__getitem__)
+from ..verify import Guarantee  # re-exported: the gadget modules import it from here
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from ..poly import (
     _require_boolean,
     monomial_degree,
 )
-from ..verify import DEFAULT_STATE_CAP, check_groundstate, check_pointwise
+from ..verify import DEFAULT_STATE_CAP, check_claim
 from .base import (
     EXPERIMENTAL,
     GADGETS,
@@ -419,14 +419,7 @@ def evaluate_experimental(
         raise UnknownGadget(f"no experimental gadget named {name!r}")
     result = GADGETS[name].apply(coeff, mono, registry)
     target = Polynomial(registry, {mono: Fraction(coeff)})
-    if not set(result.output.variables()) <= set(target.variables()) | set(result.aux):
-        # the output lives over the {0,1} twins of the spin input
-        target = target.to_boolean()
-    if result.guarantee == Guarantee.POINTWISE_MIN:
-        report = check_pointwise(target, result.output, result.aux, max_states)
-    else:
-        report = check_groundstate(target, result.output, result.aux, max_states)
-    return result, report
+    return result, check_claim(result.guarantee, target, result.output, result.aux, max_states)
 
 
 def experimental_single_term(

@@ -24,7 +24,7 @@ from ..errors import (
     VerificationFailed,
 )
 from ..poly import Domain, Polynomial, VariableRegistry, _require_boolean
-from ..verify import DEFAULT_STATE_CAP, check_groundstate, check_ternary_encoding
+from ..verify import DEFAULT_STATE_CAP, check_claim, check_ternary_encoding
 from .base import GadgetResult, Guarantee
 from .single_term import _log2_ceil
 
@@ -229,12 +229,10 @@ def czw_count4(
     bias_poly = Polynomial.from_products(registry, [((ba,), beta) for ba, beta in zip(aux, bias)])
     output = bias_poly + h_count.scale(lam)
 
-    report = check_groundstate(target, output, aux, max_states)
-    if not report.passed:
-        raise VerificationFailed(
-            f"czw_count4 does not reproduce the target ground space at lam={lam}",
-            report,
-        )
+    check_claim(
+        Guarantee.GROUND_STATE, target, output, aux, max_states,
+        f"czw_count4 does not reproduce the target ground space at lam={lam}",
+    )
     trace = f"czw_count4(lam={lam}, bias={tuple(str(b) for b in bias)})"
     return GadgetResult(output, tuple(aux), Guarantee.GROUND_STATE, trace)
 

@@ -15,18 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import (
-    InvalidParameter,
-    NoApplicableGadget,
-    UnknownGadget,
-    VerificationFailed,
-)
-from .gadgets.base import (
-    EXPERIMENTAL,
-    GADGETS,
-    GadgetResult,
-    Guarantee,
-)
+from .errors import InvalidParameter, NoApplicableGadget, UnknownGadget
+from .gadgets.base import EXPERIMENTAL, GADGETS, GadgetResult
 from .gadgets.multi_term import (
     choose_rosenberg_pair,
     discover_fgbz_groups,
@@ -39,9 +29,9 @@ from .poly import Domain, Polynomial, _accumulate, monomial_degree, monomial_var
 from .verify import (
     DEFAULT_STATE_CAP,
     CostReport,
+    Guarantee,
     VerificationReport,
-    check_groundstate,
-    check_pointwise,
+    check_claim,
     cost_report,
 )
 
@@ -211,10 +201,8 @@ def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> Quadrati
     cost = cost_report(work, sorted(aux_map))
     report = None
     if strategy.verify_after:
-        check = check_pointwise if guarantee == Guarantee.POINTWISE_MIN else check_groundstate
-        report = check(p, work, sorted(aux_map), strategy.max_states)
-        if not report.passed:
-            raise VerificationFailed("quadratization failed verification", report)
+        failure = "quadratization failed verification"
+        report = check_claim(guarantee, p, work, sorted(aux_map), strategy.max_states, failure)
     return QuadratizationResult(
         output=work, aux_map=aux_map, cost=cost, report=report, guarantee=guarantee
     )

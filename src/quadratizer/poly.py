@@ -160,9 +160,11 @@ class VariableRegistry:
 
     def entry(self, var: int) -> VarEntry:
         try:
-            return self._entries[var]
+            if var >= 0:  # a negative index would alias an entry from the end
+                return self._entries[var]
         except IndexError:
-            raise UnknownVariable(f"variable {var} not in registry") from None
+            pass
+        raise UnknownVariable(f"variable {var} not in registry")
 
     def domain(self, var: int) -> Domain:
         return self.entry(var).domain
@@ -423,12 +425,8 @@ class Polynomial:
         self._check_registry(other)
         out: dict[Monomial, Fraction] = {}
         for mono_a, coeff_a in self.terms.items():
-            map_a = dict(mono_a)
             for mono_b, coeff_b in other.terms.items():
-                merged = dict(map_a)
-                for var, exp in mono_b:
-                    merged[var] = merged.get(var, 0) + exp
-                _accumulate(out, self._canonical_monomial(merged.items()), coeff_a * coeff_b)
+                _accumulate(out, self._canonical_monomial(mono_a + mono_b), coeff_a * coeff_b)
         return Polynomial._wrap(self.registry, out)
 
     def __rmul__(self, other) -> "Polynomial":

@@ -232,9 +232,6 @@ class SplitSolveResult:
     argmin: dict
     subproblems: list = field(default_factory=list)  # quadratic polynomials solved
 
-    def __iter__(self):  # unpack like (min, argmin)
-        return iter((self.minimum, self.argmin))
-
 
 def _default_quad_solver(q: Polynomial):
     minimum, minimizers = enumerate_min(q)

@@ -26,11 +26,36 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import EnumerationCapExceeded, VariableMismatch
+from .errors import EnumerationCapExceeded, VariableMismatch, VerificationFailed
 from .poly import Domain, Polynomial, monomial_degree
 
 DEFAULT_STATE_CAP = 1 << 20
 BLOCK_STATES = 4096
+
+
+class Guarantee:
+    """What a transformation claims to preserve, weakest first.
+
+    CONDITIONAL_MIN: minima preserved only under stated side conditions.
+    GROUND_STATE:    minimum value/argmin set (projected) preserved.
+    POINTWISE_MIN:   for every original assignment, minimizing over the
+                     auxiliaries reproduces the original value exactly.
+
+    Pointwise rewrites compose freely (auxiliary sets are disjoint, so the
+    minima distribute over sums).  Ground-state rewrites do not: they reshape
+    excited energies, so applying one to a term inside a larger objective is
+    a claim that only a verification pass can confirm.
+    """
+
+    CONDITIONAL_MIN = "conditional-min"
+    GROUND_STATE = "ground-state"
+    POINTWISE_MIN = "pointwise-min"
+
+    _ORDER = {CONDITIONAL_MIN: 0, GROUND_STATE: 1, POINTWISE_MIN: 2}
+
+    @classmethod
+    def weakest(cls, *levels: str) -> str:
+        return min(levels, key=cls._ORDER.__getitem__)
 
 
 class CheckMode:
@@ -398,6 +423,31 @@ def check_conditional(
     )
 
 
+def check_claim(
+    guarantee: str, original: Polynomial, transformed: Polynomial, aux: Sequence[int],
+    max_states: int = DEFAULT_STATE_CAP, failure: Optional[str] = None,
+) -> VerificationReport:
+    """The one place a guarantee label picks its check: pointwise-min runs
+    check_pointwise, conditional-min check_conditional with no auxiliaries,
+    any other label check_groundstate.  A spin original whose variables all
+    have {0,1} twins is proved through its twin image (z = 2b - 1) when
+    `transformed` uses a twin.  Given a `failure` message, a failed report
+    raises VerificationFailed with it."""
+    entries = [original.registry.entry(v) for v in original.variables()]
+    partners = [e.partner if e.domain is Domain.SPIN else None for e in entries]
+    if partners and None not in partners and set(partners) & set(transformed.variables()):
+        original = original.to_boolean()
+    if guarantee == Guarantee.POINTWISE_MIN:
+        report = check_pointwise(original, transformed, aux, max_states)
+    elif guarantee == Guarantee.CONDITIONAL_MIN:
+        report = check_conditional(original, transformed, (), max_states)
+    else:
+        report = check_groundstate(original, transformed, aux, max_states)
+    if failure is not None and not report.passed:
+        raise VerificationFailed(failure, report)
+    return report
+
+
 def _extends(assignment: dict, config: dict) -> bool:
     """Does `assignment` match every value of `config`?  A variable missing
     from the assignment is free, so it matches any value."""
@@ -437,6 +487,8 @@ def check_ternary_encoding(
     enumerated are the sum of the two.
     """
     z1, z2 = z_pair
+    for var in (t, z1, z2):
+        original.registry.entry(var)  # an id outside the registry is an error, not a free spin
     lam = Fraction(lam)
     min_original, argmin_original = enumerate_min(original, max_states)
     min_transformed, argmin_transformed = enumerate_min(transformed, max_states)

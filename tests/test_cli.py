@@ -608,6 +608,31 @@ def test_verify_conditional_refuses_auxiliaries(tmp_path, capsys):
     assert main(argv[:4] + [str(original), "--mode", "conditional"]) == 0
 
 
+def test_verify_proves_a_spin_identity_over_the_spins(tmp_path, capsys):
+    """Polynomial JSON whose spins carry twin links and whose one term is
+    z1 z2 is the identity quadratization of z1 z2.  It uses no twin, so
+    verify proves it over the spins instead of the twin image."""
+    quadratized = tmp_path / "identity.json"
+    quadratized.write_text(json.dumps({
+        "vars": [
+            {"id": 0, "domain": "z", "label": "z1", "partner": 2},
+            {"id": 1, "domain": "z", "label": "z2", "partner": 3},
+            {"id": 2, "domain": "b", "label": "b1", "partner": 0},
+            {"id": 3, "domain": "b", "label": "b2", "partner": 1},
+        ],
+        "terms": [{"m": {"0": 1, "1": 1}, "c": "1"}],
+    }))
+    original = tmp_path / "original.txt"
+    original.write_text("z1 z2\n")
+    argv = ["verify", "--original", str(original), "--quadratized", str(quadratized)]
+    for mode in ("pointwise", "groundstate", "conditional"):
+        capsys.readouterr()
+        assert main(argv + ["--mode", mode]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "mode": mode, "passed": True, "states": 4, "min_original": "-1", "min_transformed": "-1",
+        }
+
+
 def _error_classes(base=errors.QuadratizerError):
     for cls in base.__subclasses__():
         yield cls

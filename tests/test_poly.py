@@ -11,6 +11,7 @@ from quadratizer.errors import (
     MissingVariable,
     NotQuadratic,
     RegistryMismatch,
+    UnknownVariable,
 )
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, _require_boolean
 from quadratizer.rewrites import find_elcs, find_zero_deductions, solve_by_splitting
@@ -43,6 +44,16 @@ def test_ternary_cube_reduces():
     v = Polynomial.variable(registry, t)
     assert v * v * v == v
     assert (v * v) * (v * v) == v * v
+
+
+def test_negative_variable_ids_are_unknown():
+    """Ids run 0..N-1: a negative id does not index the registry from its end."""
+    registry, ids = _registry("bz")
+    for var in (-1, -2, len(ids)):
+        with pytest.raises(UnknownVariable, match=f"variable {var} not in registry"):
+            registry.entry(var)
+    with pytest.raises(UnknownVariable, match="variable -1 not in registry"):
+        Polynomial.variable(registry, -1)
 
 
 def test_canonicalization_idempotent():

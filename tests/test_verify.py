@@ -1,5 +1,6 @@
 """The oracle itself, cross-checked against the tests' naive enumeration."""
 
+import inspect
 import itertools
 import os
 import random
@@ -17,7 +18,13 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import quadratizer
-from quadratizer.errors import EnumerationCapExceeded, QuadratizerError, VariableMismatch
+from quadratizer import cli
+from quadratizer.errors import (
+    EnumerationCapExceeded,
+    QuadratizerError,
+    UnknownVariable,
+    VariableMismatch,
+)
 from quadratizer.gadgets import ntr_kzfd, ptr_ishikawa, ternary_to_binary
 from quadratizer.pipeline import quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
@@ -457,6 +464,16 @@ def test_repeated_auxiliary_ids_add_no_axis(check):
     assert check(p, result.output, list(result.aux) * 2, max_states=100) == once
 
 
+def test_check_pointwise_refuses_a_negative_auxiliary_id():
+    """-1 is not an alias of the newest variable: b1 b2 b3 and its one
+    auxiliary make 16 states, and -1 raises instead of adding an axis."""
+    p = parse_polynomial("b1 b2 b3")
+    result = quadratize(p)
+    assert check_pointwise(p, result.output, result.aux).stats.states_enumerated == 16
+    with pytest.raises(UnknownVariable, match="variable -1 not in registry"):
+        check_pointwise(p, result.output, list(result.aux) + [-1])
+
+
 def test_cost_report_counts_each_auxiliary_once():
     """cost_report counts distinct auxiliary ids, as the checks do."""
     result = quadratize(parse_polynomial("b1 b2 b3 - 2 b1 b2 b3 b4"))
@@ -794,3 +811,20 @@ def test_reports_are_built_only_in_verify():
         if re.search(r"\b(CheckStats|VerificationReport)\(", path.read_text(encoding="utf-8"))
     }
     assert builders == {"verify.py"}
+
+
+def test_guarantees_are_checked_only_through_the_gate():
+    """A guarantee label picks its check in one place, verify.check_claim:
+    no module but verify calls check_pointwise, check_groundstate or
+    check_conditional.  Proving a spin original through its {0,1} twins is
+    the gate's too, so neither the single-term gadgets nor `verify` convert
+    one (`convert --to boolean` is a conversion asked for, not a proof)."""
+    package = Path(quadratizer.__file__).parent
+    callers = {
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if re.search(r"\bcheck_(pointwise|groundstate|conditional)\(", path.read_text(encoding="utf-8"))
+    }
+    assert callers == {"verify.py"}
+    assert ".to_boolean()" not in (package / "gadgets" / "single_term.py").read_text(encoding="utf-8")
+    assert ".to_boolean()" not in inspect.getsource(cli._cmd_verify)
