@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional
 
 from ..errors import (
@@ -111,21 +112,25 @@ def rosenberg_pair(
     return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
 
 
+def _shared_subsets(p: Polynomial, size: int, sign: int = 0) -> list:
+    """(key, monomials) for each `size`-variable subset `key` of the terms of
+    degree >= 3, with the monomials of the terms holding it in term order;
+    most monomials first, ties broken by the lowest key.  A nonzero `sign`
+    keeps only the terms of that sign."""
+    index: dict[tuple, list] = {}
+    for mono, coeff in p.terms.items():
+        if monomial_degree(mono) < 3 or (sign < 0 and coeff > 0) or (sign > 0 and coeff < 0):
+            continue
+        for key in combinations(monomial_vars(mono), size):
+            index.setdefault(key, []).append(mono)
+    return sorted(index.items(), key=lambda item: (-len(item[1]), item[0]))
+
+
 def choose_rosenberg_pair(p: Polynomial) -> Optional[tuple]:
     """The pair occurring in the most distinct terms of degree >= 3, ties
     broken by the lowest (i, j).  None when the polynomial is quadratic."""
-    counts: dict[tuple, int] = {}
-    for mono in p.terms:
-        if monomial_degree(mono) < 3:
-            continue
-        vars = monomial_vars(mono)
-        for a in range(len(vars)):
-            for b in range(a + 1, len(vars)):
-                pair = (vars[a], vars[b])
-                counts[pair] = counts.get(pair, 0) + 1
-    if not counts:
-        return None
-    return min(counts, key=lambda pair: (-counts[pair], pair))
+    ranked = _shared_subsets(p, 2)
+    return ranked[0][0] if ranked else None
 
 
 # ---------------------------------------------------------------------------
@@ -197,34 +202,17 @@ def discover_fgbz_groups(p: Polynomial, sign: str) -> list[TermGroup]:
     same-sign terms of degree >= 3 it divides; largest groups first.
 
     Negative groups use |C| = 2 (required for degree reduction); positive
-    groups use |C| = 1, whose first cover sum is already quadratic.
+    groups use |C| = 1, whose first cover sum is already quadratic.  Any
+    other `sign` raises InvalidParameter.
     """
-    wanted_negative = sign == "negative"
-    candidates: dict[Monomial, list] = {}
-    for mono, coeff in p.terms.items():
-        if monomial_degree(mono) < 3:
-            continue
-        if (coeff < 0) != wanted_negative:
-            continue
-        vars = monomial_vars(mono)
-        if wanted_negative:
-            subsets = [
-                (vars[a], vars[b])
-                for a in range(len(vars))
-                for b in range(a + 1, len(vars))
-            ]
-            keys = [((u, 1), (w, 1)) for u, w in subsets]
-        else:
-            keys = [((v, 1),) for v in vars]
-        for key in keys:
-            candidates.setdefault(key, []).append((mono, coeff))
-    groups = [
-        TermGroup(tuple(sorted(members)), common)
-        for common, members in candidates.items()
-        if len(members) >= 2
+    if sign not in ("negative", "positive"):
+        raise InvalidParameter(f"sign must be 'negative' or 'positive', got {sign!r}")
+    size, wanted = (2, -1) if sign == "negative" else (1, 1)
+    return [
+        TermGroup(tuple((m, p.terms[m]) for m in sorted(monos)), tuple((v, 1) for v in key))
+        for key, monos in _shared_subsets(p, size, wanted)
+        if len(monos) >= 2
     ]
-    groups.sort(key=lambda g: (-len(g.members), g.common))
-    return groups
 
 
 # ---------------------------------------------------------------------------

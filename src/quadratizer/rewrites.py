@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 from .errors import DeductionUnproven, DomainViolation, ElcUnproven
 from .gadgets.base import GADGETS, GadgetResult, Guarantee
+from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
 from .poly import (
     Domain,
@@ -213,15 +214,8 @@ def split(p: Polynomial, var: int):
 def most_connected_variable(p: Polynomial) -> Optional[int]:
     """The variable occurring in the most terms of degree >= 3, ties broken
     by the lowest id."""
-    counts: dict[int, int] = {}
-    for mono in p.terms:
-        if monomial_degree(mono) < 3:
-            continue
-        for var, _ in mono:
-            counts[var] = counts.get(var, 0) + 1
-    if not counts:
-        return None
-    return min(counts, key=lambda v: (-counts[v], v))
+    ranked = _shared_subsets(p, 1)
+    return ranked[0][0][0] if ranked else None
 
 
 @dataclass

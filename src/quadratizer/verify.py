@@ -246,11 +246,15 @@ def value_range(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
     return Fraction(min(lows), scale), Fraction(max(highs), scale)
 
 
+def _require_disjoint(x_vars: Sequence[int], aux: Sequence[int]):
+    if set(aux) & set(x_vars):
+        raise VariableMismatch("auxiliary variables overlap the original variables")
+
+
 def _split_vars(original: Polynomial, transformed: Polynomial, aux: Sequence[int]):
     x_vars = original.variables()
     aux = sorted(set(aux))
-    if set(aux) & set(x_vars):
-        raise VariableMismatch("auxiliary variables overlap the original variables")
+    _require_disjoint(x_vars, aux)
     allowed = set(x_vars) | set(aux)
     extra = [v for v in transformed.variables() if v not in allowed]
     if extra:
@@ -400,15 +404,16 @@ def check_conditional(
     """
     vars = sorted(set(original.variables()) | set(transformed.variables()))
     registry = original.registry
+    tests = [_evidence_test(fact, registry) for fact in evidence]
     n_states, scale = _space(registry, vars, max_states, original, transformed)
     best_original, argmin_original = _argmin(_blocks(original, vars, scale))
     best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
     counterexample = next(
         (
             minimizer
-            for fact in evidence
+            for holds_at in tests
             for minimizer in (_state_assignment(registry, vars, i) for i in argmin_original)
-            if not _evidence_holds_at(fact, minimizer)
+            if not holds_at(minimizer)
         ),
         None,
     )
@@ -431,8 +436,11 @@ def check_claim(
     check_pointwise, conditional-min check_conditional with no auxiliaries,
     any other label check_groundstate.  A spin original whose variables all
     have {0,1} twins is proved through its twin image (z = 2b - 1) when
-    `transformed` uses a twin.  Given a `failure` message, a failed report
+    `transformed` uses a twin; an original variable passed as an auxiliary
+    is rejected before that.  Given a `failure` message, a failed report
     raises VerificationFailed with it."""
+    if guarantee != Guarantee.CONDITIONAL_MIN:
+        _require_disjoint(original.variables(), aux)
     entries = [original.registry.entry(v) for v in original.variables()]
     partners = [e.partner if e.domain is Domain.SPIN else None for e in entries]
     if partners and None not in partners and set(partners) & set(transformed.variables()):
@@ -454,17 +462,24 @@ def _extends(assignment: dict, config: dict) -> bool:
     return all(assignment.get(v, x) == x for v, x in config.items())
 
 
-def _evidence_holds_at(fact, assignment: dict) -> bool:
-    """A Deduction must vanish at the minimizer; an ELC must not match it.
+def _evidence_test(fact, registry):
+    """The test a fact puts to each minimizer, once every id it names is
+    found in `registry`: a Deduction must vanish at the minimizer; an ELC
+    must not match it.
 
     Variables missing from the assignment are free, so a deduction cannot
     rely on them being 0 and an excludable configuration is extendable
     through them.
     """
     monomial = getattr(fact, "monomial", None)
+    config = dict(monomial) if monomial is not None else (
+        fact if isinstance(fact, dict) else fact.values
+    )
+    for var in config:
+        registry.entry(var)
     if monomial is not None:
-        return any(assignment.get(v, 1) == 0 for v, _ in monomial)
-    return not _extends(assignment, fact if isinstance(fact, dict) else fact.values)
+        return lambda assignment: any(assignment.get(v, 1) == 0 for v in config)
+    return lambda assignment: not _extends(assignment, config)
 
 
 def check_ternary_encoding(

@@ -252,6 +252,12 @@ def test_non_positive_cap_flag_exits_2(cubic_file, capsys, cap, command):
     assert f"must be a positive integer, got {cap!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cap", [20, 48, 255])
+def test_list_gadgets_verdicts_under_a_small_cap_exit_3(capsys, cap):
+    assert main(["list-gadgets", "--verdicts", f"--max-states={cap}"]) == 3
+    assert f"exceed the cap of {cap}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_non_positive_env_cap_exits_2(cubic_file, monkeypatch, capsys, cap):
     monkeypatch.setenv("QUADRATIZER_MAX_STATES", cap)

@@ -13,7 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadratizer.cli import main
-from quadratizer.errors import QuadratizerError, UnknownVariable, VerificationFailed
+from quadratizer.errors import (
+    QuadratizerError,
+    UnknownVariable,
+    VariableMismatch,
+    VerificationFailed,
+)
 from quadratizer.gadgets import (
     EXPERIMENTAL,
     GADGETS,
@@ -353,7 +358,10 @@ def _space(registry, vars) -> int:
 def test_degenerate_inputs_give_a_report_or_a_library_error(seed):
     """No other exception escapes.  An auxiliary id outside the registry
     raises instead of aliasing a variable: UnknownVariable, or
-    VariableMismatch when the check reads the transform's variables first.
+    VariableMismatch when the check reads the transform's variables first;
+    so does one in check_conditional's evidence.  An original variable
+    passed as an auxiliary raises VariableMismatch wherever auxiliaries are
+    read, also when a spin original is proved through its twin image.
     A folded check enumerates the original's variables and each distinct
     auxiliary once (the gate is left out there: it may enumerate a spin
     original's twin image)."""
@@ -361,8 +369,10 @@ def test_degenerate_inputs_give_a_report_or_a_library_error(seed):
         for name, check in SWEPT_CHECKS.items():
             outcome = _outcome(check, original, transformed, aux)
             assert isinstance(outcome, (VerificationReport, QuadratizerError)), (input_name, name)
-            if input_name == "negative id" and name in READS_AUX:
+            if input_name == "negative id" and name in READS_AUX | {"check_conditional"}:
                 assert isinstance(outcome, QuadratizerError), (input_name, name, outcome)
+            elif input_name == "original as auxiliary" and name in READS_AUX:
+                assert isinstance(outcome, VariableMismatch), (input_name, name, outcome)
             elif isinstance(outcome, VerificationReport) and name in DIRECT_FOLDED:
                 states = _space(original.registry, original.variables() + aux)
                 assert outcome.stats.states_enumerated == states, (input_name, name)
@@ -424,5 +434,5 @@ def test_verify_modes_on_degenerate_inputs_exit_with_documented_codes(tmp_path, 
             assert rc in (0, 1, 2, 3), (input_name, mode)
             if rc in (0, 1):
                 assert json.loads(out)["passed"] is (rc == 0), (input_name, mode)
-            if input_name == "negative id":
-                assert rc == 2, mode
+            if input_name in ("negative id", "original as auxiliary"):
+                assert rc == 2, (input_name, mode)

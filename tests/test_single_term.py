@@ -9,6 +9,7 @@ import pytest
 
 from quadratizer.errors import (
     DomainViolation,
+    EnumerationCapExceeded,
     InvalidParameter,
     UnknownGadget,
     VerificationFailed,
@@ -486,6 +487,14 @@ def test_experimental_reports_all_recorded():
     for name, report in reports.items():
         if not report.passed:
             assert report.counterexample is not None, name
+
+
+def test_experimental_reports_raise_a_cap_error():
+    # the ground-state check behind czw_count4 enumerates 256 states; a cap
+    # below that is an error, not a missing verdict
+    with pytest.raises(EnumerationCapExceeded, match="256 states exceed the cap of 100"):
+        experimental_reports(100)
+    assert experimental_reports(256)["czw_count4"].passed
 
 
 def test_experimental_gate_blocks_failures():
