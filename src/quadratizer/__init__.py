@@ -11,31 +11,17 @@ import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULE = {
-    "QuadratizerError": "errors",
-    **dict.fromkeys(("GadgetDescriptor", "GadgetResult"), "gadgets.base"),
-    **dict.fromkeys(
-        ("QuadratizationResult", "Strategy", "compare_strategies", "flip_to_submodular",
-         "quadratize"),
-        "pipeline",
-    ),
-    **dict.fromkeys(
-        ("Assignment", "Domain", "Monomial", "Polynomial", "QuadraticProfile",
-         "VariableRegistry"),
-        "poly",
-    ),
-    **dict.fromkeys(
-        ("format_polynomial", "parse_polynomial", "polynomial_from_json", "polynomial_to_json",
-         "qubo_from_json", "qubo_to_json"),
-        "textio",
-    ),
-    **dict.fromkeys(
-        ("DEFAULT_STATE_CAP", "CheckStats", "CostReport", "Guarantee", "VerificationReport",
-         "check_conditional", "check_groundstate", "check_pointwise", "check_spectrum",
-         "cost_report", "enumerate_min"),
-        "verify",
-    ),
-}
+_SUBMODULE = {name: module for module, names in {
+    "errors": "QuadratizerError",
+    "gadgets.base": "GadgetDescriptor GadgetResult",
+    "pipeline": "QuadratizationResult Strategy compare_strategies flip_to_submodular quadratize",
+    "poly": "Assignment Domain Monomial Polynomial QuadraticProfile VariableRegistry",
+    "textio": "format_polynomial parse_polynomial polynomial_from_json polynomial_to_json "
+              "qubo_from_json qubo_to_json",
+    "verify": "DEFAULT_STATE_CAP CheckStats CostReport Guarantee VerificationReport "
+              "check_conditional check_groundstate check_pointwise check_spectrum cost_report "
+              "enumerate_min",
+}.items() for name in names.split()}
 
 __all__ = sorted(_SUBMODULE)
 

@@ -2,59 +2,55 @@
 
 Subcommands: quadratize, verify, analyze, convert, list-gadgets.
 Exit codes: 0 success, 1 verification failed (counterexample printed),
-2 parse/schema error, 3 enumeration cap exceeded, 4 no applicable gadget.
+2 parse/schema/file error, 3 enumeration cap exceeded, 4 no applicable gadget.
 Human diagnostics go to stderr; machine output goes to stdout.
 
-Each command imports the library modules it uses when it runs, so building
-the parser and `--help` load only argparse, json and errors.  The state cap
-(`--max-states`, else QUADRATIZER_MAX_STATES, else verify.DEFAULT_STATE_CAP)
-must be a positive integer; it is read after parsing, only for the commands
-that take it.
+Importing this module loads only os and sys, and the module is kept small,
+since a process without a bytecode cache compiles it on every launch.
+build_parser imports argparse and builds each subcommand of COMMANDS from
+the options it names in OPTIONS; main imports the errors module and runs
+`_cmd_<subcommand>`, which imports the library modules it uses (and json, to
+print JSON).  The state cap (`--max-states`, else QUADRATIZER_MAX_STATES,
+else verify.DEFAULT_STATE_CAP) must be a positive integer; it is read after
+parsing, only for the commands that take it.
 """
 
-from __future__ import annotations
-
-import argparse
-import json
 import os
 import sys
 
-from . import errors
-
-EXIT_OK = 0
-EXIT_VERIFICATION = 1
-EXIT_PARSE = 2
-EXIT_CAP = 3
-EXIT_NO_GADGET = 4
-
-# Strategy keyword arguments per preset; Strategy's defaults fill the rest.
+# Each preset is `--route` clauses, read before the command line's own;
+# Strategy's defaults fill the rest.
 STRATEGY_PRESETS = {
-    "default": {},
-    "log-aux": {"positive_route": ("ptr_bcr4",)},
-    "counter": {"positive_route": ("ptr_bcr3",)},
-    "bg": {"positive_route": ("ptr_bg",)},
-    "rosenberg": {"multi_term": "rosenberg"},
-    "fgbz": {"multi_term": "fgbz"},
-    "odd-split": {"odd_split": True},
+    "default": "", "log-aux": "positive=ptr_bcr4", "counter": "positive=ptr_bcr3",
+    "bg": "positive=ptr_bg", "rosenberg": "multi_term=rosenberg", "fgbz": "multi_term=fgbz",
+    "odd-split": "odd_split=on",
 }
+# The Strategy field each `--route` key sets.
+ROUTE_KEYS = {
+    "positive": "positive_route", "positive_route": "positive_route",
+    "negative": "negative_route", "negative_route": "negative_route",
+    "multi_term": "multi_term", "odd_split": "odd_split",
+}
+# The spellings `odd_split=` takes for on and for off.
+ON, OFF = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
 # The guarantee label each `verify --mode` proves.
 VERIFY_MODES = {"pointwise": "pointwise-min", "groundstate": "ground-state",
                 "conditional": "conditional-min"}
-CAP_HELP = "enumeration cap, a positive integer (default: $QUADRATIZER_MAX_STATES, else 2^20)"
 
 
-def _state_cap(text: str) -> int:
+def _state_cap(text):
     """`--max-states`: a positive integer, else argparse exits 2."""
     try:
-        cap = int(text)
+        if int(text) > 0:
+            return int(text)
     except ValueError:
-        cap = 0
-    if cap <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
-    return cap
+        pass
+    import argparse
+
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
-def _default_cap() -> int:
+def _default_cap():
     value = os.environ.get("QUADRATIZER_MAX_STATES")
     if value:
         try:
@@ -62,280 +58,240 @@ def _default_cap() -> int:
         except ValueError:
             print(f"ignoring malformed QUADRATIZER_MAX_STATES={value!r}", file=sys.stderr)
         else:
-            if cap <= 0:
-                raise errors.InvalidParameter(
-                    f"QUADRATIZER_MAX_STATES must be a positive integer, got {value!r}"
-                )
-            return cap
+            if cap > 0:
+                return cap
+            from .errors import InvalidParameter
+
+            raise InvalidParameter(
+                f"QUADRATIZER_MAX_STATES must be a positive integer, got {value!r}"
+            )
     from .verify import DEFAULT_STATE_CAP
 
     return DEFAULT_STATE_CAP
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _write(path, text: str):
-    if not text.endswith("\n"):
-        text += "\n"
-    if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
+def _file(path, text=None):
+    """Read `path` ("-" is stdin), or write `text` and a final newline to it
+    (None or "-" is stdout).  A file that cannot be opened, read, decoded or
+    written is a QuadratizerError, so the CLI exits 2."""
+    try:
+        if text is None:
+            if path == "-":
+                return sys.stdin.read()
+            with open(path, encoding="utf-8") as handle:
+                return handle.read()
+        text += "" if text.endswith("\n") else "\n"
+        if path in (None, "-"):
+            return sys.stdout.write(text)
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except (OSError, UnicodeDecodeError) as error:
+        from .errors import QuadratizerError
+
+        reason = getattr(error, "strerror", None) or error
+        raise QuadratizerError(f"cannot {'read' if text is None else 'write'} {path!r}: {reason}")
+
+
+def _load(path):
+    from .textio import load_polynomial
+
+    return load_polynomial(_file(path))
+
+
+def _print_json(payload, sort_keys=True):
+    import json
+
+    _file(None, json.dumps(payload, sort_keys=sort_keys, indent=2))
 
 
 def _build_strategy(args):
+    from .errors import InvalidParameter
     from .pipeline import Strategy
 
-    overrides = dict(STRATEGY_PRESETS[args.strategy])
-    for clause in args.route or []:
-        for part in clause.split(","):
-            if not part:
-                continue
-            if "=" not in part:
-                raise errors.InvalidParameter(f"route clauses look like key=value, got {part!r}")
-            key, value = part.split("=", 1)
-            key = key.strip().replace("-", "_")
-            if key in ("positive", "positive_route"):
-                overrides["positive_route"] = tuple(value.split("|"))
-            elif key in ("negative", "negative_route"):
-                overrides["negative_route"] = tuple(value.split("|"))
-            elif key == "multi_term":
-                overrides["multi_term"] = None if value in ("off", "none") else value
-            elif key == "odd_split":
-                on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
-                if value.lower() not in on + off:
-                    raise errors.InvalidParameter(f"odd_split takes {on + off}, got {value!r}")
-                overrides["odd_split"] = value.lower() in on
-            else:
-                raise errors.InvalidParameter(f"unknown route key {key!r}")
-    return Strategy(
-        **overrides,
-        verify_after=args.verify,
-        allow_experimental=args.allow_experimental,
-        max_states=args.max_states,
-    )
+    overrides = {}
+    clauses = [STRATEGY_PRESETS[args.strategy], *(args.route or ())]
+    for part in filter(None, ",".join(clauses).split(",")):
+        key, equals, value = part.partition("=")
+        key = key.strip().replace("-", "_")
+        field = ROUTE_KEYS.get(key)
+        if not equals:
+            raise InvalidParameter(f"route clauses look like key=value, got {part!r}")
+        if field is None:
+            raise InvalidParameter(f"unknown route key {key!r}")
+        if field == "odd_split":
+            if value.lower() not in ON + OFF:
+                raise InvalidParameter(f"odd_split takes {ON + OFF}, got {value!r}")
+            value = value.lower() in ON
+        elif field == "multi_term":
+            value = None if value in ("off", "none") else value
+        else:
+            value = tuple(value.split("|"))
+        overrides[field] = value
+    return Strategy(**overrides, verify_after=args.verify,
+                    allow_experimental=args.allow_experimental, max_states=args.max_states)
 
 
-def _cmd_quadratize(args) -> int:
+def _cmd_quadratize(args):
     from .pipeline import quadratize
-    from .textio import format_polynomial, load_polynomial, polynomial_to_json, qubo_to_json
+    from .textio import format_polynomial, polynomial_to_json, qubo_to_json
 
-    p = load_polynomial(_read(args.input))
-    strategy = _build_strategy(args)
-    result = quadratize(p, strategy)
-    if args.format == "text":
-        output = format_polynomial(result.output)
-    elif args.format == "json":
-        output = polynomial_to_json(result.output)
-    else:
+    result = quadratize(_load(args.input), _build_strategy(args))
+    if args.format == "qubo":
         output = qubo_to_json(result.output, result.aux_map, result.guarantee)
-    _write(args.output, output)
+    else:
+        output = (polynomial_to_json if args.format == "json" else format_polynomial)(result.output)
+    _file(args.output, output)
     if result.report is not None:
         print(f"verification: {result.report}", file=sys.stderr)
-    return EXIT_OK
+    return 0
 
 
-def _resolve_aux(registry, spec: str):
-    aux = []
-    for token in (spec or "").split(","):
-        token = token.strip()
-        if not token:
-            continue
-        var = registry.by_label(token)
-        if var is None:
-            if not token.isdigit():
-                raise errors.SchemaError(f"unknown auxiliary {token!r}")
-            var = int(token)
-        aux.append(var)
-    return aux
-
-
-def _cmd_verify(args) -> int:
-    from .textio import format_fraction, load_polynomial, parse_polynomial
+def _cmd_verify(args):
+    from .errors import InvalidParameter, SchemaError
+    from .textio import format_fraction, parse_polynomial
     from .verify import check_claim
 
-    transformed = load_polynomial(_read(args.quadratized))
+    transformed = _load(args.quadratized)
     registry = transformed.registry
-    original_text = _read(args.original)
-    if original_text.lstrip().startswith("{"):
-        raise errors.SchemaError(
-            "--original must be grammar text so it can share the quadratized "
-            "polynomial's variables"
-        )
-    original = parse_polynomial(original_text, registry)
-    aux = _resolve_aux(registry, args.aux) if args.aux else registry.auxiliaries()
+    original = _file(args.original)
+    if original.lstrip().startswith("{"):
+        raise SchemaError("--original must be grammar text so it can share the quadratized "
+                          "polynomial's variables")
+    original = parse_polynomial(original, registry)
+    aux = [] if args.aux else registry.auxiliaries()
+    for token in filter(None, map(str.strip, args.aux.split(","))):
+        var = registry.by_label(token)
+        if var is None and not token.isdigit():
+            raise SchemaError(f"unknown auxiliary {token!r}")
+        aux.append(int(token) if var is None else var)
     if args.mode == "conditional" and aux:
-        raise errors.InvalidParameter(
-            f"--mode conditional takes no auxiliaries, got {len(set(aux))};"
-            " use --mode pointwise or groundstate"
-        )
+        raise InvalidParameter(f"--mode conditional takes no auxiliaries, got {len(set(aux))};"
+                               " use --mode pointwise or groundstate")
     report = check_claim(VERIFY_MODES[args.mode], original, transformed, aux, args.max_states)
-    payload = {
-        "mode": report.mode,
-        "passed": report.passed,
-        "states": report.stats.states_enumerated,
-        "min_original": format_fraction(report.stats.min_original),
-        "min_transformed": format_fraction(report.stats.min_transformed),
-    }
+    stats = report.stats
+    payload = {"mode": report.mode, "passed": report.passed, "states": stats.states_enumerated,
+               "min_original": format_fraction(stats.min_original),
+               "min_transformed": format_fraction(stats.min_transformed)}
     if report.counterexample is not None:
         payload["counterexample"] = {
-            registry.display_name(v): value
-            for v, value in sorted(report.counterexample.items())
+            registry.display_name(v): x for v, x in sorted(report.counterexample.items())
         }
-    _write(None, json.dumps(payload, sort_keys=True, indent=2))
-    if not report.passed:
-        print(f"verification failed: {report}", file=sys.stderr)
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    _print_json(payload)
+    if report.passed:
+        return 0
+    print(f"verification failed: {report}", file=sys.stderr)
+    return 1
 
 
-def _cmd_analyze(args) -> int:
-    from .poly import Domain
-    from .textio import format_fraction, load_polynomial
+def _cmd_analyze(args):
+    from collections import Counter
 
-    p = load_polynomial(_read(args.input))
-    histogram = {}
-    for mono, _ in p.items():
-        degree = sum(e for _, e in mono)
-        histogram[str(degree)] = histogram.get(str(degree), 0) + 1
-    payload = {
-        "degree": p.degree(),
-        "terms": len(p.terms),
-        "variables": len(p.variables()),
-        "term_degree_histogram": histogram,
-        "max_abs_coefficient": format_fraction(
-            max((abs(c) for c in p.terms.values()), default=0)
-        ),
-    }
-    boolean = all(p.registry.domain(v) is Domain.BOOLEAN for v in p.variables())
-    if boolean and p.degree() <= 2:
+    from .poly import Domain, monomial_degree
+    from .textio import format_fraction
+
+    p = _load(args.input)
+    payload = {"degree": p.degree(), "terms": len(p.terms), "variables": len(p.variables()),
+               "term_degree_histogram": Counter(str(monomial_degree(m)) for m in p.terms),
+               "max_abs_coefficient": format_fraction(max(map(abs, p.terms.values()), default=0))}
+    if p.degree() <= 2 and all(p.registry.domain(v) is Domain.BOOLEAN for v in p.variables()):
         profile = p.quadratic_profile()
-        payload["submodularity"] = {
-            "non_submodular_quadratics": profile.non_submodular,
-            "quadratic_terms": profile.quadratic_terms,
-        }
-    _write(None, json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_OK
+        payload["submodularity"] = {"non_submodular_quadratics": profile.non_submodular,
+                                    "quadratic_terms": profile.quadratic_terms}
+    _print_json(payload)
+    return 0
 
 
-def _cmd_convert(args) -> int:
-    from .textio import format_polynomial, load_polynomial, polynomial_to_json
+def _cmd_convert(args):
+    from .textio import format_polynomial, polynomial_to_json
 
-    p = load_polynomial(_read(args.input))
-    if args.to == "spin":
-        output = format_polynomial(p.to_spin())
-    elif args.to == "boolean":
-        output = format_polynomial(p.to_boolean())
-    elif args.to == "json":
-        output = polynomial_to_json(p)
-    else:
-        output = format_polynomial(p)
-    _write(args.output, output)
-    return EXIT_OK
+    p = _load(args.input)
+    if args.to in ("spin", "boolean"):
+        p = getattr(p, "to_" + args.to)()
+    _file(args.output, polynomial_to_json(p) if args.to == "json" else format_polynomial(p))
+    return 0
 
 
-def _cmd_list_gadgets(args) -> int:
+def _cmd_list_gadgets(args):
     from .gadgets import GADGETS, experimental_reports
 
-    rows = []
     reports = experimental_reports(args.max_states) if args.verdicts else {}
-    for name in sorted(GADGETS):
-        descriptor = GADGETS[name]
-        top = "*" if descriptor.max_degree is None else str(descriptor.max_degree)
-        row = {
-            "name": name,
-            "sign": descriptor.sign,
-            "domain": descriptor.domain.tag,
-            "degrees": f"{descriptor.min_degree}..{top}",
-            "guarantee": descriptor.guarantee,
-            "status": descriptor.status,
-            "summary": descriptor.summary,
-        }
+    rows = []
+    for name, row in sorted(GADGETS.items()):
+        rows.append({"name": name, "sign": row.sign, "domain": row.domain.tag,
+                     "degrees": f"{row.min_degree}..{row.max_degree or '*'}",
+                     "guarantee": row.guarantee, "status": row.status, "summary": row.summary})
         if name in reports:
-            row["oracle_verdict"] = "passed" if reports[name].passed else "failed"
-        rows.append(row)
-    _write(None, json.dumps(rows, indent=2))
-    return EXIT_OK
+            rows[-1]["oracle_verdict"] = "passed" if reports[name].passed else "failed"
+    _print_json(rows, sort_keys=False)
+    return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand option, declared once by its flag.
+OPTIONS = {
+    "--in": {"dest": "input", "required": True, "help": "input file or -"},
+    "--out": {"dest": "output", "help": "output file (stdout)"},
+    "--format": {"choices": ("text", "json", "qubo"), "default": "qubo"},
+    "--strategy": {"choices": sorted(STRATEGY_PRESETS), "default": "default"},
+    "--route": {"action": "append", "metavar": "KEY=VALUE",
+                "help": "strategy overrides, e.g. positive=ptr_bcr4,negative=ntr_kzfd"},
+    "--verify": {"action": "store_true", "help": "prove the result by enumeration"},
+    "--allow-experimental": {"action": "store_true"},
+    "--max-states": {"type": _state_cap, "help": "enumeration cap, a positive integer "
+                     "(default: $QUADRATIZER_MAX_STATES, else 2^20)"},
+    "--original": {"required": True},
+    "--quadratized": {"required": True},
+    "--aux": {"default": "", "help": "comma-separated auxiliary labels or ids"},
+    "--mode": {"choices": tuple(VERIFY_MODES), "default": "pointwise"},
+    "--to": {"choices": ("spin", "boolean", "json", "text"), "required": True},
+    "--verdicts": {"action": "store_true", "help": "also run the experimental probes"},
+}
+# Each subcommand's help line and options; `main` runs `_cmd_<subcommand>`.
+COMMANDS = {
+    "quadratize": ("reduce a polynomial to degree <= 2", "--in --out --format --strategy --route "
+                   "--verify --allow-experimental --max-states"),
+    "verify": ("check a quadratization against its original",
+               "--original --quadratized --aux --mode --max-states"),
+    "analyze": ("degree/term/submodularity report", "--in"),
+    "convert": ("domain or format conversion", "--in --out --to"),
+    "list-gadgets": ("descriptors, guarantees, status", "--verdicts --max-states"),
+}
+
+
+def build_parser():
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="quadratizer",
         description="Reduce higher-degree pseudo-Boolean/spin objectives to "
         "quadratic form with enumeration-verified gadgets.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    quad = sub.add_parser("quadratize", help="reduce a polynomial to degree <= 2")
-    quad.add_argument("--in", dest="input", required=True, help="input file or -")
-    quad.add_argument("--out", dest="output", default=None, help="output file (stdout)")
-    quad.add_argument("--format", choices=("text", "json", "qubo"), default="qubo")
-    quad.add_argument("--strategy", choices=sorted(STRATEGY_PRESETS), default="default")
-    quad.add_argument(
-        "--route",
-        action="append",
-        metavar="KEY=VALUE",
-        help="strategy overrides, e.g. positive=ptr_bcr4,negative=ntr_kzfd",
-    )
-    quad.add_argument("--verify", action="store_true", help="prove the result by enumeration")
-    quad.add_argument("--allow-experimental", action="store_true")
-    quad.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
-    quad.set_defaults(func=_cmd_quadratize)
-
-    ver = sub.add_parser("verify", help="check a quadratization against its original")
-    ver.add_argument("--original", required=True)
-    ver.add_argument("--quadratized", required=True)
-    ver.add_argument("--aux", default="", help="comma-separated auxiliary labels or ids")
-    ver.add_argument("--mode", choices=tuple(VERIFY_MODES), default="pointwise")
-    ver.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
-    ver.set_defaults(func=_cmd_verify)
-
-    ana = sub.add_parser("analyze", help="degree/term/submodularity report")
-    ana.add_argument("--in", dest="input", required=True)
-    ana.set_defaults(func=_cmd_analyze)
-
-    conv = sub.add_parser("convert", help="domain or format conversion")
-    conv.add_argument("--in", dest="input", required=True)
-    conv.add_argument("--out", dest="output", default=None)
-    conv.add_argument("--to", choices=("spin", "boolean", "json", "text"), required=True)
-    conv.set_defaults(func=_cmd_convert)
-
-    lst = sub.add_parser("list-gadgets", help="descriptors, guarantees, status")
-    lst.add_argument("--verdicts", action="store_true", help="also run the experimental probes")
-    lst.add_argument("--max-states", type=_state_cap, help=CAP_HELP)
-    lst.set_defaults(func=_cmd_list_gadgets)
+    for name, (help, flags) in COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        for flag in flags.split():
+            command.add_argument(flag, **OPTIONS[flag])
     return parser
 
 
-def main(argv=None) -> int:
+def main(argv=None):
+    from . import errors
+
     args = build_parser().parse_args(argv)
     try:
-        if "max_states" in vars(args) and args.max_states is None:
+        if getattr(args, "max_states", 0) is None:
             args.max_states = _default_cap()
-        return args.func(args)
-    except errors.VerificationFailed as error:
-        print(f"error: {error}", file=sys.stderr)
-        if error.report is not None and error.report.counterexample is not None:
-            print(
-                "counterexample: "
-                + json.dumps(
-                    {str(k): v for k, v in sorted(error.report.counterexample.items())}
-                ),
-                file=sys.stderr,
-            )
-        return EXIT_VERIFICATION
+        return globals()["_cmd_" + args.command.replace("-", "_")](args)
     except errors.QuadratizerError as error:
         print(f"error: {error}", file=sys.stderr)
-        if isinstance(error, errors.EnumerationCapExceeded):
-            return EXIT_CAP
-        return EXIT_NO_GADGET if isinstance(error, errors.NoApplicableGadget) else EXIT_PARSE
+        report = getattr(error, "report", None)
+        if report is not None and report.counterexample is not None:
+            import json
 
-
-if __name__ == "__main__":
-    sys.exit(main())
+            counterexample = {str(k): v for k, v in sorted(report.counterexample.items())}
+            print("counterexample: " + json.dumps(counterexample), file=sys.stderr)
+        # the exit code of each error class that does not exit 2
+        for cls, code in ((errors.VerificationFailed, 1), (errors.EnumerationCapExceeded, 3),
+                          (errors.NoApplicableGadget, 4)):
+            if isinstance(error, cls):
+                return code
+        return 2

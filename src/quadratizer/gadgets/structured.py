@@ -194,14 +194,16 @@ def czw_count4(
     vars,
     registry: VariableRegistry,
     max_states: int = DEFAULT_STATE_CAP,
+    verify: bool = True,
 ) -> GadgetResult:
     """bias + lam * H_count over 4 logical variables and 4 auxiliaries.
 
     `target_bias` is a preset name ("b1b2b3b4" or "z1z2z3z4") or a list of 4
-    rationals applied to the auxiliaries.  The result is oracle-gated: the
-    ground manifold must project onto the target spectrum's minimizers for
-    the chosen lam, else VerificationFailed carries the counterexample.
-    The default lam is 1 + (range of the bias terms).
+    rationals applied to the auxiliaries.  The result is oracle-gated unless
+    verify=False: the ground manifold must project onto the target
+    spectrum's minimizers for the chosen lam, else VerificationFailed
+    carries the counterexample.  The default lam is 1 + (range of the bias
+    terms).
     """
     vars = sorted(vars)
     if isinstance(target_bias, str):
@@ -229,10 +231,11 @@ def czw_count4(
     bias_poly = Polynomial.from_products(registry, [((ba,), beta) for ba, beta in zip(aux, bias)])
     output = bias_poly + h_count.scale(lam)
 
-    check_claim(
-        Guarantee.GROUND_STATE, target, output, aux, max_states,
-        f"czw_count4 does not reproduce the target ground space at lam={lam}",
-    )
+    if verify:
+        check_claim(
+            Guarantee.GROUND_STATE, target, output, aux, max_states,
+            f"czw_count4 does not reproduce the target ground space at lam={lam}",
+        )
     trace = f"czw_count4(lam={lam}, bias={tuple(str(b) for b in bias)})"
     return GadgetResult(output, tuple(aux), Guarantee.GROUND_STATE, trace)
 

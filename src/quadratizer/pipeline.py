@@ -17,13 +17,6 @@ from typing import Optional
 
 from .errors import InvalidParameter, NoApplicableGadget, UnknownGadget
 from .gadgets.base import EXPERIMENTAL, GADGETS, GadgetResult
-from .gadgets.multi_term import (
-    choose_rosenberg_pair,
-    discover_fgbz_groups,
-    fgbz_negative,
-    fgbz_positive,
-    rosenberg_pair,
-)
 from .gadgets.single_term import apply_gadget, ntr_kzfd_literals
 from .poly import Domain, Polynomial, _accumulate, monomial_degree, monomial_vars
 from .verify import (
@@ -107,6 +100,15 @@ def _fold(terms: dict, aux_map: dict, guarantee: str, result: GadgetResult) -> s
 
 
 def _apply_multi_term(work, aux_map, guarantee, strategy):
+    # imported here, so a quadratize without a multi-term pass never loads them
+    from .gadgets.multi_term import (
+        choose_rosenberg_pair,
+        discover_fgbz_groups,
+        fgbz_negative,
+        fgbz_positive,
+        rosenberg_pair,
+    )
+
     while work.degree() > 2:
         if strategy.multi_term == "rosenberg":
             # a term of degree >= 3 holds at least two variables, so a pair exists

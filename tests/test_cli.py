@@ -669,3 +669,47 @@ def test_each_library_error_maps_to_its_exit_code(cubic_file, monkeypatch, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error}\n"
+
+
+# -- file errors: one `error:` line and exit 2, never a traceback -------------
+
+
+def _file_error_exit(argv, capsys):
+    capsys.readouterr()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot ") and captured.err.count("\n") == 1
+    return code, captured.err
+
+
+@pytest.mark.parametrize("kind, reason", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("non-utf8", "'utf-8' codec can't decode byte 0xff"),
+])
+@pytest.mark.parametrize("flag", ["--in", "--original", "--quadratized"])
+def test_unreadable_input_exits_2(tmp_path, cubic_file, capsys, flag, kind, reason):
+    bad = {"missing": tmp_path / "absent.txt", "directory": tmp_path}.get(kind, tmp_path / "latin1.txt")
+    if kind == "non-utf8":
+        bad.write_bytes(b"\xff b1 b2 b3\n")
+    quadratized = tmp_path / "out.json"
+    assert main(["quadratize", "--in", str(cubic_file), "--out", str(quadratized)]) == 0
+    argv = {
+        "--in": ["analyze", "--in", str(bad)],
+        "--original": ["verify", "--original", str(bad), "--quadratized", str(quadratized)],
+        "--quadratized": ["verify", "--original", str(cubic_file), "--quadratized", str(bad)],
+    }[flag]
+    code, err = _file_error_exit(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot read {str(bad)!r}: ") and reason in err
+
+
+@pytest.mark.parametrize("target", ["missing-folder", "directory"])
+@pytest.mark.parametrize("command", ["quadratize", "convert"])
+def test_unwritable_output_exits_2(tmp_path, cubic_file, capsys, command, target):
+    out = tmp_path / "absent" / "out.json" if target == "missing-folder" else tmp_path
+    argv = [command, "--in", str(cubic_file), "--out", str(out)]
+    code, err = _file_error_exit(argv + (["--to", "json"] if command == "convert" else []), capsys)
+    assert code == 2
+    assert err.startswith(f"error: cannot write {str(out)!r}: ")

@@ -141,17 +141,17 @@ def _rosenberg(rng):
 
 
 def _fgbz(rng):
+    """Three terms of one sign over b1 b2 and three distinct nonempty tails
+    from b3..b5, so the terms never merge and each sign gives one group."""
     cases = []
     for sign, apply in ((-1, fgbz_negative), (1, fgbz_positive)):
         registry = VariableRegistry()
         xs = _variables(registry, Domain.BOOLEAN, 5)
+        tails = [tail for size in (1, 2, 3) for tail in itertools.combinations(xs[2:], size)]
         p = Polynomial.from_products(registry, [
-            (tuple(xs[:2]) + tuple(rng.sample(xs[2:], rng.randint(1, 3))), sign * rng.randint(1, 5))
-            for _ in range(3)
+            (tuple(xs[:2]) + tail, sign * rng.randint(1, 5)) for tail in rng.sample(tails, 3)
         ])
-        group = (discover_fgbz_groups(p, "negative" if sign < 0 else "positive") or [None])[0]
-        if group is None:  # the three draws merged into fewer than two terms
-            continue
+        group = discover_fgbz_groups(p, "negative" if sign < 0 else "positive")[0]
         result = apply(group, registry)
         original = Polynomial(registry, dict(group.members))
         cases.append((result.guarantee, original, result.output, result.aux, original))
@@ -255,6 +255,12 @@ def test_gate_gives_the_report_of_the_check_it_picks(family, seed):
         else:
             assert report == check_groundstate(image, transformed, aux)
         assert report.passed == _naive_verdict(guarantee, image, transformed, aux)
+
+
+def test_fgbz_family_gives_both_signs_where_random_tails_once_merged():
+    # at this seed the three tails drawn with repetition were all equal, so
+    # the terms merged into one and the family returned no case
+    assert [guarantee for guarantee, *_ in _fgbz(random.Random(27722033))] == [POINTWISE] * 2
 
 
 def test_gate_raises_its_failure_message_with_the_report():

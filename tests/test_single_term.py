@@ -497,6 +497,27 @@ def test_experimental_reports_raise_a_cap_error():
     assert experimental_reports(256)["czw_count4"].passed
 
 
+def test_experimental_reports_prove_czw_count4_once(monkeypatch):
+    """The probes run five ground-state checks, czw_count4's once; its
+    report is the one czw_count4's own gate computes."""
+    from quadratizer import verify
+    from quadratizer.gadgets import czw_count4
+
+    calls = []
+    original = verify.check_groundstate
+    monkeypatch.setattr(verify, "check_groundstate",
+                        lambda *args: calls.append(args) or original(*args))
+    reports = experimental_reports()
+    assert len(calls) == 5
+    monkeypatch.undo()
+    registry = VariableRegistry()
+    xs = [registry.add_variable(Domain.BOOLEAN) for _ in range(4)]
+    gated = czw_count4(None, "b1b2b3b4", xs, registry)
+    assert reports["czw_count4"] == verify.check_claim(
+        gated.guarantee, Polynomial.product(registry, xs), gated.output, gated.aux
+    )
+
+
 def test_experimental_gate_blocks_failures():
     registry, ids, mono = spin_instance(3)
     with pytest.raises(VerificationFailed) as excinfo:
