@@ -77,7 +77,7 @@ def _file(path, text=None):
     try:
         if text is None:
             if path == "-":
-                return sys.stdin.read()
+                return sys.stdin.buffer.read().decode("utf-8")
             with open(path, encoding="utf-8") as handle:
                 return handle.read()
         text += "" if text.endswith("\n") else "\n"

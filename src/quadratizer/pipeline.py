@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Optional
 
-from .errors import InvalidParameter, NoApplicableGadget, UnknownGadget
+from .errors import InvalidParameter, NoApplicableGadget, QuadratizerError, UnknownGadget
 from .gadgets.base import EXPERIMENTAL, GADGETS, GadgetResult
 from .gadgets.single_term import apply_gadget, ntr_kzfd_literals
 from .poly import Domain, Polynomial, _accumulate, monomial_degree, monomial_vars
@@ -227,7 +227,7 @@ def compare_strategies(p: Polynomial, strategies) -> list[StrategyOutcome]:
     for strategy in strategies:
         try:
             result = quadratize(p, strategy)
-        except Exception as error:
+        except QuadratizerError as error:
             rows.append(
                 StrategyOutcome(strategy, False, None, None, f"{type(error).__name__}: {error}")
             )

@@ -5,7 +5,7 @@ Text grammar (whitespace optional between tokens):
     poly     := [sign] term (sign term)*
     sign     := "+" | "-" | "MINUS SIGN"
     term     := rational factor* | factor+
-    factor   := var ["^" int]
+    factor   := var ["^" int]        (one exponent per variable: b1^2^3 is an error)
     var      := ("b" | "z" | "t") positive-int
     rational := int | int "/" int
 
@@ -13,7 +13,8 @@ Variable letters carry the domain (b: {0,1}, z: {-1,+1}, t: {-1,0,1}).
 Decimal coefficients are rejected, never approximated.  Fresh parses assign
 dense ids in sorted name order, so parse -> print -> parse reproduces an
 identical canonical polynomial; all JSON forms carry exact "p/q" coefficient
-strings and deterministic key order.
+strings and deterministic key order.  The CLI reads `--in -` (stdin) as
+strict UTF-8, as it reads a file.
 """
 
 from __future__ import annotations
@@ -32,36 +33,33 @@ _TOKEN = re.compile(
     r"|(?P<num>\d+(?:/\d+)?)"
     r"|(?P<pow>\^\d+)"
     r"|(?P<sign>[-+−])"
+    r"|(?P<bad>.)",
+    re.DOTALL,
 )
 
 _LETTER_ORDER = {"b": 0, "z": 1, "t": 2}
 
 
+def _parse_error(message: str, text: str, offset: int) -> ParseError:
+    """A ParseError at `offset`, placed by 1-based line and column."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
+
+
 def _tokenize(text: str):
-    tokens = []
-    line, column = 1, 1
-    index = 0
-    while index < len(text):
-        match = _TOKEN.match(text, index)
-        if not match:
-            offender = text[index]
+    """Every token but whitespace as (kind, value, offset); the first character
+    that starts no token is an error, before any grammar error."""
+    tokens = [
+        (m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text) if m.lastgroup != "ws"
+    ]
+    for kind, value, offset in tokens:
+        if kind == "bad":
             message = (
                 "decimal coefficients are not supported; use p/q rationals"
-                if offender == "."
-                else f"unexpected character {offender!r}"
+                if value == "."
+                else f"unexpected character {value!r}"
             )
-            raise ParseError(message, line, column)
-        kind = match.lastgroup
-        value = match.group()
-        if kind != "ws":
-            tokens.append((kind, value, line, column))
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            column = len(value) - value.rfind("\n")
-        else:
-            column += len(value)
-        index = match.end()
+            raise _parse_error(message, text, offset)
     return tokens
 
 
@@ -77,7 +75,7 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
     through labels and unknown names are appended, also in sorted order.
     """
     tokens = _tokenize(text)
-    names = sorted({value for kind, value, _, _ in tokens if kind == "var"}, key=_sort_key)
+    names = sorted({value for kind, value, _ in tokens if kind == "var"}, key=_sort_key)
     if registry is None:
         registry = VariableRegistry()
     ids = {}
@@ -97,60 +95,39 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
             )
         ids[name] = existing
 
+    # a term opens on a number or a variable and closes at the next sign;
+    # the sign before it starts its coefficient
     terms = []
-    sign = 1
-    coeff = None
-    factors = None  # None = not inside a term yet
-
-    def close_term(line, column):
-        nonlocal sign, coeff, factors
-        if factors is None:
-            return
-        if coeff is None and not factors:
-            raise ParseError("empty term", line, column)
-        value = Fraction(sign) * (coeff if coeff is not None else Fraction(1))
-        terms.append((tuple(sorted(factors)), value))
-        sign, coeff, factors = 1, None, None
-
-    previous_was_sign = False
-    for kind, value, line, column in tokens:
+    coeff, factors, previous = Fraction(1), None, None
+    for kind, value, offset in tokens:
         if kind == "sign":
-            if factors is None and previous_was_sign:
-                raise ParseError("dangling sign", line, column)
-            close_term(line, column)
-            sign = -1 if value in "-−" else 1
-            previous_was_sign = True
-            continue
-        previous_was_sign = False
-        if kind == "num":
+            if previous == "sign":
+                raise _parse_error("dangling sign", text, offset)
             if factors is not None:
-                raise ParseError("coefficient must precede its factors", line, column)
-            if "/" in value:
-                numerator, denominator = value.split("/")
-                if int(denominator) == 0:
-                    raise ParseError("zero denominator", line, column)
-                coeff = Fraction(int(numerator), int(denominator))
-            else:
-                coeff = Fraction(int(value))
+                terms.append((factors, coeff))
+            coeff, factors = Fraction(1 if value == "+" else -1), None
+        elif kind == "num":
+            if factors is not None:
+                raise _parse_error("coefficient must precede its factors", text, offset)
+            numerator, _, denominator = value.partition("/")
+            if denominator and int(denominator) == 0:
+                raise _parse_error("zero denominator", text, offset)
+            coeff *= Fraction(int(numerator), int(denominator or 1))
             factors = []
         elif kind == "var":
             if factors is None:
                 factors = []
-            factors.append([ids[value], 1])
-        elif kind == "pow":
-            if factors is None or not factors or not isinstance(factors[-1], list):
-                raise ParseError("exponent without a variable", line, column)
-            factors[-1][1] = int(value[1:])
-    if previous_was_sign:
-        last = tokens[-1]
-        raise ParseError("dangling sign", last[2], last[3])
-    close_term(1, 1)
-
-    polynomial = Polynomial(
-        registry,
-        [(tuple((v, e) for v, e in mono), c) for mono, c in terms],
-    )
-    return polynomial
+            factors.append((ids[value], 1))
+        elif previous == "var":
+            factors[-1] = (factors[-1][0], int(value[1:]))
+        else:
+            raise _parse_error("exponent without a variable", text, offset)
+        previous = kind
+    if previous == "sign":
+        raise _parse_error("dangling sign", text, tokens[-1][2])
+    if factors is not None:
+        terms.append((factors, coeff))
+    return Polynomial(registry, terms)
 
 
 def format_fraction(value: Fraction) -> str:
@@ -238,16 +215,31 @@ def _require(payload: dict, key: str, kind: type, what: str):
     return value
 
 
-def _label(registry: VariableRegistry, record: dict):
-    label = record.get("label")
-    if label is not None and (not isinstance(label, str) or registry.by_label(label) is not None):
-        raise SchemaError(f"variable labels must be unique strings, got {label!r}")
-    return label
+def _registry(pairs, default_domain: str) -> VariableRegistry:
+    """Rebuild a registry from (id, record) pairs, taken in id order.
 
-
-def _link_partners(registry: VariableRegistry, partners: dict):
-    """Restore the twin links read from `partner` fields ({var id: partner}).
-    A link must be an int, mutual, and join a {0,1} variable to a spin one."""
+    Ids must be dense, each record an object, labels unique strings.  A
+    record without `domain` takes `default_domain`; `kind: aux` makes an
+    auxiliary of its `gadget` ("imported" when absent or null).  A `partner`
+    link must be an int, mutual, and join a {0,1} variable to a spin one.
+    """
+    registry = VariableRegistry()
+    partners = {}
+    for expected, (var, record) in enumerate(sorted(pairs, key=lambda pair: pair[0])):
+        if var != expected:
+            raise SchemaError("variable ids must be dense 0..N-1")
+        if not isinstance(record, dict):
+            raise SchemaError(f"var_map entry {var} must be an object")
+        domain = Domain.from_tag(record.get("domain", default_domain))
+        label = record.get("label")
+        if not (label is None or isinstance(label, str) and registry.by_label(label) is None):
+            raise SchemaError(f"variable labels must be unique strings, got {label!r}")
+        if record.get("kind") == "aux":
+            registry.add_auxiliary(domain, record.get("gadget") or "imported", label)
+        else:
+            registry.add_variable(domain, label)
+        if "partner" in record:
+            partners[var] = record["partner"]
     twins = {Domain.BOOLEAN, Domain.SPIN}
     for var, partner in partners.items():
         if (
@@ -257,6 +249,7 @@ def _link_partners(registry: VariableRegistry, partners: dict):
         ):
             raise SchemaError(f"variable {var} has a bad partner {partner!r}")
         registry.entry(var).partner = partner
+    return registry
 
 
 def _load_json(text: str):
@@ -276,21 +269,7 @@ def _polynomial_from_payload(payload) -> Polynomial:
     records = _require(payload, "vars", list, "a list")
     if not all(isinstance(r, dict) and isinstance(r.get("id"), int) for r in records):
         raise SchemaError("each variable needs an integer 'id'")
-    records = sorted(records, key=lambda r: r["id"])
-    registry = VariableRegistry()
-    partners = {}
-    for expected, record in enumerate(records):
-        if record.get("id") != expected:
-            raise SchemaError("variable ids must be dense 0..N-1")
-        domain = Domain.from_tag(record.get("domain", ""))
-        label = _label(registry, record)
-        if record.get("kind") == "aux":
-            registry.add_auxiliary(domain, record.get("gadget", "imported"), label)
-        else:
-            registry.add_variable(domain, label)
-        if "partner" in record:
-            partners[expected] = record["partner"]
-    _link_partners(registry, partners)
+    registry = _registry(((r["id"], r) for r in records), "")
     terms = []
     for record in _require(payload, "terms", list, "a list"):
         if not isinstance(record, dict) or "m" not in record or "c" not in record:
@@ -400,30 +379,8 @@ def _qubo_from_payload(payload):
         raise SchemaError(f"QUBO JSON needs keys {sorted(required)}")
     linear = _require(payload, "linear", dict, "an object")
     quadratic = _require(payload, "quadratic", dict, "an object")
-    records = sorted(
-        (
-            (_parse_int(k, "variable id"), v)
-            for k, v in _require(payload, "var_map", dict, "an object").items()
-        ),
-        key=lambda kv: kv[0],
-    )
-    registry = VariableRegistry()
-    aux = []
-    partners = {}
-    for expected, (var, record) in enumerate(records):
-        if var != expected:
-            raise SchemaError("variable ids must be dense 0..N-1")
-        if not isinstance(record, dict):
-            raise SchemaError(f"var_map entry {var} must be an object")
-        domain = Domain.from_tag(record.get("domain", "b"))
-        if record.get("kind") == "aux":
-            registry.add_auxiliary(domain, "imported", _label(registry, record))
-            aux.append(var)
-        else:
-            registry.add_variable(domain, _label(registry, record))
-        if "partner" in record:
-            partners[var] = record["partner"]
-    _link_partners(registry, partners)
+    var_map = _require(payload, "var_map", dict, "an object")
+    registry = _registry(((_parse_int(k, "variable id"), v) for k, v in var_map.items()), "b")
     terms = [((), _parse_fraction(payload["offset"]))]
     for key, value in linear.items():
         terms.append((((_parse_int(key, "linear key"), 1),), _parse_fraction(value)))
@@ -438,7 +395,7 @@ def _qubo_from_payload(payload):
     polynomial = Polynomial(registry, terms)
     if any(registry.domain(var) is not Domain.BOOLEAN for var in polynomial.variables()):
         raise SchemaError("QUBO variables must be {0,1}")
-    return polynomial, aux, payload.get("guarantee", "")
+    return polynomial, registry.auxiliaries(), payload.get("guarantee", "")
 
 
 def load_polynomial(text: str) -> Polynomial:

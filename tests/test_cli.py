@@ -705,6 +705,30 @@ def test_unreadable_input_exits_2(tmp_path, cubic_file, capsys, flag, kind, reas
     assert err.startswith(f"error: cannot read {str(bad)!r}: ") and reason in err
 
 
+def _stdin(monkeypatch, data):
+    # the interpreter's own stdin decodes with the locale's error handler
+    stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+    monkeypatch.setattr(cli.sys, "stdin", stream)
+
+
+def test_stdin_is_read_as_strict_utf8_like_a_file(tmp_path, monkeypatch, capsys):
+    data = b"\xff b1 b2 b3\n"
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    _, file_err = _file_error_exit(["analyze", "--in", str(path)], capsys)
+    _stdin(monkeypatch, data)
+    code, err = _file_error_exit(["analyze", "--in", "-"], capsys)
+    assert code == 2
+    assert err == file_err.replace(repr(str(path)), "'-'")
+    assert err == (
+        "error: cannot read '-': 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
+    _stdin(monkeypatch, "b1 b2 b3 − 2 b1\n".encode())  # U+2212 MINUS SIGN
+    assert main(["convert", "--in", "-", "--to", "json"]) == 0
+    assert '"c": "-2"' in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("target", ["missing-folder", "directory"])
 @pytest.mark.parametrize("command", ["quadratize", "convert"])
 def test_unwritable_output_exits_2(tmp_path, cubic_file, capsys, command, target):

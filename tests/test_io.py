@@ -159,24 +159,98 @@ def test_polynomial_json_preserves_aux_labels():
     assert again.registry.is_auxiliary(aux)
 
 
-def test_polynomial_json_schema_errors():
-    with pytest.raises(SchemaError):
-        polynomial_from_json("{not json")
-    with pytest.raises(SchemaError):
-        polynomial_from_json(json.dumps({"vars": []}))
-    with pytest.raises(SchemaError):
-        polynomial_from_json(
-            json.dumps({"vars": [{"id": 1, "domain": "b", "kind": "orig"}], "terms": []})
-        )
-    with pytest.raises(SchemaError):
-        polynomial_from_json(
-            json.dumps(
-                {
-                    "vars": [{"id": 0, "domain": "b", "kind": "orig"}],
-                    "terms": [{"m": {"0": 1}, "c": 0.5}],
-                }
-            )
-        )
+def _polynomial_json(records, coefficient="1"):
+    """Polynomial JSON over (id, record) pairs, one term on variable 0."""
+    entries = [dict(r, id=int(k)) if isinstance(r, dict) else r for k, r in records]
+    return json.dumps({"vars": entries, "terms": [{"m": {"0": 1}, "c": coefficient}]})
+
+
+def _qubo_json(records, coefficient="1"):
+    """QUBO JSON over (id, record) pairs, one linear term on variable 0."""
+    linear = {"0": coefficient}
+    return json.dumps({"offset": "0", "linear": linear, "quadratic": {}, "var_map": dict(records)})
+
+
+def _both(error_class, message):
+    return (error_class, message), (error_class, message)
+
+
+_B = {"domain": "b", "kind": "orig"}
+_DENSE = _both(SchemaError, "variable ids must be dense 0..N-1")
+_PARTNER = _both(SchemaError, "variable 0 has a bad partner 1")
+
+# case: (id, record) pairs or raw text, the coefficient of the one term, and
+# the error from polynomial JSON and from QUBO JSON (None: it reads)
+SCHEMA_CASES = {
+    "invalid JSON": ("{not json", "1", *_both(
+        SchemaError,
+        "invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    )),
+    "missing keys": (
+        json.dumps({"vars": []}), "1",
+        (SchemaError, "polynomial JSON needs 'vars' and 'terms'"),
+        (SchemaError, "QUBO JSON needs keys ['linear', 'offset', 'quadratic', 'var_map']"),
+    ),
+    "sparse ids": ([("0", _B), ("2", _B)], "1", *_DENSE),
+    "duplicate ids": ([("0", _B), ("00", _B)], "1", *_DENSE),
+    "no id 0": ([("1", _B)], "1", *_DENSE),
+    "non-object record": (
+        [("0", _B), ("1", "b")], "1",
+        (SchemaError, "each variable needs an integer 'id'"),
+        (SchemaError, "var_map entry 1 must be an object"),
+    ),
+    "unknown domain": (
+        [("0", {"domain": "q"})], "1", *_both(DomainViolation, "unknown domain tag 'q'")
+    ),
+    "missing domain": ([("0", {})], "1", (DomainViolation, "unknown domain tag ''"), None),
+    "duplicate label": (
+        [("0", dict(_B, label="x")), ("1", dict(_B, label="x"))], "1",
+        *_both(SchemaError, "variable labels must be unique strings, got 'x'"),
+    ),
+    "non-string label": (
+        [("0", dict(_B, label=3))], "1",
+        *_both(SchemaError, "variable labels must be unique strings, got 3"),
+    ),
+    "one-way partner": ([("0", dict(_B, partner=1)), ("1", {"domain": "z"})], "1", *_PARTNER),
+    "partner of the same domain": (
+        [("0", dict(_B, partner=1)), ("1", dict(_B, partner=0))], "1", *_PARTNER
+    ),
+    "float coefficient": (
+        [("0", _B)], 0.5, *_both(SchemaError, "coefficients must be strings, got float")
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["polynomial", "qubo"])
+@pytest.mark.parametrize("case", list(SCHEMA_CASES))
+def test_json_schema_errors(case, fmt):
+    source, coefficient, *expected = SCHEMA_CASES[case]
+    write, read = {
+        "polynomial": (_polynomial_json, polynomial_from_json),
+        "qubo": (_qubo_json, lambda text: qubo_from_json(text)[0]),
+    }[fmt]
+    text = source if isinstance(source, str) else write(source, coefficient)
+    expected = expected[fmt == "qubo"]
+    if expected is None:
+        assert read(text).registry.domain(0) is Domain.BOOLEAN
+        return
+    error_class, message = expected
+    with pytest.raises(error_class) as excinfo:
+        read(text)
+    assert type(excinfo.value) is error_class and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("gadget", [{}, {"gadget": None}, {"gadget": "ptr_bg"}])
+def test_both_json_formats_read_an_aux_record_the_same_way(gadget):
+    # `kind: aux` always makes an auxiliary; a null or absent gadget reads as
+    # "imported"
+    records = [("0", _B), ("1", dict({"domain": "b", "kind": "aux"}, **gadget))]
+    rebuilt, aux, _ = qubo_from_json(_qubo_json(records))
+    for registry in rebuilt.registry, polynomial_from_json(_polynomial_json(records)).registry:
+        assert registry.auxiliaries() == [1]
+        assert registry.gadget_of(1) == (gadget.get("gadget") or "imported")
+        assert registry.label(1) == "a1"
+    assert aux == [1]
 
 
 @pytest.mark.parametrize("exponent", [1.5, 2.9, 1.0, True, "1", None, [1]])

@@ -288,6 +288,20 @@ def test_compare_strategies_empty_polynomial():
     assert all(row.cost.aux_count == 0 and row.cost.term_count == 0 for row in rows)
 
 
+def test_compare_strategies_records_library_errors_and_raises_the_rest(monkeypatch):
+    # a failed strategy is a row; a programming error is not a failed strategy
+    p = parse_polynomial("b1 b2 b3 b4 - b2 b3 b4")
+    rows = compare_strategies(p, [Strategy(negative_route=("ntr_rbl",))])
+    assert not rows[0].ok and rows[0].error.startswith("NoApplicableGadget: ")
+
+    def broken(*args):
+        raise TypeError("broken routing")
+
+    monkeypatch.setattr(pipeline, "_pick_gadget", broken)
+    with pytest.raises(TypeError, match="broken routing"):
+        compare_strategies(p, [Strategy()])
+
+
 def test_flip_post_pass_reduces_non_submodular():
     p = parse_polynomial("3 b1 b2 + b2 b3 + 2 b1 b4 - 4 b2 b4")
     flipped, mask = flip_to_submodular(p)
