@@ -26,7 +26,11 @@ EXPERIMENTAL = "experimental"
 
 @dataclass(frozen=True)
 class GadgetDescriptor:
-    """Catalog entry: when a gadget applies, what it is said to cost, and its applier."""
+    """Catalog entry: when a gadget applies, what it is said to cost, and its applier.
+
+    It takes degrees min_degree..max_degree (None: unbounded), only odd ones if
+    odd_only.  Routing (applies_to), degrees_up_to and a direct call
+    (single_term._inputs) all read that rule from degree_error."""
 
     name: str
     sign: str  # "negative" | "positive" | "any"
@@ -38,23 +42,27 @@ class GadgetDescriptor:
     status: str
     summary: str
     apply: Callable = field(compare=False, repr=False)
+    odd_only: bool = False
+
+    def degree_error(self, degree: int) -> Optional[str]:
+        """Why the row rejects a term of this degree, or None if it accepts it."""
+        low, high = self.min_degree, self.max_degree
+        if degree < low or (high is not None and degree > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            return f"gadget needs degree {bound}, got {degree}"
+        if self.odd_only and degree % 2 == 0:
+            return f"{self.name} is stated for odd k only"
+        return None
 
     def applies_to(self, coefficient_sign: int, degree: int, domain: Domain) -> bool:
         if self.sign == "negative" and coefficient_sign >= 0:
             return False
         if self.sign == "positive" and coefficient_sign <= 0:
             return False
-        if domain is not self.domain:
-            return False
-        if degree < self.min_degree:
-            return False
-        if self.max_degree is not None and degree > self.max_degree:
-            return False
-        return True
+        return domain is self.domain and self.degree_error(degree) is None
 
     def degrees_up_to(self, cap: int) -> list[int]:
-        top = cap if self.max_degree is None else min(cap, self.max_degree)
-        return list(range(self.min_degree, top + 1))
+        return [k for k in range(self.min_degree, cap + 1) if self.degree_error(k) is None]
 
 
 GADGETS: dict[str, GadgetDescriptor] = {}

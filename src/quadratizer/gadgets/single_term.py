@@ -5,9 +5,11 @@ coefficient; positive-term reductions (ptr_*) handle positive coefficients.
 Every formula below is stated for a unit coefficient.  Each gadget multiplies
 each output term's coefficient by |coeff| once (a bracket form scales its one
 product), which is sound because min_a(s*g) = s*min_a(g) for s > 0.
-Each gadget checks its term against its own catalog row (domain, sign,
-degree range); wrong-sign inputs raise WrongSign rather than being converted
-silently: sign routing belongs to the pipeline.
+
+Each gadget is one `_gadget` catalog row over a function that holds only its
+closed form.  The row's applier checks each term against the row: wrong-sign
+inputs raise WrongSign rather than being converted silently, since sign
+routing belongs to the pipeline.
 
 Gadgets whose printed source formulas could not be confirmed in advance are
 registered as experimental: applying one runs the exhaustive oracle on the
@@ -27,28 +29,17 @@ from ..errors import (
     WrongDegree,
     WrongSign,
 )
-from ..poly import (
-    Domain,
-    Monomial,
-    Polynomial,
-    VariableRegistry,
-    _require_boolean,
-    monomial_degree,
-)
+from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
-from .base import (
-    EXPERIMENTAL,
-    GADGETS,
-    MUST_PASS,
-    GadgetDescriptor,
-    GadgetResult,
-    Guarantee,
-)
+from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
+
+B, Z, T = Domain.BOOLEAN, Domain.SPIN, Domain.TERNARY
+POINTWISE, GROUND = Guarantee.POINTWISE_MIN, Guarantee.GROUND_STATE
 
 
 def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
     """Check one term against the named gadget's catalog row (domain, sign,
-    degree range) and return (sorted variables, coefficient, degree)."""
+    degree rule) and return (sorted variables, coefficient, degree)."""
     row = GADGETS[name]
     vars = sorted(var for var, _ in mono)
     for var, exp in mono:
@@ -59,11 +50,10 @@ def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
     if len(set(vars)) != len(vars):  # a repeated factor is a power too
         raise DomainViolation("gadget monomials use each variable once")
     coeff = _check_sign(coeff, row.sign)
-    k, low, high = len(mono), row.min_degree, row.max_degree
-    if k < low or (high is not None and k > high):
-        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
-        raise WrongDegree(f"gadget needs degree {bound}, got {k}")
-    return vars, coeff, k
+    error = row.degree_error(len(mono))
+    if error:
+        raise WrongDegree(error)
+    return vars, coeff, len(mono)
 
 
 def _check_sign(coeff: Fraction, want: str) -> Fraction:
@@ -84,75 +74,124 @@ def _result(name, registry, output, aux, guarantee, coeff, vars) -> GadgetResult
     return GadgetResult(output=output, aux=tuple(aux), guarantee=guarantee, trace=trace)
 
 
+def _gadget(*fields, odd_only=False):
+    """Catalog the decorated closed form as a row (`fields`: the
+    GadgetDescriptor fields from sign to summary) named after the form, less
+    the `_x_` that keeps an experimental one private, and return the row's
+    applier `(coeff, mono, registry, *params)`.  That checks the term against
+    the row and calls `form(registry, vars, coeff, new, *params)`, where
+    `new(domain)` allocates and returns the row's aux_count(k) auxiliaries,
+    tagged with its name; so a form checks its parameters before calling it.
+    The form's (variables, coefficient) pairs, or Polynomial, are labelled
+    with the row's guarantee.
+    """
+
+    def register(form):
+        name = form.__name__.removeprefix("_x_")
+
+        def apply(coeff, mono: Monomial, registry: VariableRegistry, *params, **named):
+            vars, coeff, k = _inputs(name, coeff, mono, registry)
+            aux = []
+
+            def new(domain: Domain) -> list:
+                aux.extend(registry.add_auxiliary(domain, name) for _ in range(row.aux_count(k)))
+                return aux
+
+            out = form(registry, vars, coeff, new, *params, **named)
+            if not isinstance(out, Polynomial):
+                out = Polynomial.from_products(registry, out)
+            return _result(name, registry, out, aux, row.guarantee, coeff, vars)
+
+        row = GADGETS[name] = GadgetDescriptor(name, *fields, apply=apply, odd_only=odd_only)
+        apply.__name__ = apply.__qualname__ = form.__name__
+        apply.__doc__ = form.__doc__
+        return apply
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # Negative term reductions
 
 
-def ntr_kzfd(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+def _kzfd_terms(ba, pos_vars, neg_vars, coeff, scale_c=1):
+    """(C*k - 1)*ba - C*sum_P bi*ba - sum_N (1-bj)*ba, k = |P| + |N|, times
+    -coeff.  Each -(1-bj)*ba adds bj*ba before -ba, so with no positive
+    literal the ba term cancels to zero and is added back last."""
+    k, weight = len(pos_vars) + len(neg_vars), scale_c * coeff
+    return [
+        ((ba,), (1 - scale_c * k) * coeff),
+        *(((v, ba), weight) for v in pos_vars),
+        *(term for v in neg_vars for term in (((v, ba), -coeff), ((ba,), coeff))),
+    ]
+
+
+@_gadget("negative", B, 1, None, lambda k: 1, POINTWISE, MUST_PASS,
+         "single aux, fully submodular output")
+def ntr_kzfd(registry, vars, coeff, new):
     """-b1..bk -> (k-1)*ba - sum_i bi*ba, one auxiliary, full spectrum.
 
     Every quadratic term in the output has a negative coefficient, so the
     result is entirely submodular.  Valid for any k >= 1.
     """
-    vars, coeff, k = _inputs("ntr_kzfd", coeff, mono, registry)
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_kzfd")
-    out = Polynomial.from_products(registry, [
-        ((ba,), (1 - k) * coeff), *(((v, ba), coeff) for v in vars)
-    ])
-    return _result("ntr_kzfd", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+    [ba] = new(B)
+    return _kzfd_terms(ba, vars, (), coeff)
 
 
-def ntr_abcg(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("negative", B, 3, None, lambda k: 1, POINTWISE, MUST_PASS,
+         "single aux, one non-submodular quadratic")
+def ntr_abcg(registry, vars, coeff, new):
     """-b1..bk -> sum_{i<k} bi - sum_{i<k} bi*bk - sum_i bi*ba + (k-1)*bk*ba.
 
     One auxiliary; exactly one non-submodular quadratic term, (k-1)*bk*ba.
     The last variable of the monomial plays the asymmetric role.
     """
-    vars, coeff, k = _inputs("ntr_abcg", coeff, mono, registry)
     head, bk = vars[:-1], vars[-1]
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_abcg")
-    out = Polynomial.from_products(registry, [
+    [ba] = new(B)
+    return [
         *(((v,), -coeff) for v in head),
         *(((v, bk), coeff) for v in head),
         *(((v, ba), coeff) for v in vars),
-        ((bk, ba), (1 - k) * coeff),
-    ])
-    return _result("ntr_abcg", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+        ((bk, ba), (1 - len(vars)) * coeff),
+    ]
 
 
-def ntr_abcg2(coeff, mono: Monomial, registry: VariableRegistry, scale_c=2) -> GadgetResult:
+@_gadget("negative", B, 3, None, lambda k: 1, POINTWISE, MUST_PASS,
+         "single aux, non-submodular part is linear")
+def ntr_abcg2(registry, vars, coeff, new, scale_c=2):
     """-b1..bk -> (C*k - 1)*ba - C*sum_i bi*ba for a constant C >= 1.
 
     The only non-submodular term is linear.  C = 1 reproduces ntr_kzfd
     exactly; the default C = 2 is the published form.
     """
-    vars, coeff, k = _inputs("ntr_abcg2", coeff, mono, registry)
     scale_c = Fraction(scale_c)
     if scale_c < 1:
         raise InvalidParameter(f"C must be >= 1, got {scale_c}")
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_abcg2")
-    out = Polynomial.from_products(registry, [
-        ((ba,), (1 - scale_c * k) * coeff), *(((v, ba), scale_c * coeff) for v in vars)
-    ])
-    return _result("ntr_abcg2", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+    [ba] = new(B)
+    return _kzfd_terms(ba, vars, (), coeff, scale_c)
 
 
-def ntr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -> GadgetResult:
-    """Asymmetric cubic reduction: with pivot p and the other two q, r,
-
-        -bp*bq*br -> ba*(-bp + bq + br) - bp*bq - bp*br + bp
-    """
-    vars, coeff, _ = _inputs("ntr_gbp", coeff, mono, registry)
+def _pivot(vars, pivot):
+    """(p, q, r): the pivot variable of a cubic, then the other two."""
     if pivot not in (1, 2, 3):
         raise InvalidParameter("pivot must be 1, 2 or 3")
     p = vars[pivot - 1]
     q, r = (v for v in vars if v != p)
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_gbp")
-    out = Polynomial.from_products(registry, [
+    return p, q, r
+
+
+@_gadget("negative", B, 3, 3, lambda k: 1, POINTWISE, MUST_PASS, "asymmetric cubic variant")
+def ntr_gbp(registry, vars, coeff, new, pivot=1):
+    """Asymmetric cubic reduction: with pivot p and the other two q, r,
+
+        -bp*bq*br -> ba*(-bp + bq + br) - bp*bq - bp*br + bp
+    """
+    p, q, r = _pivot(vars, pivot)
+    [ba] = new(B)
+    return [
         ((q, ba), -coeff), ((r, ba), -coeff), ((p, ba), coeff),
         ((p, q), coeff), ((p, r), coeff), ((p,), -coeff),
-    ])
-    return _result("ntr_gbp", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+    ]
 
 
 def _rbl_square(registry: VariableRegistry, vars, ta: int) -> Polynomial:
@@ -161,15 +200,14 @@ def _rbl_square(registry: VariableRegistry, vars, ta: int) -> Polynomial:
     return inner * inner - 1
 
 
-def ntr_rbl(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("negative", Z, 3, 3, lambda k: 1, GROUND, MUST_PASS, "spin cubic via one ternary aux")
+def ntr_rbl(registry, vars, coeff, new):
     """-z1*z2*z3 -> (1 + 4*ta + z1 + z2 + z3)^2 - 1 with a ternary auxiliary.
 
     Only the ground-state manifold is reproduced; excited energies shift.
     """
-    vars, coeff, _ = _inputs("ntr_rbl", coeff, mono, registry)
-    ta = registry.add_auxiliary(Domain.TERNARY, "ntr_rbl")
-    out = _rbl_square(registry, vars, ta).scale(-coeff)
-    return _result("ntr_rbl", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
+    [ta] = new(T)
+    return _rbl_square(registry, vars, ta).scale(-coeff)
 
 
 def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> GadgetResult:
@@ -187,35 +225,30 @@ def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> 
     if len(set(vars)) != len(vars) or not vars:
         raise InvalidParameter("literal sets must be disjoint and nonempty")
     _require_boolean(registry, vars)
-    k = len(vars)
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_kzfd")
-    # Each -(1-bj)*ba adds bj*ba before -ba, so with no positive literal the
-    # ba term cancels to zero and is added back last.
-    out = Polynomial.from_products(registry, [
-        ((ba,), (1 - k) * coeff),
-        *(((v, ba), coeff) for v in pos_vars),
-        *(term for v in neg_vars for term in (((v, ba), -coeff), ((ba,), coeff))),
-    ])
-    return _result("ntr_kzfd~", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+    ba = registry.add_auxiliary(B, "ntr_kzfd")
+    out = Polynomial.from_products(registry, _kzfd_terms(ba, pos_vars, neg_vars, coeff))
+    return _result("ntr_kzfd~", registry, out, [ba], POINTWISE, coeff, vars)
 
 
 # ---------------------------------------------------------------------------
 # Positive term reductions
 
 
-def ptr_bg(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("positive", B, 3, None, lambda k: k - 2, POINTWISE, MUST_PASS,
+         "negated-literal recursion, k-2 aux")
+def ptr_bg(registry, vars, coeff, new):
     """b1..bk -> sum_{i=1}^{k-2} ba_i*(k-i-1 + bi - sum_{j>i} bj) + b_{k-1}*b_k."""
-    vars, coeff, k = _inputs("ptr_bg", coeff, mono, registry)
-    aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bg") for _ in range(k - 2)]
+    k = len(vars)
     products = [(vars[-2:], coeff)]
-    for i, ba in enumerate(aux, start=1):
+    for i, ba in enumerate(new(B), start=1):
         products += [((ba,), (k - i - 1) * coeff), ((vars[i - 1], ba), coeff)]
         products += [((v, ba), -coeff) for v in vars[i:]]
-    out = Polynomial.from_products(registry, products)
-    return _result("ptr_bg", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
+    return products
 
 
-def ptr_ishikawa(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("positive", B, 3, None, lambda k: (k - 1) // 2, POINTWISE, MUST_PASS,
+         "symmetric-polynomial reduction, floor((k-1)/2) aux")
+def ptr_ishikawa(registry, vars, coeff, new):
     """Symmetric-polynomial reduction of a positive monomial:
 
         b1..bk -> sum_{i=1}^{n_k} ba_i*(c_{i,k}*(-sum_j bj + 2i) - 1)
@@ -225,16 +258,13 @@ def ptr_ishikawa(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetRes
     is odd, else 2.  Reproduces the full spectrum; all k(k-1)/2 original-pair
     quadratics are non-submodular.
     """
-    vars, coeff, k = _inputs("ptr_ishikawa", coeff, mono, registry)
-    n_k = (k - 1) // 2
-    aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_ishikawa") for _ in range(n_k)]
+    aux = new(B)
     products = [(pair, coeff) for pair in combinations(vars, 2)]
     for i, ba in enumerate(aux, start=1):
-        c_ik = 1 if (i == n_k and k % 2 == 1) else 2
+        c_ik = 1 if (i == len(aux) and len(vars) % 2 == 1) else 2
         products += [((v, ba), -c_ik * coeff) for v in vars]
         products.append(((ba,), (2 * i * c_ik - 1) * coeff))
-    out = Polynomial.from_products(registry, products)
-    return _result("ptr_ishikawa", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
+    return products
 
 
 def _log2_ceil(k: int) -> int:
@@ -256,19 +286,18 @@ def _counter(registry: VariableRegistry, offset: int, vars, aux, first_weight: i
     ])
 
 
-def ptr_bcr3(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("positive", B, 3, None, _bcr3_m, POINTWISE, MUST_PASS,
+         "squared binary counter, ceil(log2 k) aux")
+def ptr_bcr3(registry, vars, coeff, new):
     """b1..bk -> (2^m - k + sum_i bi - sum_{i=1}^m 2^{i-1}*ba_i)^2.
 
     Binary-counter reduction with m = ceil(log2 k) auxiliaries: when any bi is
     0 the auxiliaries can cancel the bracket exactly, and when all are 1 the
     best bracket value is 1.
     """
-    vars, coeff, k = _inputs("ptr_bcr3", coeff, mono, registry)
-    m = _bcr3_m(k)
-    aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr3") for _ in range(m)]
-    bracket = _counter(registry, 2**m - k, vars, aux, 1)
-    out = (bracket * bracket).scale(coeff)
-    return _result("ptr_bcr3", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
+    aux = new(B)
+    bracket = _counter(registry, 2 ** len(aux) - len(vars), vars, aux, 1)
+    return (bracket * bracket).scale(coeff)
 
 
 def _bcr4_m(k: int) -> int:
@@ -276,22 +305,23 @@ def _bcr4_m(k: int) -> int:
     return max(1, _log2_ceil(k) - 1)
 
 
-def ptr_bcr4(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("positive", B, 3, None, _bcr4_m, POINTWISE, MUST_PASS,
+         "halved product counter, ceil(log2 k)-1 aux")
+def ptr_bcr4(registry, vars, coeff, new):
     """b1..bk -> (1/2)*(N + X)*(N + X - 1) with N = 2^(m+1) - k and
     X = sum_i bi - sum_{i=1}^m 2^i*ba_i, for the smallest m with k <= 2^(m+1).
 
     ceil(log2 k) - 1 auxiliaries: one fewer than ptr_bcr3 because the product
     of consecutive integers vanishes on {0, 1}, not just on {0}.
     """
-    vars, coeff, k = _inputs("ptr_bcr4", coeff, mono, registry)
-    m = _bcr4_m(k)
-    aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr4") for _ in range(m)]
-    bracket = _counter(registry, 2 ** (m + 1) - k, vars, aux, 2)
-    out = (bracket * (bracket - 1)).scale(coeff / 2)
-    return _result("ptr_bcr4", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
+    aux = new(B)
+    bracket = _counter(registry, 2 ** (len(aux) + 1) - len(vars), vars, aux, 2)
+    return (bracket * (bracket - 1)).scale(coeff / 2)
 
 
-def ptr_kz(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
+@_gadget("positive", B, 3, 3, lambda k: 1, POINTWISE, MUST_PASS,
+         "minimum selection, all 6 quadratics")
+def ptr_kz(registry, vars, coeff, new):
     """Minimum-selection reduction of a positive cubic:
 
         b1*b2*b3 -> 1 - (ba + b1 + b2 + b3) + ba*(b1 + b2 + b3)
@@ -300,107 +330,94 @@ def ptr_kz(coeff, mono: Monomial, registry: VariableRegistry) -> GadgetResult:
     All six possible quadratic terms appear and all are non-submodular.
     Negative cubics are the NTR family's job, so they are rejected here.
     """
-    vars, coeff, _ = _inputs("ptr_kz", coeff, mono, registry)
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_kz")
-    out = Polynomial.from_products(registry, [
+    [ba] = new(B)
+    return [
         ((ba,), -coeff), *(((v,), -coeff) for v in vars), ((), coeff),
         *(((v, ba), coeff) for v in vars), *((pair, coeff) for pair in combinations(vars, 2)),
-    ])
-    return _result("ptr_kz", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+    ]
 
 
-def ptr_gbp(coeff, mono: Monomial, registry: VariableRegistry, pivot: int = 1) -> GadgetResult:
+@_gadget("positive", B, 3, 3, lambda k: 1, POINTWISE, MUST_PASS, "asymmetric positive cubic")
+def ptr_gbp(registry, vars, coeff, new, pivot=1):
     """Asymmetric positive cubic reduction: with pivot p and the others q, r,
 
         bp*bq*br -> ba - bq*ba - br*ba + bp*ba + bq*br
     """
-    vars, coeff, _ = _inputs("ptr_gbp", coeff, mono, registry)
-    if pivot not in (1, 2, 3):
-        raise InvalidParameter("pivot must be 1, 2 or 3")
-    p = vars[pivot - 1]
-    q, r = (v for v in vars if v != p)
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_gbp")
-    out = Polynomial.from_products(registry, [
-        ((q, ba), -coeff), ((ba,), coeff), ((r, ba), -coeff), ((p, ba), coeff), ((q, r), coeff),
-    ])
-    return _result("ptr_gbp", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+    p, q, r = _pivot(vars, pivot)
+    [ba] = new(B)
+    return [((q, ba), -coeff), ((ba,), coeff), ((r, ba), -coeff), ((p, ba), coeff), ((q, r), coeff)]
 
 
 # ---------------------------------------------------------------------------
 # Experimental gadgets (formulas as printed in the source; oracle-gated)
 
 
-def _x_ptr_bcr1(coeff, mono, registry):
-    vars, coeff, k = _inputs("ptr_bcr1", coeff, mono, registry)
-    if k % 2 == 0:
-        raise WrongDegree("ptr_bcr1 is stated for odd k only")
-    aux = [registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr1") for _ in range((k - 1) // 2)]
+@_gadget("positive", B, 3, None, lambda k: (k - 1) // 2, POINTWISE, EXPERIMENTAL,
+         "odd-k counter variant as printed", odd_only=True)
+def _x_ptr_bcr1(registry, vars, coeff, new):
     products = [((v,), coeff) for v in vars] + [(pair, coeff) for pair in combinations(vars, 2)]
-    for i, ba in enumerate(aux, start=1):
+    for i, ba in enumerate(new(B), start=1):
         products += [((v, ba), -coeff) for v in vars]
         products.append(((ba,), (4 * i - 3) * coeff))
-    out = Polynomial.from_products(registry, products)
-    return _result("ptr_bcr1", registry, out, aux, Guarantee.POINTWISE_MIN, coeff, vars)
+    return products
 
 
-def _x_ptr_bcr2(coeff, mono, registry):
-    vars, coeff, _ = _inputs("ptr_bcr2", coeff, mono, registry)
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "ptr_bcr2")
-    bracket = _counter(registry, 0, vars, [ba], 2)
-    out = (bracket * (bracket - 1)).scale(coeff / 2)
-    return _result("ptr_bcr2", registry, out, [ba], Guarantee.POINTWISE_MIN, coeff, vars)
+@_gadget("positive", B, 4, 4, lambda k: 1, POINTWISE, EXPERIMENTAL, "quartic single-aux instance")
+def _x_ptr_bcr2(registry, vars, coeff, new):
+    bracket = _counter(registry, 0, vars, new(B), 2)
+    return (bracket * (bracket - 1)).scale(coeff / 2)
 
 
-def _x_ptr_kz_z(coeff, mono, registry):
-    vars, coeff, _ = _inputs("ptr_kz_z", coeff, mono, registry)
-    za = registry.add_auxiliary(Domain.SPIN, "ptr_kz_z")
+@_gadget("any", Z, 3, 3, lambda k: 1, POINTWISE, EXPERIMENTAL,
+         "spin form of minimum selection as printed")
+def _x_ptr_kz_z(registry, vars, coeff, new):
+    [za] = new(Z)
     weight = abs(coeff)
-    out = Polynomial.from_products(registry, [
+    return [
         *(((v,), coeff) for v in vars), ((za,), coeff), ((), 3 * weight),
         *(((v, za), 2 * weight) for v in vars),
         *((pair, weight) for pair in combinations(vars, 2)),
-    ])
-    return _result("ptr_kz_z", registry, out, [za], Guarantee.POINTWISE_MIN, coeff, vars)
+    ]
 
 
-def _x_ptr_rbl_3to2(coeff, mono, registry):
-    vars, coeff, _ = _inputs("ptr_rbl_3to2", coeff, mono, registry)
-    ta = registry.add_auxiliary(Domain.TERNARY, "ptr_rbl_3to2")
-    out = _rbl_square(registry, vars, ta).scale(coeff)
-    return _result("ptr_rbl_3to2", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
+@_gadget("positive", Z, 3, 3, lambda k: 1, GROUND, EXPERIMENTAL,
+         "ternary-aux spin cubic as printed")
+def _x_ptr_rbl_3to2(registry, vars, coeff, new):
+    [ta] = new(T)
+    return _rbl_square(registry, vars, ta).scale(coeff)
 
 
-def _ternary_quartic(registry, vars, ta, weights, coeff) -> Polynomial:
+def _ternary_quartic(vars, ta, weights, coeff):
     """coeff * (w0*ta^2 + w1*ta*sum_i vi + w2*sum_{i<j} vi*vj + w3)."""
     square, linear, pair, const = (w * coeff for w in weights)
-    return Polynomial.from_products(registry, [
+    return [
         ((ta, ta), square), *(((v, ta), linear) for v in vars),
         *((uv, pair) for uv in combinations(vars, 2)), ((), const),
-    ])
+    ]
 
 
-def _x_ptr_rbl_4to2(coeff, mono, registry):
-    vars, coeff, _ = _inputs("ptr_rbl_4to2", coeff, mono, registry)
-    ta = registry.add_auxiliary(Domain.TERNARY, "ptr_rbl_4to2")
-    out = _ternary_quartic(registry, vars, ta, (16, 4, 2, 4), coeff)
-    return _result("ptr_rbl_4to2", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
+@_gadget("positive", Z, 4, 4, lambda k: 1, GROUND, EXPERIMENTAL,
+         "ternary-aux spin quartic as printed")
+def _x_ptr_rbl_4to2(registry, vars, coeff, new):
+    [ta] = new(T)
+    return _ternary_quartic(vars, ta, (16, 4, 2, 4), coeff)
 
 
-def _x_ntr_lhz(coeff, mono, registry):
+@_gadget("negative", Z, 4, 4, lambda k: 1, GROUND, EXPERIMENTAL,
+         "parity gadget, printed {0,1} form")
+def _x_ntr_lhz(registry, vars, coeff, new):
     # The printed form couples a ternary auxiliary to the {0,1} images of the
     # spins, so the output lives over the boolean twins of the input.
-    vars, coeff, _ = _inputs("ntr_lhz", coeff, mono, registry)
-    twins = [registry.twin(v, Domain.BOOLEAN) for v in vars]
-    ta = registry.add_auxiliary(Domain.TERNARY, "ntr_lhz")
-    out = _ternary_quartic(registry, twins, ta, (16, 8, 8, 16), -coeff)
-    return _result("ntr_lhz", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
+    twins = [registry.twin(v, B) for v in vars]
+    [ta] = new(T)
+    return _ternary_quartic(twins, ta, (16, 8, 8, 16), -coeff)
 
 
-def _x_ntr_lhz_z(coeff, mono, registry):
-    vars, coeff, _ = _inputs("ntr_lhz_z", coeff, mono, registry)
-    ta = registry.add_auxiliary(Domain.TERNARY, "ntr_lhz_z")
-    out = _ternary_quartic(registry, vars, ta, (16, 4, 2, 4), -coeff)
-    return _result("ntr_lhz_z", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
+@_gadget("negative", Z, 4, 4, lambda k: 1, GROUND, EXPERIMENTAL,
+         "parity gadget, printed spin form")
+def _x_ntr_lhz_z(registry, vars, coeff, new):
+    [ta] = new(T)
+    return _ternary_quartic(vars, ta, (16, 4, 2, 4), -coeff)
 
 
 def evaluate_experimental(
@@ -440,59 +457,6 @@ def experimental_single_term(
     return result
 
 
-# ---------------------------------------------------------------------------
-# Catalog registration
-
-
-def _register_all():
-    B, Z = Domain.BOOLEAN, Domain.SPIN
-    POINTWISE, GROUND = Guarantee.POINTWISE_MIN, Guarantee.GROUND_STATE
-    entries = [
-        # applier, name, sign, domain, k-range, aux(k), guarantee, status, summary
-        (ntr_kzfd, "ntr_kzfd", "negative", B, 1, None, lambda k: 1, POINTWISE,
-         MUST_PASS, "single aux, fully submodular output"),
-        (ntr_abcg, "ntr_abcg", "negative", B, 3, None, lambda k: 1, POINTWISE,
-         MUST_PASS, "single aux, one non-submodular quadratic"),
-        (ntr_abcg2, "ntr_abcg2", "negative", B, 3, None, lambda k: 1, POINTWISE,
-         MUST_PASS, "single aux, non-submodular part is linear"),
-        (ntr_gbp, "ntr_gbp", "negative", B, 3, 3, lambda k: 1, POINTWISE,
-         MUST_PASS, "asymmetric cubic variant"),
-        (ntr_rbl, "ntr_rbl", "negative", Z, 3, 3, lambda k: 1, GROUND,
-         MUST_PASS, "spin cubic via one ternary aux"),
-        (ptr_bg, "ptr_bg", "positive", B, 3, None, lambda k: k - 2, POINTWISE,
-         MUST_PASS, "negated-literal recursion, k-2 aux"),
-        (ptr_ishikawa, "ptr_ishikawa", "positive", B, 3, None, lambda k: (k - 1) // 2,
-         POINTWISE, MUST_PASS, "symmetric-polynomial reduction, floor((k-1)/2) aux"),
-        (ptr_bcr3, "ptr_bcr3", "positive", B, 3, None, _bcr3_m, POINTWISE,
-         MUST_PASS, "squared binary counter, ceil(log2 k) aux"),
-        (ptr_bcr4, "ptr_bcr4", "positive", B, 3, None, _bcr4_m, POINTWISE,
-         MUST_PASS, "halved product counter, ceil(log2 k)-1 aux"),
-        (ptr_kz, "ptr_kz", "positive", B, 3, 3, lambda k: 1, POINTWISE,
-         MUST_PASS, "minimum selection, all 6 quadratics"),
-        (ptr_gbp, "ptr_gbp", "positive", B, 3, 3, lambda k: 1, POINTWISE,
-         MUST_PASS, "asymmetric positive cubic"),
-        (_x_ptr_bcr1, "ptr_bcr1", "positive", B, 3, None, lambda k: (k - 1) // 2, POINTWISE,
-         EXPERIMENTAL, "odd-k counter variant as printed"),
-        (_x_ptr_bcr2, "ptr_bcr2", "positive", B, 4, 4, lambda k: 1, POINTWISE,
-         EXPERIMENTAL, "quartic single-aux instance"),
-        (_x_ptr_kz_z, "ptr_kz_z", "any", Z, 3, 3, lambda k: 1, POINTWISE,
-         EXPERIMENTAL, "spin form of minimum selection as printed"),
-        (_x_ptr_rbl_3to2, "ptr_rbl_3to2", "positive", Z, 3, 3, lambda k: 1, GROUND,
-         EXPERIMENTAL, "ternary-aux spin cubic as printed"),
-        (_x_ptr_rbl_4to2, "ptr_rbl_4to2", "positive", Z, 4, 4, lambda k: 1, GROUND,
-         EXPERIMENTAL, "ternary-aux spin quartic as printed"),
-        (_x_ntr_lhz, "ntr_lhz", "negative", Z, 4, 4, lambda k: 1, GROUND,
-         EXPERIMENTAL, "parity gadget, printed {0,1} form"),
-        (_x_ntr_lhz_z, "ntr_lhz_z", "negative", Z, 4, 4, lambda k: 1, GROUND,
-         EXPERIMENTAL, "parity gadget, printed spin form"),
-    ]
-    for applier, *fields in entries:
-        GADGETS[fields[0]] = GadgetDescriptor(*fields, apply=applier)
-
-
-_register_all()
-
-
 def apply_gadget(
     name: str,
     coeff,
@@ -512,7 +476,7 @@ def apply_gadget(
         return GadgetResult(
             output=Polynomial(registry, {mono: Fraction(coeff)}),
             aux=(),
-            guarantee=Guarantee.POINTWISE_MIN,
+            guarantee=POINTWISE,
             trace=f"identity (degree {monomial_degree(mono)} <= 2)",
         )
     if GADGETS[name].status == EXPERIMENTAL:

@@ -159,6 +159,18 @@ def test_exit_code_no_gadget(tmp_path):
     assert main(["quadratize", "--in", str(path)]) == 4
 
 
+@pytest.mark.parametrize(
+    "route,code", [("positive=ptr_bcr1|ptr_ishikawa", 0), ("positive=ptr_bcr1", 4)]
+)
+def test_even_degree_routes_past_ptr_bcr1(tmp_path, capsys, route, code):
+    """ptr_bcr1 is stated for odd k only, so a quartic moves on to the next
+    routed gadget, or finds none."""
+    path = tmp_path / "quartic.txt"
+    path.write_text("b1 b2 b3 b4")
+    rc = main(["quadratize", "--in", str(path), "--allow-experimental", "--route", route])
+    assert rc == code, capsys.readouterr().err
+
+
 def test_exit_code_forced_experimental_failure(tmp_path, capsys):
     path = tmp_path / "spin.txt"
     path.write_text("z1 z2 z3")

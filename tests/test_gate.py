@@ -119,8 +119,7 @@ def _single_term(status, rng):
     for name, row in sorted(GADGETS.items()):
         if row.status != status:
             continue
-        # ptr_bcr1 is stated for odd k only
-        k = rng.choice([k for k in row.degrees_up_to(5) if k >= 3 and (name != "ptr_bcr1" or k % 2)])
+        k = rng.choice([k for k in row.degrees_up_to(5) if k >= 3])
         registry = VariableRegistry()
         mono = tuple((v, 1) for v in _variables(registry, row.domain, k))
         sign = {"negative": -1, "positive": 1}.get(row.sign) or rng.choice((-1, 1))

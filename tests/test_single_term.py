@@ -11,6 +11,7 @@ from quadratizer.errors import (
     DomainViolation,
     EnumerationCapExceeded,
     InvalidParameter,
+    NoApplicableGadget,
     UnknownGadget,
     VerificationFailed,
     WrongDegree,
@@ -36,6 +37,7 @@ from quadratizer.gadgets import (
 from quadratizer.gadgets.base import GADGETS, MUST_PASS, Guarantee
 from quadratizer.gadgets import single_term
 from quadratizer.gadgets.single_term import apply_gadget
+from quadratizer.pipeline import Strategy, quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import check_groundstate, check_pointwise, enumerate_min
@@ -387,27 +389,54 @@ def test_must_pass_guarantee_suite(name):
             assert report.passed, (name, k, coeff, report)
 
 
-@pytest.mark.parametrize(
-    "name,formula",
-    [
-        ("ntr_kzfd", lambda k: 1),
-        ("ntr_abcg", lambda k: 1),
-        ("ntr_abcg2", lambda k: 1),
-        ("ptr_bg", lambda k: k - 2),
-        ("ptr_ishikawa", lambda k: (k - 1) // 2),
-        ("ptr_bcr4", lambda k: math.ceil(math.log2(k)) - 1),
-        ("ptr_bcr3", lambda k: math.ceil(math.log2(k))),
-    ],
-)
+# Each row's auxiliary count, written out as its source states it.
+AUX_FORMULAS = [
+    ("ntr_kzfd", lambda k: 1),
+    ("ntr_abcg", lambda k: 1),
+    ("ntr_abcg2", lambda k: 1),
+    ("ntr_gbp", lambda k: 1),
+    ("ntr_rbl", lambda k: 1),
+    ("ptr_bg", lambda k: k - 2),
+    ("ptr_ishikawa", lambda k: (k - 1) // 2),
+    ("ptr_bcr4", lambda k: math.ceil(math.log2(k)) - 1),
+    ("ptr_bcr3", lambda k: math.ceil(math.log2(k))),
+    ("ptr_kz", lambda k: 1),
+    ("ptr_gbp", lambda k: 1),
+    ("ptr_bcr1", lambda k: (k - 1) // 2),
+    ("ptr_bcr2", lambda k: 1),
+    ("ptr_kz_z", lambda k: 1),
+    ("ptr_rbl_3to2", lambda k: 1),
+    ("ptr_rbl_4to2", lambda k: 1),
+    ("ntr_lhz", lambda k: 1),
+    ("ntr_lhz_z", lambda k: 1),
+]
+
+
+def test_every_row_has_an_aux_formula():
+    assert sorted(name for name, _ in AUX_FORMULAS) == sorted(GADGETS)
+
+
+@pytest.mark.parametrize("name,formula", AUX_FORMULAS)
 def test_aux_counts_match_descriptors(name, formula):
+    """For both signs and k = 1..10, routing's rule (applies_to) accepts a
+    term exactly when the row's applier does, and each accepted call makes
+    the row's aux_count(k) auxiliaries, tagged with its name, under its
+    guarantee."""
     descriptor = GADGETS[name]
-    for k in range(3, 11):
-        registry = VariableRegistry()
-        ids = [registry.add_variable(descriptor.domain) for _ in range(k)]
-        mono = tuple((v, 1) for v in ids)
-        coeff = Fraction(-1) if descriptor.sign == "negative" else Fraction(1)
-        result = apply_gadget(name, coeff, mono, registry)
-        assert len(result.aux) == formula(k) == descriptor.aux_count(k)
+    for sign in (-1, 1):
+        for k in range(1, 11):
+            registry = VariableRegistry()
+            mono = tuple((registry.add_variable(descriptor.domain), 1) for _ in range(k))
+            routed = descriptor.applies_to(sign, k, descriptor.domain)
+            try:
+                result = descriptor.apply(Fraction(sign), mono, registry)
+            except (WrongSign, WrongDegree):
+                assert not routed, (sign, k)
+                continue
+            assert routed, (sign, k)
+            assert len(result.aux) == formula(k) == descriptor.aux_count(k)
+            assert [registry.entry(a).gadget for a in result.aux] == [name] * len(result.aux)
+            assert result.guarantee == descriptor.guarantee
 
 
 def test_submodularity_counts_kzfd_vs_abcg():
@@ -673,6 +702,20 @@ def test_catalog_row_applies_its_named_gadget(name):
     other = Domain.SPIN if domain is Domain.BOOLEAN else Domain.BOOLEAN
     assert _rejection(name, other, low - 1 or 1, wrong)[0] is DomainViolation
     assert _rejection(name, domain, low - 1, wrong) == (WrongSign, sign_message(wrong))
+
+
+def test_ptr_bcr1_turns_even_degrees_away_in_routing():
+    """ptr_bcr1 is stated for odd k only.  Its row says so, so a route moves
+    an even term on to its next gadget, and a direct call still rejects it."""
+    route = Strategy(positive_route=("ptr_bcr1", "ptr_ishikawa"), allow_experimental=True)
+    result = quadratize(parse_polynomial("b1 b2 b3 b4"), route)
+    assert [trace.split("(")[0] for trace in result.aux_map.values()] == ["ptr_ishikawa"]
+    alone = Strategy(positive_route=("ptr_bcr1",), allow_experimental=True)
+    with pytest.raises(NoApplicableGadget):
+        quadratize(parse_polynomial("b1 b2 b3 b4"), alone)
+    registry, _, mono = boolean_instance(4)
+    with pytest.raises(WrongDegree, match="^ptr_bcr1 is stated for odd k only$"):
+        GADGETS["ptr_bcr1"].apply(Fraction(1), mono, registry)
 
 
 def test_experimental_reports_follow_the_catalog():
