@@ -88,11 +88,11 @@ class VariantRangeViolation(GadgetError):
 
 
 class DeductionUnproven(QuadratizerError):
-    """An asserted deduction was used without the explicit unsafe flag."""
+    """A deduction fails at a global minimizer, and allow_asserted is off."""
 
 
 class ElcUnproven(QuadratizerError):
-    """A partial assignment is not a proven excludable local configuration."""
+    """A global minimizer extends the configuration, and allow_unproven is off."""
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,8 @@ def sfr_aux_count(variant: int, spec: ExactCSpec) -> int:
 
 
 def _validate_spec(variant: int, spec: ExactCSpec):
+    if variant not in (1, 2, 3, 4):
+        raise InvalidParameter(f"variant must be 1..4, got {variant}")
     if spec.gamma <= 0:
         raise InvalidParameter(
             "gamma must be positive: the closed forms are squares/binomials, "

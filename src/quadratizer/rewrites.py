@@ -1,13 +1,13 @@
 """Zero-auxiliary rewrites: deduction reduction, excludable local
 configurations, and split reduction.
 
-All three trade enumeration work for auxiliary variables.  Deductions and
-excludable configurations are facts about the global minima of a reference
-polynomial; by default they must be proved here by exhaustive search
-(OracleProven) before they may justify a rewrite, because soundness otherwise
-rests entirely on the caller's prior knowledge of the problem.  Split
-reduction has no routing of its own: a branch it quadratizes in place goes
-through the pipeline's routing loop with the default routes.
+All three trade enumeration work for auxiliary variables.  A deduction
+m = 0 and an excludable configuration are facts about the global minima of a
+reference polynomial, proved one way (`_excludable`): no global minimizer
+extends the configuration, for a deduction the one setting m's variables to
+1.  A rewrite proves its fact unless the caller opts out and vouches for it.
+Split reduction has no routing of its own: a branch it quadratizes in place
+goes through the pipeline's routing loop with the default routes.
 """
 
 from __future__ import annotations
@@ -21,35 +21,28 @@ from .errors import DeductionUnproven, DomainViolation, ElcUnproven
 from .gadgets.base import GADGETS, GadgetResult, Guarantee
 from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
-from .poly import (
-    Domain,
-    Monomial,
-    Polynomial,
-    _require_boolean,
-    monomial_degree,
-    monomial_vars,
-)
+from .poly import Monomial, Polynomial, _require_boolean, monomial_degree, monomial_vars
 from .verify import DEFAULT_STATE_CAP, _extends, enumerate_min, value_range
-
-ORACLE_PROVEN = "oracle-proven"
-ASSERTED = "asserted"
 
 
 @dataclass(frozen=True)
 class Deduction:
-    """A monomial that equals zero at every global minimum of a reference
-    polynomial.  evidence records whether enumeration proved it."""
+    """A monomial over {0,1} variables that equals zero (some variable of it
+    is 0) at every global minimum of a reference polynomial."""
 
     monomial: Monomial
-    evidence: str = ASSERTED
-
-    @property
-    def proven(self) -> bool:
-        return self.evidence == ORACLE_PROVEN
 
 
 # A partial assignment is a plain {var: value} dict over a variable subset.
 PartialAssignment = dict
+
+
+def _excludable(p: Polynomial, configs, max_states: int = DEFAULT_STATE_CAP) -> list:
+    """The configurations, in the order given, that no global minimizer of p
+    extends.  A variable outside p's support is free, so a minimizer always
+    extends to match it."""
+    _, minimizers = enumerate_min(p, max_states)
+    return [c for c in configs if not any(_extends(m, c) for m in minimizers)]
 
 
 def find_zero_deductions(
@@ -59,14 +52,12 @@ def find_zero_deductions(
     vanishes at all global minima of p, in deterministic order."""
     support = p.variables()
     _require_boolean(p.registry, support, "deductions are defined over {0,1} variables")
-    _, minimizers = enumerate_min(p, max_states)
-    found = []
-    for arity in range(1, max_arity + 1):
-        for subset in itertools.combinations(support, arity):
-            if all(any(m[v] == 0 for v in subset) for m in minimizers):
-                mono = tuple((v, 1) for v in subset)
-                found.append(Deduction(mono, ORACLE_PROVEN))
-    return found
+    ones = (
+        dict.fromkeys(subset, 1)
+        for arity in range(1, max_arity + 1)
+        for subset in itertools.combinations(support, arity)
+    )
+    return [Deduction(tuple(config.items())) for config in _excludable(p, ones, max_states)]
 
 
 def _cofactor(p: Polynomial, mono: Monomial):
@@ -89,7 +80,8 @@ def apply_deduc_reduc(
     allow_asserted: bool = False,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> GadgetResult:
-    """Rewrite p = m*C + R as R + lam*m for a proven deduction m = 0.
+    """Rewrite p = m*C + R as R + lam*m for a deduction m = 0, proved here
+    over {0,1} variables unless allow_asserted=True leaves it to the caller.
 
     With lam at least the maximum of the cofactor C, states violating the
     deduction are pushed at or above their original value while all states
@@ -97,16 +89,18 @@ def apply_deduc_reduc(
     (the rest of the spectrum is not).  The automatic lam enumerates C over
     its own support and uses the exact maximum.
     """
-    if not deduction.proven and not allow_asserted:
-        raise DeductionUnproven(
-            "asserted deduction used without allow_asserted=True"
-        )
-    cofactor, rest = _cofactor(p, deduction.monomial)
+    mono = deduction.monomial
+    vars = monomial_vars(mono)
+    mono_text = "".join(p.registry.display_name(v) for v in vars)
+    if not allow_asserted:
+        _require_boolean(p.registry, vars, "deductions are defined over {0,1} variables")
+        if not _excludable(p, [dict.fromkeys(vars, 1)], max_states):
+            raise DeductionUnproven(f"{mono_text}=0 fails at a global minimizer")
+    cofactor, rest = _cofactor(p, mono)
     if lam == "auto":
         lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
     lam = Fraction(lam)
-    output = rest + Polynomial(p.registry, {deduction.monomial: lam})
-    mono_text = "".join(p.registry.display_name(v) for v in monomial_vars(deduction.monomial))
+    output = rest + Polynomial(p.registry, {mono: lam})
     trace = f"deduc_reduc({mono_text}=0, lam={lam})"
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
 
@@ -118,17 +112,13 @@ def find_elcs(
     minimizer of p extends (excludable local configurations)."""
     vars = sorted(vars)
     _require_boolean(p.registry, vars, "excludable configurations use {0,1} variables")
-    _, minimizers = enumerate_min(p, max_states)
-    found = []
-    for arity in range(1, len(vars) + 1):
-        for subset in itertools.combinations(vars, arity):
-            for values in itertools.product((0, 1), repeat=arity):
-                config = dict(zip(subset, values))
-                # a variable outside p's support is free, so a minimizer
-                # always extends to match it
-                if not any(_extends(m, config) for m in minimizers):
-                    found.append(config)
-    return found
+    configs = (
+        dict(zip(subset, values))
+        for arity in range(1, len(vars) + 1)
+        for subset in itertools.combinations(vars, arity)
+        for values in itertools.product((0, 1), repeat=arity)
+    )
+    return _excludable(p, configs, max_states)
 
 
 def _elc_penalty(registry, config: PartialAssignment) -> Polynomial:
@@ -146,7 +136,8 @@ def apply_elc(
     allow_unproven: bool = False,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> GadgetResult:
-    """Add alpha * [configuration matched] to p.
+    """Add alpha * [configuration matched] to p, the configuration proved
+    here unless allow_unproven=True leaves it to the caller.
 
     The indicator is the product of b or (1-b) literals for the excluded
     configuration; since no global minimizer matches it, any positive alpha
@@ -154,12 +145,11 @@ def apply_elc(
     also dominates any term the penalty is meant to cancel.
     """
     registry = p.registry
-    for var, value in elc.items():
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation("excludable configurations use {0,1} variables")
+    _require_boolean(registry, elc, "excludable configurations use {0,1} variables")
+    for value in elc.values():
         if value not in (0, 1):
             raise DomainViolation(f"value {value} is not in {{0,1}}")
-    if not allow_unproven and any(_extends(m, elc) for m in enumerate_min(p, max_states)[1]):
+    if not allow_unproven and not _excludable(p, [elc], max_states):
         raise ElcUnproven(f"a global minimizer extends the configuration {elc}")
     if alpha == "auto":
         low, high = value_range(p, max_states)
@@ -190,15 +180,13 @@ def elc_cancel(
     if not coeff:
         return None
     vars = sorted(monomial_vars(mono))
-    _, minimizers = enumerate_min(p, max_states)
-    want_parity = 1 if coeff < 0 else -1
-    for values in sorted(itertools.product((0, 1), repeat=len(vars)), reverse=True):
-        if (-1) ** values.count(0) != want_parity:
-            continue
-        config = dict(zip(vars, values))
-        if not any(_extends(m, config) for m in minimizers):
-            return config, abs(coeff)
-    return None
+    eligible = (
+        dict(zip(vars, values))
+        for values in sorted(itertools.product((0, 1), repeat=len(vars)), reverse=True)
+        if (-1) ** values.count(0) * coeff < 0
+    )
+    found = _excludable(p, eligible, max_states)
+    return (found[0], abs(coeff)) if found else None
 
 
 # ---------------------------------------------------------------------------
@@ -257,39 +245,29 @@ def solve_by_splitting(
     past the original problem's.
 
     Every quadratic subproblem goes to `quad_solver` (default: the exhaustive
-    oracle), which must return (minimum, one argmin).  The best branch wins;
-    variables eliminated along the way rejoin the argmin with their branch
-    values, and variables absent everywhere default to 0.
+    oracle), which must return (minimum, one argmin).  The first strict
+    minimum wins, a split's low branch first; variables eliminated along the
+    way rejoin the argmin with their branch values, and variables absent
+    everywhere default to 0.
     """
     quad_solver = quad_solver or _default_quad_solver
     _require_boolean(p.registry, p.variables(), "split reduction is defined over {0,1} variables")
     original_vars = set(p.variables())
     subproblems: list[Polynomial] = []
-    best: list = [None, None]  # (minimum, argmin)
 
-    def dispatch(q: Polynomial, fixed: dict):
+    def solve(q: Polynomial, fixed: dict):  # the branch's best (minimum, assignment)
+        if q.degree() > 2:
+            if _aux_budget(q) > len(fixed):
+                var = most_connected_variable(q)
+                low, high = split(q, var)
+                best_low, best_high = solve(low, {**fixed, var: 0}), solve(high, {**fixed, var: 1})
+                return best_high if best_high[0] < best_low[0] else best_low
+            terms, _ = _route_terms(q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY)
+            q = Polynomial._wrap(q.registry, terms)
         subproblems.append(q)
         minimum, argmin = quad_solver(q)
-        assignment = dict(fixed)
-        for var, value in argmin.items():
-            if var in original_vars:
-                assignment[var] = value
-        if best[0] is None or minimum < best[0]:
-            best[0], best[1] = minimum, assignment
+        return minimum, {**fixed, **{v: x for v, x in argmin.items() if v in original_vars}}
 
-    def recurse(q: Polynomial, fixed: dict):
-        if q.degree() <= 2:
-            dispatch(q, fixed)
-            return
-        if _aux_budget(q) <= len(fixed):
-            terms, _ = _route_terms(q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY)
-            dispatch(Polynomial._wrap(q.registry, terms), fixed)
-            return
-        var = most_connected_variable(q)
-        low, high = split(q, var)
-        recurse(low, {**fixed, var: 0})
-        recurse(high, {**fixed, var: 1})
-
-    recurse(p, {})
-    argmin = {var: best[1].get(var, 0) for var in sorted(original_vars)}
-    return SplitSolveResult(minimum=best[0], argmin=argmin, subproblems=subproblems)
+    minimum, best = solve(p, {})
+    argmin = {var: best.get(var, 0) for var in sorted(original_vars)}
+    return SplitSolveResult(minimum=minimum, argmin=argmin, subproblems=subproblems)

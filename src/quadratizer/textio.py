@@ -208,6 +208,12 @@ def _parse_int(text, what: str) -> int:
         raise SchemaError(f"bad {what} {text!r}") from None
 
 
+def _term_var(registry: VariableRegistry, var: int) -> int:
+    if not 0 <= var < len(registry):
+        raise SchemaError(f"term references unknown variable {var}")
+    return var
+
+
 def _require(payload: dict, key: str, kind: type, what: str):
     value = payload[key]
     if not isinstance(value, kind):
@@ -279,8 +285,7 @@ def _polynomial_from_payload(payload) -> Polynomial:
         except (ValueError, TypeError, AttributeError):
             raise SchemaError(f"bad monomial {record['m']!r}") from None
         for var, exponent in mono:
-            if not 0 <= var < len(registry):
-                raise SchemaError(f"term references unknown variable {var}")
+            _term_var(registry, var)
             if type(exponent) is not int or exponent < 1:  # not bool, float or str
                 raise SchemaError(f"exponents must be positive integers, got {exponent!r}")
         terms.append((mono, _parse_fraction(record["c"])))
@@ -366,9 +371,9 @@ def qubo_to_json(
 def qubo_from_json(text: str):
     """Rebuild (polynomial, auxiliary ids, guarantee) from QUBO JSON.
 
-    Every term must be over {0,1} variables.  Entries of other domains that
-    no term uses (the original spin variables of a spin objective) are kept,
-    with the `partner` links to their {0,1} twins.
+    Every term must be over {0,1} variables of `var_map`.  Entries of other
+    domains that no term uses (the original spin variables of a spin
+    objective) are kept, with the `partner` links to their {0,1} twins.
     """
     return _qubo_from_payload(_load_json(text))
 
@@ -383,7 +388,7 @@ def _qubo_from_payload(payload):
     registry = _registry(((_parse_int(k, "variable id"), v) for k, v in var_map.items()), "b")
     terms = [((), _parse_fraction(payload["offset"]))]
     for key, value in linear.items():
-        terms.append((((_parse_int(key, "linear key"), 1),), _parse_fraction(value)))
+        terms.append(((_term_var(registry, _parse_int(key, "linear key")),), _parse_fraction(value)))
     for key, value in quadratic.items():
         try:
             i, j = (int(part) for part in key.split(","))
@@ -391,8 +396,8 @@ def _qubo_from_payload(payload):
             raise SchemaError(f"bad quadratic key {key!r}") from None
         if i >= j:
             raise SchemaError(f"quadratic keys need i < j, got {key!r}")
-        terms.append((((i, 1), (j, 1)), _parse_fraction(value)))
-    polynomial = Polynomial(registry, terms)
+        terms.append(((_term_var(registry, i), _term_var(registry, j)), _parse_fraction(value)))
+    polynomial = Polynomial.from_products(registry, terms)
     if any(registry.domain(var) is not Domain.BOOLEAN for var in polynomial.variables()):
         raise SchemaError("QUBO variables must be {0,1}")
     return polynomial, registry.auxiliaries(), payload.get("guarantee", "")

@@ -28,7 +28,6 @@ from quadratizer.gadgets.single_term import apply_gadget
 from quadratizer.pipeline import DEFAULT_STRATEGY, Strategy, quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.rewrites import (
-    ORACLE_PROVEN,
     Deduction,
     apply_deduc_reduc,
     apply_elc,
@@ -94,7 +93,7 @@ def test_criterion_02_elc_reproduction():
 def test_criterion_03_deduction_reproduction():
     with criterion(3, "deduction-reduction reproduction", 1.0):
         p = parse_polynomial(DEDUC_INSTANCE)
-        deduction = Deduction(((0, 1), (1, 1)), ORACLE_PROVEN)
+        deduction = Deduction(((0, 1), (1, 1)))
         result = apply_deduc_reduc(p, deduction)
         assert result.output == parse_polynomial(DEDUC_REDUCED, p.registry)
         report = check_conditional(p, result.output, [deduction])

@@ -37,7 +37,6 @@ from quadratizer.gadgets import (
 from quadratizer.pipeline import Strategy, quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
-    ORACLE_PROVEN,
     Deduction,
     apply_deduc_reduc,
     apply_elc,
@@ -178,7 +177,7 @@ def _czw_count4(rng):
 
 def _deduc_reduc(rng):
     p = parse_polynomial(DEDUC_INSTANCE)
-    pairs = [(p, Deduction(((0, 1), (1, 1)), ORACLE_PROVEN))]
+    pairs = [(p, Deduction(((0, 1), (1, 1))))]
     registry = VariableRegistry()
     q = _random_poly(rng, registry, _variables(registry, Domain.BOOLEAN, 4))
     pairs += [(q, d) for d in find_zero_deductions(q, 2)[:2]]
@@ -290,7 +289,7 @@ def test_gate_uses_the_twin_image_only_when_the_transform_uses_a_twin():
 
 def test_gate_reads_no_auxiliaries_for_conditional_min():
     p = parse_polynomial(DEDUC_INSTANCE)
-    result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1)), ORACLE_PROVEN))
+    result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1))))
     extra = p.registry.add_auxiliary(Domain.BOOLEAN, "unused")
     report = check_claim(CONDITIONAL, p, result.output, [extra, -1])
     assert report == check_conditional(p, result.output) and report.passed

@@ -218,6 +218,11 @@ SCHEMA_CASES = {
     "float coefficient": (
         [("0", _B)], 0.5, *_both(SchemaError, "coefficients must be strings, got float")
     ),
+    "bad rational coefficient": (
+        [("0", _B)], "1/x",
+        *_both(SchemaError, "bad rational '1/x': invalid literal for int() with base 10: 'x'"),
+    ),
+    "unknown variable in a term": ([], "1", *_both(SchemaError, "term references unknown variable 0")),
 }
 
 
@@ -238,6 +243,41 @@ def test_json_schema_errors(case, fmt):
     with pytest.raises(error_class) as excinfo:
         read(text)
     assert type(excinfo.value) is error_class and str(excinfo.value) == message
+
+
+# case: the one format it reads in, the keys it replaces in that format's
+# payload over two {0,1} variables (ids 0 and 1), and its SchemaError message
+ONE_FORMAT_CASES = {
+    "term without m": ("polynomial", {"terms": [{"c": "1"}]}, "each term needs 'm' and 'c'"),
+    "term without c": ("polynomial", {"terms": [{"m": {"0": 1}}]}, "each term needs 'm' and 'c'"),
+    "bad monomial": ("polynomial", {"terms": [{"m": {"x": 1}, "c": "1"}]}, "bad monomial {'x': 1}"),
+    "bad quadratic key": ("qubo", {"quadratic": {"0;1": "1"}}, "bad quadratic key '0;1'"),
+    "quadratic key with i = j": (
+        "qubo", {"quadratic": {"1,1": "1"}}, "quadratic keys need i < j, got '1,1'"
+    ),
+    "quadratic key with i > j": (
+        "qubo", {"quadratic": {"1,0": "1"}}, "quadratic keys need i < j, got '1,0'"
+    ),
+    "unknown variable in a quadratic key": (
+        "qubo", {"quadratic": {"0,5": "1"}}, "term references unknown variable 5"
+    ),
+    "negative variable in a linear key": (
+        "qubo", {"linear": {"-1": "1"}}, "term references unknown variable -1"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(ONE_FORMAT_CASES))
+def test_json_term_errors_of_one_format(case):
+    fmt, keys, message = ONE_FORMAT_CASES[case]
+    write, read = {
+        "polynomial": (_polynomial_json, polynomial_from_json),
+        "qubo": (_qubo_json, qubo_from_json),
+    }[fmt]
+    payload = dict(json.loads(write([("0", _B), ("1", _B)])), **keys)
+    with pytest.raises(SchemaError) as excinfo:
+        read(json.dumps(payload))
+    assert type(excinfo.value) is SchemaError and str(excinfo.value) == message
 
 
 @pytest.mark.parametrize("gadget", [{}, {"gadget": None}, {"gadget": "ptr_bg"}])

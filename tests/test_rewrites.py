@@ -1,5 +1,6 @@
 """Zero-auxiliary rewrites: deductions, excludable configurations, splits."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -10,8 +11,6 @@ from hypothesis import strategies as st
 from quadratizer.errors import DeductionUnproven, DomainViolation, ElcUnproven
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
-    ASSERTED,
-    ORACLE_PROVEN,
     Deduction,
     _cofactor,
     apply_deduc_reduc,
@@ -41,7 +40,8 @@ def test_find_deductions_worked_instance():
     deductions = find_zero_deductions(p, max_arity=2)
     monomials = {d.monomial for d in deductions}
     assert ((0, 1), (1, 1)) in monomials  # the b1*b2 = 0 deduction
-    assert all(d.proven for d in deductions)
+    for d in deductions:  # each is proved again, without allow_asserted
+        apply_deduc_reduc(p, d)
     # every reported deduction really vanishes at every minimizer
     _, minimizers = enumerate_min(p)
     for d in deductions:
@@ -67,40 +67,40 @@ def test_find_deductions_cubic_objective(cubic_objective):
 
 def test_deduc_reduc_worked_instance():
     p = parse_polynomial(DEDUC_INSTANCE)
-    result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1)), ORACLE_PROVEN))
+    result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1))))
     expected = parse_polynomial(DEDUC_REDUCED, p.registry)
     assert result.output == expected  # the lam = 6 = max(4 + b3 + b3 b4) form
-    report = check_conditional(p, result.output, [Deduction(((0, 1), (1, 1)), ORACLE_PROVEN)])
+    report = check_conditional(p, result.output, [Deduction(((0, 1), (1, 1)))])
     assert report.passed
 
 
 def test_deduc_reduc_empty_cofactor():
     p = parse_polynomial("b1 b2 + b3")
-    deduction = Deduction(((2, 1),), ORACLE_PROVEN)  # b3 = 0 at minima
+    deduction = Deduction(((2, 1),))  # b3 = 0 at minima
     result = apply_deduc_reduc(p, deduction)
     # cofactor of b3 is the constant 1, so auto-lam is 1
     assert result.output == parse_polynomial("b1 b2 + b3", p.registry)
     # a monomial dividing no term at all: zero cofactor, auto-lam 0
-    absent = Deduction(((1, 1), (2, 1)), ORACLE_PROVEN)  # b2 b3 = 0 at minima
+    absent = Deduction(((1, 1), (2, 1)))  # b2 b3 = 0 at minima
     result = apply_deduc_reduc(p, absent)
     assert result.output == p
 
 
 def test_deduc_reduc_degree_drops_with_nonconstant_cofactor():
     p = parse_polynomial(DEDUC_INSTANCE)
-    result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1)), ORACLE_PROVEN))
+    result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1))))
     assert result.output.degree() < p.degree()
 
 
 def test_deduc_reduc_requires_proof():
     p = parse_polynomial(DEDUC_INSTANCE)
+    false = Deduction(((0, 1),))  # b1 = 1 at every global minimizer
     with pytest.raises(DeductionUnproven):
-        apply_deduc_reduc(p, Deduction(((0, 1), (1, 1)), ASSERTED))
+        apply_deduc_reduc(p, false)
     # explicit unsafe flag allowed
-    result = apply_deduc_reduc(
-        p, Deduction(((0, 1), (1, 1)), ASSERTED), allow_asserted=True
-    )
+    result = apply_deduc_reduc(p, false, allow_asserted=True)
     assert result.output.degree() == 2
+    assert not check_conditional(p, result.output, [false]).passed
 
 
 def test_deduc_reduc_random_instances_preserve_minima():
@@ -183,6 +183,23 @@ def test_apply_elc_rejects_unproven(cubic_objective):
     assert result.output.coefficient(((0, 1), (1, 1), (2, 1))) == -3
 
 
+def test_apply_elc_rejects_a_configuration_outside_zero_one():
+    p = parse_polynomial("b1 b2 + t1")
+    with pytest.raises(DomainViolation, match="excludable configurations use"):
+        apply_elc(p, {p.registry.by_label("t1"): 1})
+    with pytest.raises(DomainViolation, match="value 2 is not in"):
+        apply_elc(p, {0: 2})
+
+
+def test_deduc_reduc_proves_only_zero_one_monomials():
+    p = parse_polynomial("b1 t1 - t1")
+    t1 = p.registry.by_label("t1")
+    with pytest.raises(DomainViolation, match="deductions are defined over"):
+        apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))))
+    # the caller may still assert it
+    assert apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))), allow_asserted=True).output
+
+
 def test_apply_elc_random_instances():
     rng = random.Random(11)
     for _ in range(10):
@@ -207,6 +224,13 @@ def test_elc_cancel_picks_printed_configuration(cubic_objective):
     config, alpha = choice
     assert config == {0: 1, 1: 0, 2: 0}
     assert alpha == 4
+
+
+def test_elc_cancel_finds_nothing_to_cancel():
+    p = parse_polynomial("b1 b2 - b3")
+    assert elc_cancel(p, ((0, 1), (2, 1))) is None  # b1 b3 is not a term of p
+    # cancelling +b1 b2 needs (1,0) or (0,1) excluded, and both are minimizers
+    assert elc_cancel(p, ((0, 1), (1, 1))) is None
 
 
 def test_split_both_branches(cubic_objective):
@@ -332,3 +356,60 @@ def test_asserted_deduc_reduc_matches_the_old_cofactor_loop(seed):
     p = Polynomial(registry, terms)
     mono = tuple((v, 1) for v in sorted(rng.sample(vars, rng.randint(1, len(vars)))))
     _check_deduc_reduc_against_reference(p, mono)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
+    """Every deduction of arity <= 2 and every configuration over <= 3
+    variables, against the naive minimizers: a rewrite accepts a fact exactly
+    when none matches it, the finders list exactly the accepted facts, and an
+    accepted rewrite keeps the minimum and passes check_conditional."""
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    vars = [registry.add_variable(Domain.BOOLEAN) for _ in range(rng.randint(2, 5))]
+    p = Polynomial(registry, [
+        (
+            tuple((v, 1) for v in sorted(rng.sample(vars, rng.randint(0, min(3, len(vars)))))),
+            rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)),
+        )
+        for _ in range(rng.randint(1, 6))
+    ])
+    low, minimizers = brute_force_min(p)
+
+    def matched(config):
+        # a variable no term of p uses is free: it matches either value
+        return any(all(m.get(v, x) == x for v, x in config.items()) for m in minimizers)
+
+    def check(original, result, fact):
+        assert check_conditional(original, result.output, [fact]).passed
+        assert brute_force_min(result.output)[0] == low
+
+    deductions = []
+    for subset in (s for arity in (1, 2) for s in itertools.combinations(vars, arity)):
+        deduction = Deduction(tuple((v, 1) for v in subset))
+        try:
+            result = apply_deduc_reduc(p, deduction)
+        except DeductionUnproven:
+            assert matched(dict.fromkeys(subset, 1))
+            continue
+        assert not matched(dict.fromkeys(subset, 1))
+        check(p, result, deduction)
+        if set(subset) <= set(p.variables()):
+            deductions.append(deduction)
+    assert find_zero_deductions(p, 2) == deductions
+
+    elcs = []
+    for arity in range(1, min(3, len(vars)) + 1):
+        for subset in itertools.combinations(vars, arity):
+            for values in itertools.product((0, 1), repeat=arity):
+                config = dict(zip(subset, values))
+                try:
+                    result = apply_elc(p, config)
+                except ElcUnproven:
+                    assert matched(config)
+                    continue
+                assert not matched(config)
+                check(p, result, config)
+                elcs.append(config)
+    assert [c for c in find_elcs(p, vars) if len(c) <= 3] == elcs

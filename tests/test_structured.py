@@ -146,6 +146,17 @@ def test_sfr_range_violations():
         sfr_bcr(3, ExactCSpec(4, 5), ids, registry)
 
 
+@pytest.mark.parametrize("variant", [0, 5])
+@pytest.mark.parametrize("n, c", [(2, 2), (2, 0), (4, 5)])
+def test_sfr_rejects_an_unknown_variant_before_its_range(variant, n, c):
+    # an unknown variant has no range of c to violate
+    registry, ids = _vars(n)
+    with pytest.raises(InvalidParameter) as excinfo:
+        sfr_bcr(variant, ExactCSpec(n, c), ids, registry)
+    assert type(excinfo.value) is InvalidParameter
+    assert str(excinfo.value) == f"variant must be 1..4, got {variant}"
+
+
 def test_sfr_rejects_nonpositive_gamma():
     registry, ids = _vars(4)
     with pytest.raises(InvalidParameter):
