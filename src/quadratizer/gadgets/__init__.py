@@ -94,9 +94,8 @@ def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
     registry = VariableRegistry()
     t = registry.add_variable(Domain.TERNARY)
     p = Polynomial.variable(registry, t)
-    z1 = len(registry)
-    output = ternary_to_binary(p, t, Fraction(10), registry, verify=False)
+    output = ternary_to_binary(p, t, Fraction(10), verify=False)
     reports["ternary_to_binary"] = check_ternary_encoding(
-        p, output, t, (z1, z1 + 1), Fraction(10), max_states
+        p, output, t, tuple(registry.auxiliaries()), Fraction(10), max_states
     )
     return reports

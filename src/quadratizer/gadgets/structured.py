@@ -259,7 +259,6 @@ def ternary_to_binary(
     p: Polynomial,
     t: int,
     lam,
-    registry: VariableRegistry = None,
     verify: bool = True,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> Polynomial:
@@ -271,7 +270,7 @@ def ternary_to_binary(
     enough the ground space reproduces the original's.  The rewrite verifies
     itself by enumeration unless verify=False.
     """
-    registry = registry or p.registry
+    registry = p.registry
     if registry.domain(t) is not Domain.TERNARY:
         raise DomainViolation(f"variable {t} is not ternary")
     lam = Fraction(lam)

@@ -22,7 +22,7 @@ from .gadgets.base import GADGETS, GadgetResult, Guarantee
 from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
 from .poly import Monomial, Polynomial, _require_boolean, monomial_degree, monomial_vars
-from .verify import DEFAULT_STATE_CAP, _extends, enumerate_min, value_range
+from .verify import DEFAULT_STATE_CAP, enumerate_min, value_range
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,12 @@ class Deduction:
 
 # A partial assignment is a plain {var: value} dict over a variable subset.
 PartialAssignment = dict
+
+
+def _extends(assignment: dict, config: dict) -> bool:
+    """Does `assignment` match every value of `config`?  A variable missing
+    from the assignment is free, so it matches any value."""
+    return all(assignment.get(v, x) == x for v, x in config.items())
 
 
 def _excludable(p: Polynomial, configs, max_states: int = DEFAULT_STATE_CAP) -> list:
@@ -80,8 +86,8 @@ def apply_deduc_reduc(
     allow_asserted: bool = False,
     max_states: int = DEFAULT_STATE_CAP,
 ) -> GadgetResult:
-    """Rewrite p = m*C + R as R + lam*m for a deduction m = 0, proved here
-    over {0,1} variables unless allow_asserted=True leaves it to the caller.
+    """Rewrite p = m*C + R as R + lam*m for a deduction m = 0 over {0,1}
+    variables, proved here unless allow_asserted=True leaves it to the caller.
 
     With lam at least the maximum of the cofactor C, states violating the
     deduction are pushed at or above their original value while all states
@@ -91,11 +97,10 @@ def apply_deduc_reduc(
     """
     mono = deduction.monomial
     vars = monomial_vars(mono)
+    _require_boolean(p.registry, vars, "deductions are defined over {0,1} variables")
     mono_text = "".join(p.registry.display_name(v) for v in vars)
-    if not allow_asserted:
-        _require_boolean(p.registry, vars, "deductions are defined over {0,1} variables")
-        if not _excludable(p, [dict.fromkeys(vars, 1)], max_states):
-            raise DeductionUnproven(f"{mono_text}=0 fails at a global minimizer")
+    if not allow_asserted and not _excludable(p, [dict.fromkeys(vars, 1)], max_states):
+        raise DeductionUnproven(f"{mono_text}=0 fails at a global minimizer")
     cofactor, rest = _cofactor(p, mono)
     if lam == "auto":
         lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
@@ -176,10 +181,11 @@ def elc_cancel(
     lexicographically largest bit vector is chosen (deterministic, and it
     reproduces the usual single-positive-literal penalty).
     """
+    vars = sorted(monomial_vars(mono))
+    _require_boolean(p.registry, vars, "excludable configurations use {0,1} variables")
     coeff = p.terms.get(mono)
     if not coeff:
         return None
-    vars = sorted(monomial_vars(mono))
     eligible = (
         dict(zip(vars, values))
         for values in sorted(itertools.product((0, 1), repeat=len(vars)), reverse=True)

@@ -36,7 +36,9 @@ BLOCK_STATES = 4096
 class Guarantee:
     """What a transformation claims to preserve, weakest first.
 
-    CONDITIONAL_MIN: minima preserved only under stated side conditions.
+    CONDITIONAL_MIN: minimum and argmin set preserved, given a fact about
+                     the global minima that `rewrites` proved or its caller
+                     asserted (check_conditional proves no fact).
     GROUND_STATE:    minimum value/argmin set (projected) preserved.
     POINTWISE_MIN:   for every original assignment, minimizing over the
                      auxiliaries reproduces the original value exactly.
@@ -392,35 +394,22 @@ def check_spectrum(
 def check_conditional(
     original: Polynomial,
     transformed: Polynomial,
-    evidence=(),
     max_states: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
-    """Check a zero-auxiliary rewrite: equal minimum AND equal argmin set.
+    """Check a zero-auxiliary rewrite: equal minimum AND equal argmin set,
+    over the union of both polynomials' variables.
 
-    `evidence` lists the Deduction / excludable-configuration facts the
-    rewrite relied on; each is re-proved against the original's minimizers
-    before the minima are compared, so a stale deduction surfaces as a failure
-    with the violating minimizer as counterexample.
+    The fact the rewrite relied on is not re-proved here: `rewrites` proves
+    it when it applies the rewrite, or its caller asserts it.  The
+    counterexample is the lowest state in exactly one argmin set, else the
+    first original minimizer when only the minima differ.
     """
     vars = sorted(set(original.variables()) | set(transformed.variables()))
     registry = original.registry
-    tests = [_evidence_test(fact, registry) for fact in evidence]
     n_states, scale = _space(registry, vars, max_states, original, transformed)
     best_original, argmin_original = _argmin(_blocks(original, vars, scale))
     best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
-    counterexample = next(
-        (
-            minimizer
-            for holds_at in tests
-            for minimizer in (_state_assignment(registry, vars, i) for i in argmin_original)
-            if not holds_at(minimizer)
-        ),
-        None,
-    )
-    if counterexample is None:
-        counterexample = _argmin_mismatch(
-            registry, vars, argmin_original, argmin_transformed
-        )
+    counterexample = _argmin_mismatch(registry, vars, argmin_original, argmin_transformed)
     if counterexample is None and best_original != best_transformed:
         counterexample = _state_assignment(registry, vars, argmin_original[0])
     return _report(
@@ -448,38 +437,12 @@ def check_claim(
     if guarantee == Guarantee.POINTWISE_MIN:
         report = check_pointwise(original, transformed, aux, max_states)
     elif guarantee == Guarantee.CONDITIONAL_MIN:
-        report = check_conditional(original, transformed, (), max_states)
+        report = check_conditional(original, transformed, max_states)
     else:
         report = check_groundstate(original, transformed, aux, max_states)
     if failure is not None and not report.passed:
         raise VerificationFailed(failure, report)
     return report
-
-
-def _extends(assignment: dict, config: dict) -> bool:
-    """Does `assignment` match every value of `config`?  A variable missing
-    from the assignment is free, so it matches any value."""
-    return all(assignment.get(v, x) == x for v, x in config.items())
-
-
-def _evidence_test(fact, registry):
-    """The test a fact puts to each minimizer, once every id it names is
-    found in `registry`: a Deduction must vanish at the minimizer; an ELC
-    must not match it.
-
-    Variables missing from the assignment are free, so a deduction cannot
-    rely on them being 0 and an excludable configuration is extendable
-    through them.
-    """
-    monomial = getattr(fact, "monomial", None)
-    config = dict(monomial) if monomial is not None else (
-        fact if isinstance(fact, dict) else fact.values
-    )
-    for var in config:
-        registry.entry(var)
-    if monomial is not None:
-        return lambda assignment: any(assignment.get(v, 1) == 0 for v in config)
-    return lambda assignment: not _extends(assignment, config)
 
 
 def check_ternary_encoding(

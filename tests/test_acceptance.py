@@ -96,7 +96,7 @@ def test_criterion_03_deduction_reproduction():
         deduction = Deduction(((0, 1), (1, 1)))
         result = apply_deduc_reduc(p, deduction)
         assert result.output == parse_polynomial(DEDUC_REDUCED, p.registry)
-        report = check_conditional(p, result.output, [deduction])
+        report = check_conditional(p, result.output)
         assert report.passed
 
 

@@ -335,8 +335,7 @@ SWEPT_CHECKS = {
     "check_pointwise": check_pointwise,
     "check_groundstate": check_groundstate,
     "check_spectrum": check_spectrum,
-    # the ids go in as an excludable configuration, the one id list it reads
-    "check_conditional": lambda o, t, aux: check_conditional(o, t, [dict.fromkeys(aux, 1)]),
+    "check_conditional": lambda o, t, aux: check_conditional(o, t),
     **{f"check_claim[{g}]": partial(check_claim, g) for g in (POINTWISE, GROUND, CONDITIONAL)},
 }
 DIRECT_FOLDED = {"check_pointwise", "check_groundstate", "check_spectrum"}
@@ -362,10 +361,10 @@ def _space(registry, vars) -> int:
 def test_degenerate_inputs_give_a_report_or_a_library_error(seed):
     """No other exception escapes.  An auxiliary id outside the registry
     raises instead of aliasing a variable: UnknownVariable, or
-    VariableMismatch when the check reads the transform's variables first;
-    so does one in check_conditional's evidence.  An original variable
-    passed as an auxiliary raises VariableMismatch wherever auxiliaries are
-    read, also when a spin original is proved through its twin image.
+    VariableMismatch when the check reads the transform's variables first.
+    An original variable passed as an auxiliary raises VariableMismatch
+    wherever auxiliaries are read, also when a spin original is proved
+    through its twin image.
     A folded check enumerates the original's variables and each distinct
     auxiliary once (the gate is left out there: it may enumerate a spin
     original's twin image)."""
@@ -373,7 +372,7 @@ def test_degenerate_inputs_give_a_report_or_a_library_error(seed):
         for name, check in SWEPT_CHECKS.items():
             outcome = _outcome(check, original, transformed, aux)
             assert isinstance(outcome, (VerificationReport, QuadratizerError)), (input_name, name)
-            if input_name == "negative id" and name in READS_AUX | {"check_conditional"}:
+            if input_name == "negative id" and name in READS_AUX:
                 assert isinstance(outcome, QuadratizerError), (input_name, name, outcome)
             elif input_name == "original as auxiliary" and name in READS_AUX:
                 assert isinstance(outcome, VariableMismatch), (input_name, name, outcome)
@@ -391,7 +390,7 @@ def _ternary_degenerate_inputs(rng):
     ])
     lam = Fraction(rng.randint(1, 6), rng.randint(1, 2))
     z1 = len(registry)
-    out = ternary_to_binary(p, t, lam, registry, verify=False)
+    out = ternary_to_binary(p, t, lam, verify=False)
     z2 = z1 + 1
     absent = registry.add_auxiliary(Domain.SPIN, "sweep")
     cancelled = _without(out, z2)

@@ -6,6 +6,7 @@ import pytest
 
 from quadratizer.errors import (
     CommonTooSmall,
+    InvalidParameter,
     InvalidSplit,
     MixedSigns,
     NonPositivePenalty,
@@ -253,3 +254,17 @@ def test_sym_antisym_on_cubic_objective(cubic_objective):
         assert naive_value(sym, a) + naive_value(anti, a) == naive_value(
             cubic_objective, a
         )
+
+
+def test_term_group_rejects_no_members_and_a_common_dividing_no_member():
+    with pytest.raises(InvalidParameter, match="at least one member"):
+        TermGroup((), ((0, 1),))
+    with pytest.raises(InvalidParameter, match="must divide every group member"):
+        TermGroup(((((0, 1), (1, 1)), Fraction(-1)),), ((2, 1),))
+
+
+def test_scm_split_rejects_a_non_multilinear_monomial():
+    registry = VariableRegistry()
+    b1, b2 = (registry.add_variable(Domain.BOOLEAN) for _ in range(2))
+    with pytest.raises(InvalidParameter, match="expects a multilinear monomial"):
+        scm_split(1, ((b1, 2), (b2, 1)), registry)

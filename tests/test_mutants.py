@@ -1,0 +1,152 @@
+"""Mutation tests: each proof path against the naive oracle in conftest.
+
+A real output is mutated one way at a time: one output coefficient +1/2 or
+-1/2, or one output term dropped.  The library's verdict on every mutant must
+equal the naive verdict.  A mutant that still passes is not a miss when the
+naive oracle passes it too (penalty slack is a valid output), so the
+survivors are pinned per gadget, degree and operator: a change that adds or
+removes slack shows up as a diff of these tables.
+"""
+
+import itertools
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from quadratizer.gadgets import GADGETS, MUST_PASS, apply_gadget
+from quadratizer.poly import Polynomial, VariableRegistry
+from quadratizer.rewrites import apply_deduc_reduc, apply_elc, find_elcs, find_zero_deductions
+from quadratizer.textio import parse_polynomial
+from quadratizer.verify import Guarantee, check_claim, check_conditional
+
+from conftest import (
+    CUBIC_OBJECTIVE,
+    DEDUC_INSTANCE,
+    all_assignments,
+    naive_value,
+    pointwise_holds,
+)
+
+HALF = Fraction(1, 2)
+
+# (gadget, degree, operator) -> mutants that pass check_claim; the rest of
+# the 864 mutants of the must-pass gadgets at k = 3..5 fail it
+GADGET_SURVIVORS = {
+    ("ntr_gbp", 3, "+1/2"): 2,
+    ("ntr_rbl", 3, "+1/2"): 1,
+    ("ntr_rbl", 3, "-1/2"): 1,
+    ("ntr_rbl", 3, "drop"): 1,
+    ("ptr_bg", 3, "+1/2"): 1,
+    ("ptr_bg", 4, "+1/2"): 2,
+    ("ptr_bg", 5, "+1/2"): 3,
+    ("ptr_gbp", 3, "+1/2"): 1,
+    ("ptr_kz", 3, "+1/2"): 3,
+}
+
+# (rewrite, operator) -> (mutants, mutants that pass check_conditional), over
+# the 7 proven deductions and the 19 proven configurations below
+REWRITE_SURVIVORS = {
+    ("deduc_reduc", "+1/2"): (39, 32),
+    ("deduc_reduc", "-1/2"): (39, 32),
+    ("deduc_reduc", "drop"): (39, 17),
+    ("elc", "+1/2"): (111, 19),
+    ("elc", "-1/2"): (111, 19),
+    ("elc", "drop"): (111, 0),
+}
+
+GADGET_CASES = [
+    (name, k)
+    for name, descriptor in sorted(GADGETS.items())
+    if descriptor.status == MUST_PASS
+    for k in descriptor.degrees_up_to(5)
+    if k >= 3
+]
+
+
+def _mutants(p: Polynomial):
+    """(operator, mutant) for each term of p, in sorted term order."""
+    for mono, coeff in sorted(p.terms.items()):
+        yield "+1/2", p + Polynomial(p.registry, {mono: HALF})
+        yield "-1/2", p + Polynomial(p.registry, {mono: -HALF})
+        yield "drop", p - Polynomial(p.registry, {mono: coeff})
+
+
+def _argmin(values: dict) -> set:
+    low = min(values.values())
+    return {key for key, value in values.items() if value == low}
+
+
+def _groundstate_holds(original, transformed, aux) -> bool:
+    """Naive ground-state rule: minimizing `transformed` over the auxiliaries
+    at each original assignment gives the original's argmin set."""
+    aux = sorted(aux)
+    domains = [transformed.registry.domain(a).values for a in aux]
+    folded, values = {}, {}
+    for x in all_assignments(original):
+        key = tuple(sorted(x.items()))
+        folded[key] = min(
+            naive_value(transformed, {**x, **dict(zip(aux, combo))})
+            for combo in itertools.product(*domains)
+        )
+        values[key] = naive_value(original, x)
+    return _argmin(folded) == _argmin(values)
+
+
+def _conditional_holds(original, transformed) -> bool:
+    """Naive conditional rule: equal minimum and equal argmin set over the
+    union of both polynomials' variables."""
+    vars = set(original.variables()) | set(transformed.variables())
+
+    def minima(p):
+        values = {tuple(sorted(a.items())): naive_value(p, a) for a in all_assignments(p, vars)}
+        return min(values.values()), _argmin(values)
+
+    return minima(original) == minima(transformed)
+
+
+@pytest.mark.parametrize("name,k", GADGET_CASES)
+def test_gadget_mutants_get_the_naive_verdict(name, k):
+    """Input coefficient -1 for a negative row, +1 for a positive one."""
+    descriptor = GADGETS[name]
+    registry = VariableRegistry()
+    mono = tuple((registry.add_variable(descriptor.domain), 1) for _ in range(k))
+    coeff = Fraction(-1 if descriptor.sign == "negative" else 1)
+    result = apply_gadget(name, coeff, mono, registry)
+    original = Polynomial(registry, {mono: coeff})
+    survivors = Counter()
+    for operator, mutant in _mutants(result.output):
+        passed = check_claim(result.guarantee, original, mutant, result.aux).passed
+        if result.guarantee == Guarantee.POINTWISE_MIN:
+            naive = pointwise_holds(original, mutant, result.aux)
+        else:
+            naive = _groundstate_holds(original, mutant, result.aux)
+        assert passed == naive, (name, k, operator, mutant.terms)
+        survivors[operator] += passed
+    pinned = {op: n for (gadget, degree, op), n in GADGET_SURVIVORS.items()
+              if (gadget, degree) == (name, k)}
+    assert {op: n for op, n in survivors.items() if n} == pinned
+
+
+def _proven_rewrites(kind: str):
+    """(original, result) for every fact the finders prove on the worked
+    deduction and ELC instances."""
+    if kind == "deduc_reduc":
+        p = parse_polynomial(DEDUC_INSTANCE)
+        return [(p, apply_deduc_reduc(p, d)) for d in find_zero_deductions(p, 2)]
+    p = parse_polynomial(CUBIC_OBJECTIVE)
+    return [(p, apply_elc(p, config)) for config in find_elcs(p, [0, 1, 2])]
+
+
+@pytest.mark.parametrize("kind", ["deduc_reduc", "elc"])
+def test_rewrite_mutants_get_the_naive_verdict(kind):
+    mutants, survivors = Counter(), Counter()
+    for original, result in _proven_rewrites(kind):
+        assert result.guarantee == Guarantee.CONDITIONAL_MIN and result.aux == ()
+        for operator, mutant in _mutants(result.output):
+            passed = check_conditional(original, mutant).passed
+            assert passed == _conditional_holds(original, mutant), (kind, operator, mutant.terms)
+            mutants[operator] += 1
+            survivors[operator] += passed
+    pinned = {op: pair for (rewrite, op), pair in REWRITE_SURVIVORS.items() if rewrite == kind}
+    assert {op: (mutants[op], survivors[op]) for op in mutants} == pinned

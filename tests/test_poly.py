@@ -337,3 +337,21 @@ def test_boolean_guards_keep_their_callers_messages(call, message):
     with pytest.raises(DomainViolation) as raised:
         call(p)
     assert str(raised.value) == message
+
+
+def test_add_auxiliary_skips_a_label_an_original_variable_holds():
+    registry = VariableRegistry()
+    registry.add_variable(Domain.BOOLEAN, "a1")
+    aux = registry.add_auxiliary(Domain.BOOLEAN, "sweep")
+    assert registry.label(aux) == "a2"
+    assert registry.label(registry.add_auxiliary(Domain.BOOLEAN, "sweep")) == "a3"
+
+
+def test_to_spin_twins_an_auxiliary_with_an_auxiliary_of_its_gadget():
+    registry, (b,) = _registry("b")
+    aux = registry.add_auxiliary(Domain.BOOLEAN, "ptr_bg")
+    spin = Polynomial.product(registry, [b, aux]).to_spin()
+    twin = registry.entry(aux).partner
+    assert twin in spin.variables() and registry.domain(twin) is Domain.SPIN
+    assert registry.is_auxiliary(twin) and registry.gadget_of(twin) == "ptr_bg"
+    assert not registry.is_auxiliary(registry.entry(b).partner)

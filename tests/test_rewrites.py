@@ -70,7 +70,7 @@ def test_deduc_reduc_worked_instance():
     result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1))))
     expected = parse_polynomial(DEDUC_REDUCED, p.registry)
     assert result.output == expected  # the lam = 6 = max(4 + b3 + b3 b4) form
-    report = check_conditional(p, result.output, [Deduction(((0, 1), (1, 1)))])
+    report = check_conditional(p, result.output)
     assert report.passed
 
 
@@ -100,7 +100,7 @@ def test_deduc_reduc_requires_proof():
     # explicit unsafe flag allowed
     result = apply_deduc_reduc(p, false, allow_asserted=True)
     assert result.output.degree() == 2
-    assert not check_conditional(p, result.output, [false]).passed
+    assert not check_conditional(p, result.output).passed
 
 
 def test_deduc_reduc_random_instances_preserve_minima():
@@ -119,7 +119,7 @@ def test_deduc_reduc_random_instances_preserve_minima():
         if not deductions:
             continue
         result = apply_deduc_reduc(p, deductions[0])
-        assert check_conditional(p, result.output, [deductions[0]]).passed
+        assert check_conditional(p, result.output).passed
 
 
 def test_find_elcs_worked_instance(cubic_objective):
@@ -196,8 +196,9 @@ def test_deduc_reduc_proves_only_zero_one_monomials():
     t1 = p.registry.by_label("t1")
     with pytest.raises(DomainViolation, match="deductions are defined over"):
         apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))))
-    # the caller may still assert it
-    assert apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))), allow_asserted=True).output
+    # asserting it skips the proof, not the domain rule
+    with pytest.raises(DomainViolation, match="deductions are defined over"):
+        apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))), allow_asserted=True)
 
 
 def test_apply_elc_random_instances():
@@ -231,6 +232,25 @@ def test_elc_cancel_finds_nothing_to_cancel():
     assert elc_cancel(p, ((0, 1), (2, 1))) is None  # b1 b3 is not a term of p
     # cancelling +b1 b2 needs (1,0) or (0,1) excluded, and both are minimizers
     assert elc_cancel(p, ((0, 1), (1, 1))) is None
+
+
+def test_elc_cancel_rejects_a_monomial_outside_zero_one():
+    """A spin monomial has no {0,1} configuration to exclude: elc_cancel
+    raises as find_elcs does, instead of returning a spin set to 0."""
+    p = parse_polynomial("z1 z2 + z1")
+    with pytest.raises(DomainViolation, match="excludable configurations use"):
+        elc_cancel(p, ((0, 1), (1, 1)))
+    with pytest.raises(DomainViolation, match="excludable configurations use"):
+        find_elcs(p, [0, 1])
+
+
+def test_asserted_deduc_reduc_keeps_the_zero_one_rule():
+    """allow_asserted skips the proof only: a spin deduction still raises,
+    where it used to return `2 z1` labelled conditional-min."""
+    p = parse_polynomial("z1 z2 + z1")
+    for allow_asserted in (False, True):
+        with pytest.raises(DomainViolation, match="deductions are defined over"):
+            apply_deduc_reduc(p, Deduction(((0, 1),)), allow_asserted=allow_asserted)
 
 
 def test_split_both_branches(cubic_objective):
@@ -323,6 +343,10 @@ def _check_deduc_reduc_against_reference(p, mono):
     cofactor, rest = _cofactor(p, mono)
     ref_cofactor, ref_rest = _ref_cofactor(p, mono)
     assert (cofactor.terms, rest.terms) == (ref_cofactor.terms, ref_rest.terms)
+    if any(p.registry.domain(v) is not Domain.BOOLEAN for v, _ in mono):
+        with pytest.raises(DomainViolation):
+            apply_deduc_reduc(p, Deduction(mono), allow_asserted=True)
+        return
     lam, output = _ref_deduc_reduc(p, mono)
     result = apply_deduc_reduc(p, Deduction(mono), allow_asserted=True)
     assert result.output.terms == output.terms
@@ -381,8 +405,8 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
         # a variable no term of p uses is free: it matches either value
         return any(all(m.get(v, x) == x for v, x in config.items()) for m in minimizers)
 
-    def check(original, result, fact):
-        assert check_conditional(original, result.output, [fact]).passed
+    def check(original, result):
+        assert check_conditional(original, result.output).passed
         assert brute_force_min(result.output)[0] == low
 
     deductions = []
@@ -394,7 +418,7 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
             assert matched(dict.fromkeys(subset, 1))
             continue
         assert not matched(dict.fromkeys(subset, 1))
-        check(p, result, deduction)
+        check(p, result)
         if set(subset) <= set(p.variables()):
             deductions.append(deduction)
     assert find_zero_deductions(p, 2) == deductions
@@ -410,6 +434,6 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
                     assert matched(config)
                     continue
                 assert not matched(config)
-                check(p, result, config)
+                check(p, result)
                 elcs.append(config)
     assert [c for c in find_elcs(p, vars) if len(c) <= 3] == elcs

@@ -721,3 +721,10 @@ def test_ptr_bcr1_turns_even_degrees_away_in_routing():
 def test_experimental_reports_follow_the_catalog():
     experimental = [d.name for d in GADGETS.values() if d.status != MUST_PASS]
     assert list(experimental_reports()) == experimental + ["czw_count4", "ternary_to_binary"]
+
+
+def test_apply_gadget_rejects_an_unknown_name():
+    registry = VariableRegistry()
+    mono = tuple((registry.add_variable(Domain.BOOLEAN), 1) for _ in range(3))
+    with pytest.raises(UnknownGadget, match="no gadget named 'nonsense'"):
+        apply_gadget("nonsense", 1, mono, registry)

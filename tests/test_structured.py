@@ -157,6 +157,18 @@ def test_sfr_rejects_an_unknown_variant_before_its_range(variant, n, c):
     assert str(excinfo.value) == f"variant must be 1..4, got {variant}"
 
 
+def test_sfr_aux_count_rejects_an_unknown_variant():
+    with pytest.raises(InvalidParameter, match="variant must be 1..4, got 5"):
+        sfr_aux_count(5, ExactCSpec(4, 2))
+
+
+def test_sfr_variants_1_and_3_need_a_positive_c():
+    # n = c = 0 passes the n/2 <= c <= n rule, so only c >= 1 rejects it
+    with pytest.raises(VariantRangeViolation) as excinfo:
+        sfr_bcr(1, ExactCSpec(0, 0), [], VariableRegistry())
+    assert str(excinfo.value) == "variants 1/3 need c >= 1"
+
+
 def test_sfr_rejects_nonpositive_gamma():
     registry, ids = _vars(4)
     with pytest.raises(InvalidParameter):
@@ -259,7 +271,7 @@ def test_ternary_linear_encoding():
         registry = VariableRegistry()
         t = registry.add_variable(Domain.TERNARY, "t1")
         p = Polynomial.variable(registry, t)
-        output = ternary_to_binary(p, t, lam, registry)
+        output = ternary_to_binary(p, t, lam)
         z1, z2 = registry.auxiliaries()[-2:]
         report = check_ternary_encoding(p, output, t, (z1, z2), lam)
         assert report.passed
@@ -274,7 +286,7 @@ def test_ternary_encoding_check_pins_states_and_counterexample():
     t = registry.add_variable(Domain.TERNARY, "t1")
     b = registry.add_variable(Domain.BOOLEAN, "b2")
     p = parse_polynomial("t1 - 3 t1 b2 + b2", registry)
-    output = ternary_to_binary(p, t, 2, registry)
+    output = ternary_to_binary(p, t, 2)
     z1, z2 = registry.auxiliaries()[-2:]
     report = check_ternary_encoding(p, output, t, (z1, z2), 2)
     assert report.passed and report.counterexample is None
@@ -296,7 +308,7 @@ def test_ternary_without_t_unchanged():
     t = registry.add_variable(Domain.TERNARY)
     b = registry.add_variable(Domain.BOOLEAN)
     p = Polynomial.variable(registry, b)
-    assert ternary_to_binary(p, t, 10, registry) is p
+    assert ternary_to_binary(p, t, 10) is p
 
 
 def test_ternary_rejects_bad_inputs():
@@ -305,9 +317,9 @@ def test_ternary_rejects_bad_inputs():
     t = registry.add_variable(Domain.TERNARY)
     p = Polynomial.variable(registry, t)
     with pytest.raises(DomainViolation):
-        ternary_to_binary(p, b, 10, registry)
+        ternary_to_binary(p, b, 10)
     with pytest.raises(InvalidParameter):
-        ternary_to_binary(p, t, 0, registry)
+        ternary_to_binary(p, t, 0)
 
 
 def test_rbl_output_through_ternary_encoding():
@@ -318,7 +330,7 @@ def test_rbl_output_through_ternary_encoding():
     mono = tuple((v, 1) for v in zs)
     rbl = ntr_rbl(Fraction(-1), mono, registry)
     ta = rbl.aux[0]
-    fully_spin = ternary_to_binary(rbl.output, ta, 10, registry)
+    fully_spin = ternary_to_binary(rbl.output, ta, 10)
     assert all(
         registry.domain(v) is Domain.SPIN for v in fully_spin.variables()
     )

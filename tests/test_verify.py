@@ -11,7 +11,6 @@ import tracemalloc
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -28,7 +27,6 @@ from quadratizer.errors import (
 from quadratizer.gadgets import ntr_kzfd, ptr_ishikawa, ternary_to_binary
 from quadratizer.pipeline import quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
-from quadratizer.rewrites import Deduction
 from quadratizer.textio import format_polynomial, parse_polynomial
 from quadratizer.verify import (
     BLOCK_STATES,
@@ -570,15 +568,7 @@ def _ref_check_spectrum(original, transformed, aux, max_states=DEFAULT_STATE_CAP
     return VerificationReport(CheckMode.SPECTRUM, counterexample is None, counterexample, stats)
 
 
-def _ref_evidence_holds_at(fact, assignment):
-    monomial = getattr(fact, "monomial", None)
-    if monomial is not None:
-        return any(assignment.get(v, 1) == 0 for v, _ in monomial)
-    mapping = fact if isinstance(fact, dict) else fact.values
-    return any(assignment.get(v, value) != value for v, value in mapping.items())
-
-
-def _ref_check_conditional(original, transformed, evidence=(), max_states=DEFAULT_STATE_CAP):
+def _ref_check_conditional(original, transformed, max_states=DEFAULT_STATE_CAP):
     vars = sorted(set(original.variables()) | set(transformed.variables()))
     registry = original.registry
     n_states = _state_count(registry, vars)
@@ -588,17 +578,7 @@ def _ref_check_conditional(original, transformed, evidence=(), max_states=DEFAUL
     best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
 
     counterexample = None
-    for fact in evidence:
-        for index in argmin_original:
-            assignment = _state_assignment(registry, vars, index)
-            if not _ref_evidence_holds_at(fact, assignment):
-                counterexample = assignment
-                break
-        if counterexample:
-            break
-    if counterexample is None and (
-        best_original != best_transformed or argmin_original != argmin_transformed
-    ):
+    if best_original != best_transformed or argmin_original != argmin_transformed:
         difference = set(argmin_original) ^ set(argmin_transformed)
         index = min(difference) if difference else argmin_original[0]
         counterexample = _state_assignment(registry, vars, index)
@@ -653,21 +633,6 @@ def _random_poly(rng, registry, vars, terms=4):
     ])
 
 
-def _random_evidence(rng, registry, vars):
-    """0..2 facts over `vars`: a Deduction, an excludable configuration as a
-    dict, or an object carrying the configuration as `.values`."""
-    facts = []
-    for _ in range(rng.randint(0, 2)):
-        subset = sorted(rng.sample(vars, rng.randint(1, len(vars))))
-        kind = rng.randrange(3)
-        if kind == 0:
-            facts.append(Deduction(tuple((v, 1) for v in subset)))
-            continue
-        config = {v: rng.choice(registry.domain(v).values) for v in subset}
-        facts.append(config if kind == 1 else SimpleNamespace(values=config))
-    return facts
-
-
 def _outcome(check, *args):
     """A report with its printed form, or the error raised."""
     try:
@@ -690,14 +655,13 @@ def test_checks_match_their_references(seed):
     """Full reports (mode, verdict, counterexample, stats and printed form)
     or errors equal the references' on b, z, t and mixed polynomials:
     passing and failing transforms, shifted minima, real quadratizations,
-    conditional checks with deduction and excludable-configuration
-    evidence, and state caps small enough to trip."""
+    conditional checks over both polynomials' variables, and state caps
+    small enough to trip."""
     rng = random.Random(seed)
     family = rng.choice(["b", "z", "t", "bzt"])
     registry = VariableRegistry()
     xs = [registry.add_variable(Domain.from_tag(rng.choice(family))) for _ in range(rng.randint(1, 3))]
     aux = [registry.add_variable(Domain.from_tag(rng.choice(family))) for _ in range(rng.randint(0, 2))]
-    free = registry.add_variable(Domain.from_tag(rng.choice(family)))  # in no polynomial
     original = _random_poly(rng, registry, xs)
     kind = rng.choice(["random", "same", "shift", "padded", "quadratized"])
     if kind == "random":
@@ -720,13 +684,11 @@ def test_checks_match_their_references(seed):
         if rng.random() < 0.5:
             mono = rng.choice(sorted(transformed.terms))
             transformed = transformed + Polynomial(registry, {mono: 1})
-        free = registry.add_variable(Domain.BOOLEAN)
     max_states = rng.choice([DEFAULT_STATE_CAP, rng.randint(1, 40)])
     for check, reference in FOLDED_CHECKS:
         args = (original, transformed, aux, max_states)
         assert _outcome(check, *args) == _outcome(reference, *args)
-    evidence = _random_evidence(rng, registry, xs + [free])
-    args = (original, transformed, evidence, max_states)
+    args = (original, transformed, max_states)
     assert _outcome(check_conditional, *args) == _outcome(_ref_check_conditional, *args)
 
 
@@ -744,7 +706,7 @@ def test_ternary_encoding_check_matches_its_reference(seed):
         p = p + Polynomial.variable(registry, t)
     lam = Fraction(rng.randint(1, 12), rng.randint(1, 2))
     z1 = len(registry)
-    output = ternary_to_binary(p, t, lam, registry, verify=False)
+    output = ternary_to_binary(p, t, lam, verify=False)
     moved = output + Polynomial.product(registry, [z1, z1 + 1], Fraction(rng.randint(-2, 2), 2))
     max_states = rng.choice([DEFAULT_STATE_CAP, rng.randint(1, 60)])
     for transformed, used in ((output, lam), (output, lam + rng.randint(1, 2)), (moved, lam)):
@@ -782,7 +744,7 @@ def test_ternary_encoding_check_projects_a_cancelled_spin_both_ways():
     registry.add_variable(Domain.SPIN)
     p = parse_polynomial("8/3 + t1", registry)
     z1 = len(registry)
-    output = ternary_to_binary(p, t, "1/2", registry, verify=False)
+    output = ternary_to_binary(p, t, "1/2", verify=False)
     moved = output + Polynomial.product(registry, [z1, z1 + 1], Fraction(1, 2))
     assert format_polynomial(moved) == "8/3 + z4"
     for transformed in (output, moved):
