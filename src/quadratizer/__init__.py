@@ -2,16 +2,37 @@
 degree-reduction gadgets, and the brute-force oracle that proves each
 transformation's claimed guarantee at desk scale.
 
-The public names are listed once, in _SUBMODULE, and each one imports its
-submodule on first access (PEP 562), so `import quadratizer` loads nothing
-else.  A resolved name is kept in the package namespace.
+One loader, _lazy_names, serves this package and `quadratizer.gadgets`: each
+lists its public names once, in a {submodule: "name ..."} table, and each
+name imports its submodule on first access (PEP 562), so `import quadratizer`
+loads nothing else.  A resolved name is kept in the package namespace.
 """
 
 import importlib
 
 __version__ = "0.1.0"
 
-_SUBMODULE = {name: module for module, names in {
+
+def _lazy_names(namespace: dict, table: dict):
+    """(name -> submodule map, __getattr__, __dir__) for the package whose
+    globals are `namespace`, from its {submodule: "name ..."} table."""
+    submodule = {name: module for module, names in table.items() for name in names.split()}
+    package = namespace["__name__"]
+
+    def __getattr__(name):
+        if name not in submodule:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f".{submodule[name]}", package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__():
+        return sorted({*namespace, *submodule})
+
+    return submodule, __getattr__, __dir__
+
+
+_SUBMODULE, __getattr__, __dir__ = _lazy_names(globals(), {
     "errors": "QuadratizerError",
     "gadgets.base": "GadgetDescriptor GadgetResult",
     "pipeline": "QuadratizationResult Strategy compare_strategies flip_to_submodular quadratize",
@@ -21,18 +42,6 @@ _SUBMODULE = {name: module for module, names in {
     "verify": "DEFAULT_STATE_CAP CheckStats CostReport Guarantee VerificationReport "
               "check_conditional check_groundstate check_pointwise check_spectrum cost_report "
               "enumerate_min",
-}.items() for name in names.split()}
+})
 
 __all__ = sorted(_SUBMODULE)
-
-
-def __getattr__(name):
-    if name not in _SUBMODULE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

@@ -147,7 +147,7 @@ def _cmd_quadratize(args):
 
 
 def _cmd_verify(args):
-    from .errors import InvalidParameter, SchemaError
+    from .errors import SchemaError
     from .textio import format_fraction, parse_polynomial
     from .verify import check_claim
 
@@ -164,9 +164,6 @@ def _cmd_verify(args):
         if var is None and not token.isdigit():
             raise SchemaError(f"unknown auxiliary {token!r}")
         aux.append(int(token) if var is None else var)
-    if args.mode == "conditional" and aux:
-        raise InvalidParameter(f"--mode conditional takes no auxiliaries, got {len(set(aux))};"
-                               " use --mode pointwise or groundstate")
     report = check_claim(VERIFY_MODES[args.mode], original, transformed, aux, args.max_states)
     stats = report.stats
     payload = {"mode": report.mode, "passed": report.passed, "states": stats.states_enumerated,

@@ -1,61 +1,30 @@
 """Quadratization gadget catalog.
 
-Importing the package loads the catalog table (`base`) and the single-term
-gadgets, which fill it, so `GADGETS` is whole whichever module comes first.
-The multi-term and structured constructions are listed once, in _SUBMODULE,
-and each name imports its submodule on first access (PEP 562), so a default
+Each public name is listed once, in the table below, and resolved on first
+access by the package's one loader (`quadratizer._lazy_names`, PEP 562).
+Importing the package loads the single-term gadgets, which fill the catalog
+table (`base`), so `GADGETS` is whole whichever module comes first; the
+multi-term and structured constructions load on first use, so a default
 `quadratize`, which routes single terms only, never compiles them.
 """
 
-import importlib
-
+from .. import _lazy_names
 from ..verify import DEFAULT_STATE_CAP
-from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
-from .single_term import (
-    apply_gadget,
-    evaluate_experimental,
-    experimental_single_term,
-    ntr_abcg,
-    ntr_abcg2,
-    ntr_gbp,
-    ntr_kzfd,
-    ntr_kzfd_literals,
-    ntr_rbl,
-    ptr_bcr3,
-    ptr_bcr4,
-    ptr_bg,
-    ptr_gbp,
-    ptr_ishikawa,
-    ptr_kz,
-)
+from . import single_term  # noqa: F401  (fills GADGETS)
 
-_SUBMODULE = {name: module for module, names in {
+_SUBMODULE, __getattr__, __dir__ = _lazy_names(globals(), {
+    "base": "EXPERIMENTAL GADGETS MUST_PASS GadgetDescriptor GadgetResult Guarantee",
+    "single_term": "apply_gadget evaluate_experimental experimental_single_term ntr_abcg "
+                   "ntr_abcg2 ntr_gbp ntr_kzfd ntr_kzfd_literals ntr_rbl ptr_bcr3 ptr_bcr4 "
+                   "ptr_bg ptr_gbp ptr_ishikawa ptr_kz",
     "multi_term": "TermGroup choose_rosenberg_pair discover_fgbz_groups fgbz_negative "
                   "fgbz_positive rosenberg_auto_penalty rosenberg_pair scm_split sym_antisym_split",
     "structured": "CZW_PRESETS ExactCSpec check_ternary_encoding czw_count4 "
                   "czw_counting_hamiltonian exact_c_indicator sfr_aux_count sfr_bcr "
                   "ternary_to_binary",
-}.items() for name in names.split()}
+})
 
-__all__ = sorted([
-    *_SUBMODULE, "EXPERIMENTAL", "GADGETS", "MUST_PASS", "GadgetDescriptor", "GadgetResult",
-    "Guarantee", "apply_gadget", "evaluate_experimental", "experimental_reports",
-    "experimental_single_term", "ntr_abcg", "ntr_abcg2", "ntr_gbp", "ntr_kzfd",
-    "ntr_kzfd_literals", "ntr_rbl", "ptr_bcr3", "ptr_bcr4", "ptr_bg", "ptr_gbp", "ptr_ishikawa",
-    "ptr_kz",
-])
-
-
-def __getattr__(name):
-    if name not in _SUBMODULE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__ = sorted([*_SUBMODULE, "experimental_reports"])
 
 
 def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
@@ -70,6 +39,8 @@ def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
 
     from ..poly import Domain, Polynomial, VariableRegistry
     from ..verify import check_claim
+    from .base import EXPERIMENTAL, GADGETS
+    from .single_term import evaluate_experimental
     from .structured import check_ternary_encoding, czw_count4, ternary_to_binary
 
     reports = {}

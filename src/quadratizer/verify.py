@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import EnumerationCapExceeded, VariableMismatch, VerificationFailed
+from .errors import EnumerationCapExceeded, InvalidParameter, VariableMismatch, VerificationFailed
 from .poly import Domain, Polynomial, monomial_degree
 
 DEFAULT_STATE_CAP = 1 << 20
@@ -422,14 +422,17 @@ def check_claim(
     max_states: int = DEFAULT_STATE_CAP, failure: Optional[str] = None,
 ) -> VerificationReport:
     """The one place a guarantee label picks its check: pointwise-min runs
-    check_pointwise, conditional-min check_conditional with no auxiliaries,
-    any other label check_groundstate.  A spin original whose variables all
-    have {0,1} twins is proved through its twin image (z = 2b - 1) when
-    `transformed` uses a twin; an original variable passed as an auxiliary
-    is rejected before that.  Given a `failure` message, a failed report
-    raises VerificationFailed with it."""
-    if guarantee != Guarantee.CONDITIONAL_MIN:
-        _require_disjoint(original.variables(), aux)
+    check_pointwise, conditional-min check_conditional, any other label
+    check_groundstate.  Conditional-min labels zero-auxiliary rewrites, so
+    auxiliaries under it raise InvalidParameter.  A spin original whose
+    variables all have {0,1} twins is proved through its twin image
+    (z = 2b - 1) when `transformed` uses a twin; an original variable passed
+    as an auxiliary is rejected before that.  Given a `failure` message, a
+    failed report raises VerificationFailed with it."""
+    if guarantee == Guarantee.CONDITIONAL_MIN and aux:
+        raise InvalidParameter(f"{guarantee} takes no auxiliaries, got {len(set(aux))};"
+                               " check pointwise-min or ground-state instead")
+    _require_disjoint(original.variables(), aux)
     entries = [original.registry.entry(v) for v in original.variables()]
     partners = [e.partner if e.domain is Domain.SPIN else None for e in entries]
     if partners and None not in partners and set(partners) & set(transformed.variables()):

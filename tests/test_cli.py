@@ -209,6 +209,15 @@ def test_removed_knobs_exit_2(cubic_file, flags):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "route, bare", [("positive", "positive"), ("positive=ptr_bg,odd_split", "odd_split")]
+)
+def test_route_clause_without_equals_exits_2(cubic_file, capsys, route, bare):
+    rc = main(["quadratize", "--in", str(cubic_file), "--route", route])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: route clauses look like key=value, got {bare!r}\n")
+
+
 @pytest.mark.parametrize("value", ["banana", "", "2", "onn", " on"])
 def test_odd_split_rejects_unknown_spellings(cubic_file, capsys, value):
     rc = main(["quadratize", "--in", str(cubic_file), "--route", f"odd_split={value}"])
@@ -614,8 +623,8 @@ def test_verify_conditional_refuses_auxiliaries(tmp_path, capsys):
     assert main(["quadratize", "--in", str(original), "--out", str(out)]) == 0
     argv = ["verify", "--original", str(original), "--quadratized", str(out), "--mode", "conditional"]
     message = (
-        "error: --mode conditional takes no auxiliaries, got 2;"
-        " use --mode pointwise or groundstate\n"
+        "error: conditional-min takes no auxiliaries, got 2;"
+        " check pointwise-min or ground-state instead\n"
     )
     for aux in ([], ["--aux", "a1,a2,a1"]):
         capsys.readouterr()

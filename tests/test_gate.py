@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from quadratizer.cli import main
 from quadratizer.errors import (
+    InvalidParameter,
     QuadratizerError,
     UnknownVariable,
     VariableMismatch,
@@ -287,11 +288,16 @@ def test_gate_uses_the_twin_image_only_when_the_transform_uses_a_twin():
         check_claim(POINTWISE, q, image * Polynomial.variable(registry, z3), [])
 
 
-def test_gate_reads_no_auxiliaries_for_conditional_min():
+def test_gate_refuses_auxiliaries_for_conditional_min():
+    """Conditional-min labels zero-auxiliary rewrites: any auxiliary raises
+    before an id is looked up, an original variable and an unknown id too."""
     p = parse_polynomial(DEDUC_INSTANCE)
     result = apply_deduc_reduc(p, Deduction(((0, 1), (1, 1))))
     extra = p.registry.add_auxiliary(Domain.BOOLEAN, "unused")
-    report = check_claim(CONDITIONAL, p, result.output, [extra, -1])
+    for aux in ([extra], [extra, -1, extra], [99], [0]):
+        with pytest.raises(InvalidParameter, match="^conditional-min takes no auxiliaries, got"):
+            check_claim(CONDITIONAL, p, result.output, aux)
+    report = check_claim(CONDITIONAL, p, result.output, [])
     assert report == check_conditional(p, result.output) and report.passed
 
 
@@ -364,7 +370,8 @@ def test_degenerate_inputs_give_a_report_or_a_library_error(seed):
     VariableMismatch when the check reads the transform's variables first.
     An original variable passed as an auxiliary raises VariableMismatch
     wherever auxiliaries are read, also when a spin original is proved
-    through its twin image.
+    through its twin image.  The gate refuses any auxiliary for a
+    conditional-min label with InvalidParameter.
     A folded check enumerates the original's variables and each distinct
     auxiliary once (the gate is left out there: it may enumerate a spin
     original's twin image)."""
@@ -372,7 +379,9 @@ def test_degenerate_inputs_give_a_report_or_a_library_error(seed):
         for name, check in SWEPT_CHECKS.items():
             outcome = _outcome(check, original, transformed, aux)
             assert isinstance(outcome, (VerificationReport, QuadratizerError)), (input_name, name)
-            if input_name == "negative id" and name in READS_AUX:
+            if name == f"check_claim[{CONDITIONAL}]" and aux:
+                assert isinstance(outcome, InvalidParameter), (input_name, outcome)
+            elif input_name == "negative id" and name in READS_AUX:
                 assert isinstance(outcome, QuadratizerError), (input_name, name, outcome)
             elif input_name == "original as auxiliary" and name in READS_AUX:
                 assert isinstance(outcome, VariableMismatch), (input_name, name, outcome)

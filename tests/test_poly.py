@@ -355,3 +355,36 @@ def test_to_spin_twins_an_auxiliary_with_an_auxiliary_of_its_gadget():
     assert twin in spin.variables() and registry.domain(twin) is Domain.SPIN
     assert registry.is_auxiliary(twin) and registry.gadget_of(twin) == "ptr_bg"
     assert not registry.is_auxiliary(registry.entry(b).partner)
+
+
+def test_equality_needs_a_polynomial_and_the_same_domains():
+    registry, (b,) = _registry("b")
+    p = Polynomial.variable(registry, b)
+    assert p.__eq__("b1") is NotImplemented and p != "b1"
+    assert p != Polynomial.constant(registry, 1)
+    other, (b_other,) = _registry("b")
+    assert p == Polynomial.variable(other, b_other)
+    spins, (z,) = _registry("z")
+    assert p != Polynomial.variable(spins, z)  # the same terms over a spin
+
+
+def test_str_and_repr_print_the_text_grammar():
+    p = parse_polynomial("b1 b2 - 1/2 b3 + 3")
+    assert str(p) == "3 - 1/2 b3 + b1 b2"
+    assert repr(p) == "Polynomial('3 - 1/2 b3 + b1 b2')"
+    assert str(Polynomial.zero(p.registry)) == "0"
+
+
+@pytest.mark.parametrize("domain", [Domain.BOOLEAN, Domain.SPIN, Domain.TERNARY])
+def test_canonical_exponent_at_zero_and_below(domain):
+    assert domain.canonical_exponent(0) == 0
+    with pytest.raises(ValueError, match="negative exponents are not representable"):
+        domain.canonical_exponent(-1)
+
+
+def test_registry_rejects_a_duplicate_label():
+    registry = VariableRegistry()
+    registry.add_variable(Domain.BOOLEAN, "x")
+    with pytest.raises(ValueError, match="duplicate variable label 'x'"):
+        registry.add_variable(Domain.SPIN, "x")
+    assert len(registry) == 1
