@@ -88,11 +88,11 @@ class VariantRangeViolation(GadgetError):
 
 
 class DeductionUnproven(QuadratizerError):
-    """A deduction fails at a global minimizer, and allow_asserted is off."""
+    """A deduction fails at a global minimizer, so it cannot be applied."""
 
 
 class ElcUnproven(QuadratizerError):
-    """A global minimizer extends the configuration, and allow_unproven is off."""
+    """A global minimizer extends the configuration, so it cannot be excluded."""
 
 
 # ---------------------------------------------------------------------------

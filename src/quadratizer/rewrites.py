@@ -5,9 +5,9 @@ All three trade enumeration work for auxiliary variables.  A deduction
 m = 0 and an excludable configuration are facts about the global minima of a
 reference polynomial, proved one way (`_excludable`): no global minimizer
 extends the configuration, for a deduction the one setting m's variables to
-1.  A rewrite proves its fact unless the caller opts out and vouches for it.
-Split reduction has no routing of its own: a branch it quadratizes in place
-goes through the pipeline's routing loop with the default routes.
+1.  A rewrite always proves its fact before it applies it.  Split reduction
+has no routing of its own: a branch it quadratizes in place goes through the
+pipeline's routing loop with the default routes.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import DeductionUnproven, DomainViolation, ElcUnproven
+from .errors import DeductionUnproven, DomainViolation, ElcUnproven, InvalidParameter
 from .gadgets.base import GADGETS, GadgetResult, Guarantee
 from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
@@ -80,31 +80,24 @@ def _cofactor(p: Polynomial, mono: Monomial):
 
 
 def apply_deduc_reduc(
-    p: Polynomial,
-    deduction: Deduction,
-    lam="auto",
-    allow_asserted: bool = False,
-    max_states: int = DEFAULT_STATE_CAP,
+    p: Polynomial, deduction: Deduction, max_states: int = DEFAULT_STATE_CAP
 ) -> GadgetResult:
     """Rewrite p = m*C + R as R + lam*m for a deduction m = 0 over {0,1}
-    variables, proved here unless allow_asserted=True leaves it to the caller.
+    variables, once it is proved here.
 
-    With lam at least the maximum of the cofactor C, states violating the
-    deduction are pushed at or above their original value while all states
-    honoring it keep their value, so the global minima are preserved exactly
-    (the rest of the spectrum is not).  The automatic lam enumerates C over
-    its own support and uses the exact maximum.
+    lam is the exact maximum of the cofactor C over its own support (0 when
+    C is empty), so states violating the deduction are pushed at or above
+    their original value while all states honoring it keep their value: the
+    global minima are preserved exactly (the rest of the spectrum is not).
     """
     mono = deduction.monomial
     vars = monomial_vars(mono)
     _require_boolean(p.registry, vars, "deductions are defined over {0,1} variables")
     mono_text = "".join(p.registry.display_name(v) for v in vars)
-    if not allow_asserted and not _excludable(p, [dict.fromkeys(vars, 1)], max_states):
+    if not _excludable(p, [dict.fromkeys(vars, 1)], max_states):
         raise DeductionUnproven(f"{mono_text}=0 fails at a global minimizer")
     cofactor, rest = _cofactor(p, mono)
-    if lam == "auto":
-        lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
-    lam = Fraction(lam)
+    lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
     output = rest + Polynomial(p.registry, {mono: lam})
     trace = f"deduc_reduc({mono_text}=0, lam={lam})"
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
@@ -135,31 +128,30 @@ def _elc_penalty(registry, config: PartialAssignment) -> Polynomial:
 
 
 def apply_elc(
-    p: Polynomial,
-    elc: PartialAssignment,
-    alpha="auto",
-    allow_unproven: bool = False,
-    max_states: int = DEFAULT_STATE_CAP,
+    p: Polynomial, elc: PartialAssignment, alpha="auto", max_states: int = DEFAULT_STATE_CAP
 ) -> GadgetResult:
-    """Add alpha * [configuration matched] to p, the configuration proved
-    here unless allow_unproven=True leaves it to the caller.
+    """Add alpha * [configuration matched] to p, once the configuration is
+    proved here.
 
     The indicator is the product of b or (1-b) literals for the excluded
-    configuration; since no global minimizer matches it, any positive alpha
-    preserves the minima.  The automatic alpha is (max - min of p) + 1, which
-    also dominates any term the penalty is meant to cancel.
+    configuration; since no global minimizer matches it, any alpha >= 0
+    preserves the minima, and a negative alpha raises InvalidParameter.  The
+    automatic alpha is (max - min of p) + 1, which also dominates any term
+    the penalty is meant to cancel.
     """
     registry = p.registry
     _require_boolean(registry, elc, "excludable configurations use {0,1} variables")
     for value in elc.values():
         if value not in (0, 1):
             raise DomainViolation(f"value {value} is not in {{0,1}}")
-    if not allow_unproven and not _excludable(p, [elc], max_states):
+    if not _excludable(p, [elc], max_states):
         raise ElcUnproven(f"a global minimizer extends the configuration {elc}")
     if alpha == "auto":
         low, high = value_range(p, max_states)
         alpha = high - low + 1
     alpha = Fraction(alpha)
+    if alpha < 0:
+        raise InvalidParameter(f"alpha must be >= 0, got {alpha}")
     output = p + _elc_penalty(registry, elc).scale(alpha)
     config_text = ",".join(
         f"{registry.display_name(v)}={elc[v]}" for v in sorted(elc)

@@ -37,8 +37,8 @@ class Guarantee:
     """What a transformation claims to preserve, weakest first.
 
     CONDITIONAL_MIN: minimum and argmin set preserved, given a fact about
-                     the global minima that `rewrites` proved or its caller
-                     asserted (check_conditional proves no fact).
+                     the global minima that `rewrites` proved before it
+                     applied the rewrite (check_conditional proves no fact).
     GROUND_STATE:    minimum value/argmin set (projected) preserved.
     POINTWISE_MIN:   for every original assignment, minimizing over the
                      auxiliaries reproduces the original value exactly.
@@ -400,7 +400,7 @@ def check_conditional(
     over the union of both polynomials' variables.
 
     The fact the rewrite relied on is not re-proved here: `rewrites` proves
-    it when it applies the rewrite, or its caller asserts it.  The
+    it when it applies the rewrite.  The
     counterexample is the lowest state in exactly one argmin set, else the
     first original minimizer when only the minima differ.
     """
@@ -422,13 +422,17 @@ def check_claim(
     max_states: int = DEFAULT_STATE_CAP, failure: Optional[str] = None,
 ) -> VerificationReport:
     """The one place a guarantee label picks its check: pointwise-min runs
-    check_pointwise, conditional-min check_conditional, any other label
-    check_groundstate.  Conditional-min labels zero-auxiliary rewrites, so
-    auxiliaries under it raise InvalidParameter.  A spin original whose
-    variables all have {0,1} twins is proved through its twin image
-    (z = 2b - 1) when `transformed` uses a twin; an original variable passed
-    as an auxiliary is rejected before that.  Given a `failure` message, a
-    failed report raises VerificationFailed with it."""
+    check_pointwise, conditional-min check_conditional, ground-state
+    check_groundstate, and any other label raises InvalidParameter.
+    Conditional-min labels zero-auxiliary rewrites, so auxiliaries under it
+    raise InvalidParameter too.  A spin original whose variables all have
+    {0,1} twins is proved through its twin image (z = 2b - 1) when
+    `transformed` uses a twin; an original variable passed as an auxiliary
+    is rejected before that.  Given a `failure` message, a failed report
+    raises VerificationFailed with it."""
+    if guarantee not in Guarantee._ORDER:
+        raise InvalidParameter(f"unknown guarantee {guarantee!r}; expected one of "
+                               f"{', '.join(sorted(Guarantee._ORDER))}")
     if guarantee == Guarantee.CONDITIONAL_MIN and aux:
         raise InvalidParameter(f"{guarantee} takes no auxiliaries, got {len(set(aux))};"
                                " check pointwise-min or ground-state instead")

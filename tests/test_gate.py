@@ -240,7 +240,7 @@ FAMILIES = {
 @settings(max_examples=5, deadline=None)
 def test_gate_gives_the_report_of_the_check_it_picks(family, seed):
     """pointwise-min runs check_pointwise, conditional-min check_conditional
-    with no auxiliaries, any other label check_groundstate, on the twin
+    with no auxiliaries, ground-state check_groundstate, on the twin
     image where the transform lives over the twins; the verdict is the
     conftest brute force's."""
     cases = FAMILIES[family](random.Random(seed))
@@ -299,6 +299,21 @@ def test_gate_refuses_auxiliaries_for_conditional_min():
             check_claim(CONDITIONAL, p, result.output, aux)
     report = check_claim(CONDITIONAL, p, result.output, [])
     assert report == check_conditional(p, result.output) and report.passed
+
+
+def test_gate_refuses_a_label_it_does_not_know():
+    """A mistyped label raises before any check, so it cannot pass a wrong
+    output that pointwise-min fails."""
+    p = parse_polynomial("b1 b2 b3")
+    result = quadratize(p)
+    broken = result.output + 1
+    assert not check_claim(POINTWISE, p, broken, result.aux).passed
+    known = "expected one of conditional-min, ground-state, pointwise-min$"
+    for label in ("pointwise", "Pointwise-Min", "", "spectrum"):
+        with pytest.raises(InvalidParameter, match=f"^unknown guarantee {label!r}; {known}"):
+            check_claim(label, p, broken, result.aux)
+    with pytest.raises(InvalidParameter, match=known):  # before the overlap check
+        check_claim("pointwise", p, broken, [0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Mutation tests: each proof path against the naive oracle in conftest.
 
 A real output is mutated one way at a time: one output coefficient +1/2 or
--1/2, one output term dropped, or one auxiliary in one output term renamed
-to another auxiliary or to an original variable.  The library's verdict on
-every mutant must equal the naive verdict.  A mutant that still passes is
-not a miss when the naive oracle passes it too (penalty slack is a valid
-output), so the survivors are pinned per gadget, degree and operator: a
-change that adds or removes slack shows up as a diff of these tables.
+-1/2, one output term dropped, or one variable in one output term renamed to
+another auxiliary or original variable.  Renames move any variable of a
+rewrite's output and of a gadget's output at k = 3..4, and only auxiliaries
+at k = 5.  The library's verdict on every mutant must equal the naive
+verdict.  A mutant that still passes is not a miss when the naive oracle
+passes it too (penalty slack is a valid output), so the survivors are pinned
+per gadget, degree and operator: a change that adds or removes slack shows
+up as a diff of these tables.
 """
 
 import itertools
@@ -32,8 +34,8 @@ from conftest import (
 HALF = Fraction(1, 2)
 
 # (gadget, degree, operator) -> mutants that pass check_claim; the rest of
-# the 1732 mutants of the must-pass gadgets at k = 3..5 (868 of them renames)
-# fail it
+# the 2403 mutants of the must-pass gadgets at k = 3..5 (1539 of them
+# renames) fail it
 GADGET_SURVIVORS = {
     ("ntr_gbp", 3, "+1/2"): 2,
     ("ntr_rbl", 3, "+1/2"): 1,
@@ -41,6 +43,7 @@ GADGET_SURVIVORS = {
     ("ntr_rbl", 3, "drop"): 1,
     ("ptr_bg", 3, "+1/2"): 1,
     ("ptr_bg", 4, "+1/2"): 2,
+    ("ptr_bg", 4, "rename"): 2,
     ("ptr_bg", 5, "+1/2"): 3,
     ("ptr_gbp", 3, "+1/2"): 1,
     ("ptr_ishikawa", 5, "rename"): 5,
@@ -53,9 +56,11 @@ REWRITE_SURVIVORS = {
     ("deduc_reduc", "+1/2"): (39, 32),
     ("deduc_reduc", "-1/2"): (39, 32),
     ("deduc_reduc", "drop"): (39, 17),
+    ("deduc_reduc", "rename"): (180, 74),
     ("elc", "+1/2"): (111, 19),
     ("elc", "-1/2"): (111, 19),
     ("elc", "drop"): (111, 0),
+    ("elc", "rename"): (618, 237),
 }
 
 GADGET_CASES = [
@@ -67,15 +72,17 @@ GADGET_CASES = [
 ]
 
 
-def _mutants(p: Polynomial, aux=()):
+def _mutants(p: Polynomial, aux=(), rename_originals=True):
     """(operator, mutant) for each term of p, in sorted term order; a rename
-    moves one auxiliary of the term to each other variable of p or `aux`."""
+    moves one variable of the term (only an auxiliary unless
+    rename_originals) to each other variable of p or `aux`; renaming to a
+    variable the term holds merges the two factors."""
     targets = sorted(set(p.variables()) | set(aux))
     for mono, coeff in sorted(p.terms.items()):
         yield "+1/2", p + Polynomial(p.registry, {mono: HALF})
         yield "-1/2", p + Polynomial(p.registry, {mono: -HALF})
         yield "drop", p - Polynomial(p.registry, {mono: coeff})
-        for a in (v for v, _ in mono if v in aux):
+        for a in (v for v, _ in mono if rename_originals or v in aux):
             for v in (v for v in targets if v != a):
                 renamed = tuple((v if w == a else w, e) for w, e in mono)
                 yield "rename", p + Polynomial(p.registry, {renamed: coeff, mono: -coeff})
@@ -124,7 +131,7 @@ def test_gadget_mutants_get_the_naive_verdict(name, k):
     result = apply_gadget(name, coeff, mono, registry)
     original = Polynomial(registry, {mono: coeff})
     survivors = Counter()
-    for operator, mutant in _mutants(result.output, result.aux):
+    for operator, mutant in _mutants(result.output, result.aux, rename_originals=k <= 4):
         passed = check_claim(result.guarantee, original, mutant, result.aux).passed
         if result.guarantee == Guarantee.POINTWISE_MIN:
             naive = pointwise_holds(original, mutant, result.aux)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadratizer.errors import DeductionUnproven, DomainViolation, ElcUnproven
+from quadratizer.errors import DeductionUnproven, DomainViolation, ElcUnproven, InvalidParameter
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
     Deduction,
@@ -40,7 +40,7 @@ def test_find_deductions_worked_instance():
     deductions = find_zero_deductions(p, max_arity=2)
     monomials = {d.monomial for d in deductions}
     assert ((0, 1), (1, 1)) in monomials  # the b1*b2 = 0 deduction
-    for d in deductions:  # each is proved again, without allow_asserted
+    for d in deductions:  # each is proved again when it is applied
         apply_deduc_reduc(p, d)
     # every reported deduction really vanishes at every minimizer
     _, minimizers = enumerate_min(p)
@@ -97,10 +97,6 @@ def test_deduc_reduc_requires_proof():
     false = Deduction(((0, 1),))  # b1 = 1 at every global minimizer
     with pytest.raises(DeductionUnproven):
         apply_deduc_reduc(p, false)
-    # explicit unsafe flag allowed
-    result = apply_deduc_reduc(p, false, allow_asserted=True)
-    assert result.output.degree() == 2
-    assert not check_conditional(p, result.output).passed
 
 
 def test_deduc_reduc_random_instances_preserve_minima():
@@ -177,10 +173,6 @@ def test_apply_elc_auto_alpha(cubic_objective):
 def test_apply_elc_rejects_unproven(cubic_objective):
     with pytest.raises(ElcUnproven):
         apply_elc(cubic_objective, {0: 1, 1: 1, 2: 1})  # the minimizer itself
-    result = apply_elc(
-        cubic_objective, {0: 1, 1: 1, 2: 1}, alpha=1, allow_unproven=True
-    )
-    assert result.output.coefficient(((0, 1), (1, 1), (2, 1))) == -3
 
 
 def test_apply_elc_rejects_a_configuration_outside_zero_one():
@@ -192,13 +184,13 @@ def test_apply_elc_rejects_a_configuration_outside_zero_one():
 
 
 def test_deduc_reduc_proves_only_zero_one_monomials():
+    """A ternary or spin variable in the monomial raises before any proof."""
     p = parse_polynomial("b1 t1 - t1")
     t1 = p.registry.by_label("t1")
     with pytest.raises(DomainViolation, match="deductions are defined over"):
         apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))))
-    # asserting it skips the proof, not the domain rule
     with pytest.raises(DomainViolation, match="deductions are defined over"):
-        apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))), allow_asserted=True)
+        apply_deduc_reduc(parse_polynomial("z1 z2 + z1"), Deduction(((0, 1),)))
 
 
 def test_apply_elc_random_instances():
@@ -242,15 +234,6 @@ def test_elc_cancel_rejects_a_monomial_outside_zero_one():
         elc_cancel(p, ((0, 1), (1, 1)))
     with pytest.raises(DomainViolation, match="excludable configurations use"):
         find_elcs(p, [0, 1])
-
-
-def test_asserted_deduc_reduc_keeps_the_zero_one_rule():
-    """allow_asserted skips the proof only: a spin deduction still raises,
-    where it used to return `2 z1` labelled conditional-min."""
-    p = parse_polynomial("z1 z2 + z1")
-    for allow_asserted in (False, True):
-        with pytest.raises(DomainViolation, match="deductions are defined over"):
-            apply_deduc_reduc(p, Deduction(((0, 1),)), allow_asserted=allow_asserted)
 
 
 def test_split_both_branches(cubic_objective):
@@ -333,22 +316,30 @@ def _ref_cofactor(p, mono):
 
 
 def _ref_deduc_reduc(p, mono):
-    """apply_deduc_reduc's automatic lam and output over the old split."""
+    """apply_deduc_reduc's lam and output over the old split."""
     cofactor, rest = _ref_cofactor(p, mono)
     lam = value_range(cofactor)[1] if cofactor else Fraction(0)
     return lam, rest + Polynomial(p.registry, {mono: lam})
 
 
 def _check_deduc_reduc_against_reference(p, mono):
+    """The split always matches the old loop.  The rewrite raises
+    DomainViolation for a monomial outside {0,1}, DeductionUnproven when a
+    naive minimizer sets every variable of it to 1 (a variable p does not
+    use is free), and otherwise matches the old output and lam."""
     cofactor, rest = _cofactor(p, mono)
     ref_cofactor, ref_rest = _ref_cofactor(p, mono)
     assert (cofactor.terms, rest.terms) == (ref_cofactor.terms, ref_rest.terms)
     if any(p.registry.domain(v) is not Domain.BOOLEAN for v, _ in mono):
         with pytest.raises(DomainViolation):
-            apply_deduc_reduc(p, Deduction(mono), allow_asserted=True)
+            apply_deduc_reduc(p, Deduction(mono))
+        return
+    if any(all(m.get(v, 1) == 1 for v, _ in mono) for m in brute_force_min(p)[1]):
+        with pytest.raises(DeductionUnproven):
+            apply_deduc_reduc(p, Deduction(mono))
         return
     lam, output = _ref_deduc_reduc(p, mono)
-    result = apply_deduc_reduc(p, Deduction(mono), allow_asserted=True)
+    result = apply_deduc_reduc(p, Deduction(mono))
     assert result.output.terms == output.terms
     assert result.trace.endswith(f", lam={lam})")
 
@@ -366,7 +357,7 @@ def test_cofactor_with_a_zero_partial_sum_matches_the_old_loop():
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
-def test_asserted_deduc_reduc_matches_the_old_cofactor_loop(seed):
+def test_deduc_reduc_matches_the_old_cofactor_loop(seed):
     rng = random.Random(seed)
     registry = VariableRegistry()
     vars = [registry.add_variable(Domain.from_tag(rng.choice("bbtz"))) for _ in range(rng.randint(2, 4))]
@@ -388,7 +379,10 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
     """Every deduction of arity <= 2 and every configuration over <= 3
     variables, against the naive minimizers: a rewrite accepts a fact exactly
     when none matches it, the finders list exactly the accepted facts, and an
-    accepted rewrite keeps the minimum and passes check_conditional."""
+    accepted rewrite keeps the minimum and passes check_conditional.  Each
+    accepted configuration does so again at alpha 0, at a random positive
+    rational, and at elc_cancel's alpha where elc_cancel picks it; a negative
+    alpha raises."""
     rng = random.Random(seed)
     registry = VariableRegistry()
     vars = [registry.add_variable(Domain.BOOLEAN) for _ in range(rng.randint(2, 5))]
@@ -423,6 +417,15 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
             deductions.append(deduction)
     assert find_zero_deductions(p, 2) == deductions
 
+    cancels = {}  # elc_cancel's pick for each monomial that has one
+    for mono in (m for m in p.terms if m):
+        choice = elc_cancel(p, mono)
+        if choice is not None:
+            cancels[tuple(sorted(choice[0].items()))] = (mono, choice[1])
+
+    def random_alpha():
+        return Fraction(rng.randint(1, 30), rng.randint(1, 7))
+
     elcs = []
     for arity in range(1, min(3, len(vars)) + 1):
         for subset in itertools.combinations(vars, arity):
@@ -436,4 +439,15 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
                 assert not matched(config)
                 check(p, result)
                 elcs.append(config)
+                for alpha in (0, random_alpha()):
+                    check(p, apply_elc(p, config, alpha))
+                with pytest.raises(InvalidParameter):
+                    apply_elc(p, config, -random_alpha())
+                key = tuple(sorted(config.items()))
+                if key in cancels:
+                    mono, alpha = cancels.pop(key)
+                    result = apply_elc(p, config, alpha)
+                    check(p, result)
+                    assert mono not in result.output.terms  # the penalty cancels it
     assert [c for c in find_elcs(p, vars) if len(c) <= 3] == elcs
+    assert not cancels  # every pick is a configuration apply_elc accepts
