@@ -184,11 +184,16 @@ def test_apply_elc_rejects_a_configuration_outside_zero_one():
 
 
 def test_deduc_reduc_proves_only_zero_one_monomials():
-    """A ternary or spin variable in the monomial raises before any proof."""
+    """A ternary variable in the monomial raises before any proof."""
     p = parse_polynomial("b1 t1 - t1")
     t1 = p.registry.by_label("t1")
     with pytest.raises(DomainViolation, match="deductions are defined over"):
         apply_deduc_reduc(p, Deduction(((0, 1), (t1, 1))))
+
+
+def test_asserted_deduc_reduc_keeps_the_zero_one_rule():
+    """A spin deduction raises, where it once returned `2 z1` labelled
+    conditional-min; no argument gets a deduction past the {0,1} rule."""
     with pytest.raises(DomainViolation, match="deductions are defined over"):
         apply_deduc_reduc(parse_polynomial("z1 z2 + z1"), Deduction(((0, 1),)))
 
