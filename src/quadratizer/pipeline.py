@@ -13,12 +13,14 @@ objective whose routes name no spin gadget is routed through its {0,1} twin
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Optional
 
 from .errors import InvalidParameter, NoApplicableGadget, QuadratizerError, UnknownGadget
 from .gadgets.base import EXPERIMENTAL, GADGETS, GadgetResult
 from .gadgets.single_term import apply_gadget, ntr_kzfd_literals
-from .poly import Domain, Polynomial, _accumulate, monomial_degree, monomial_vars
+from .poly import Domain, Polynomial, monomial_degree, monomial_vars
+from .poly import _accumulate, _share_coefficients
 from .verify import (
     DEFAULT_STATE_CAP,
     CostReport,
@@ -192,14 +194,13 @@ def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> Quadrati
     work = p
     if strategy.multi_term:
         work, aux_map, guarantee = _apply_multi_term(work, aux_map, guarantee, strategy)
-    items = [(mono, c) for mono, c in work.terms.items() if monomial_degree(mono) <= 2]
-    items += sorted(
-        ((mono, c) for mono, c in work.terms.items() if monomial_degree(mono) >= 3),
+    low = (item for item in work.terms.items() if monomial_degree(item[0]) <= 2)
+    high = sorted(
+        (item for item in work.terms.items() if monomial_degree(item[0]) >= 3),
         key=lambda item: (-monomial_degree(item[0]), item[0]),
     )
-    terms, guarantee = _route_terms(work.registry, items, strategy, aux_map, guarantee)
-    shared: dict = {}  # the output keeps one Fraction per distinct coefficient
-    work = Polynomial._wrap(work.registry, {m: shared.setdefault(c, c) for m, c in terms.items()})
+    terms, guarantee = _route_terms(work.registry, chain(low, high), strategy, aux_map, guarantee)
+    work = Polynomial._wrap(work.registry, _share_coefficients(terms))  # as constructed ones do
     cost = cost_report(work, sorted(aux_map))
     report = None
     if strategy.verify_after:

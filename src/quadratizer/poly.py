@@ -103,7 +103,7 @@ Domain.TERNARY = Domain("t", (-1, 0, 1))
 _DOMAINS = {"b": Domain.BOOLEAN, "z": Domain.SPIN, "t": Domain.TERNARY}
 
 
-@dataclass
+@dataclass(slots=True)
 class VarEntry:
     """Registry record for one variable."""
 
@@ -231,6 +231,14 @@ def _accumulate(terms: dict, mono: Monomial, coeff: Fraction) -> None:
         terms.pop(mono, None)
 
 
+def _share_coefficients(terms: dict) -> dict:
+    """Make equal coefficients one Fraction object, in place; returns `terms`."""
+    shared: dict[tuple, Fraction] = {}
+    for mono, coeff in terms.items():
+        terms[mono] = shared.setdefault((coeff.numerator, coeff.denominator), coeff)
+    return terms
+
+
 def _require_boolean(registry: VariableRegistry, vars, message=None):
     for var in vars:
         if registry.domain(var) is not Domain.BOOLEAN:
@@ -259,15 +267,11 @@ class Polynomial:
     def __init__(self, registry: VariableRegistry, terms=None):
         self.registry = registry
         canonical: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in (terms.items() if isinstance(terms, dict) else terms):
-                coeff = _as_fraction(coeff)
-                if coeff:
-                    _accumulate(canonical, self._canonical_monomial(mono), coeff)
-            shared: dict[tuple, Fraction] = {}
-            for mono, coeff in canonical.items():
-                canonical[mono] = shared.setdefault((coeff.numerator, coeff.denominator), coeff)
-        self.terms = canonical
+        for mono, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
+            coeff = _as_fraction(coeff)
+            if coeff:
+                _accumulate(canonical, self._canonical_monomial(mono), coeff)
+        self.terms = _share_coefficients(canonical)
 
     # -- construction -------------------------------------------------------
 

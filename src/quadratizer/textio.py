@@ -37,8 +37,6 @@ _TOKEN = re.compile(
     re.DOTALL,
 )
 
-_LETTER_ORDER = {"b": 0, "z": 1, "t": 2}
-
 
 def _parse_error(message: str, text: str, offset: int) -> ParseError:
     """A ParseError at `offset`, placed by 1-based line and column."""
@@ -47,24 +45,22 @@ def _parse_error(message: str, text: str, offset: int) -> ParseError:
 
 
 def _tokenize(text: str):
-    """Every token but whitespace as (kind, value, offset); the first character
-    that starts no token is an error, before any grammar error."""
-    tokens = [
-        (m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text) if m.lastgroup != "ws"
-    ]
-    for kind, value, offset in tokens:
-        if kind == "bad":
+    """The names of `text`'s variables, and a generator of its non-space tokens
+    as (kind, value, offset).  Two scans, no token list: the first collects the
+    names and raises at the first bad character, before any grammar error."""
+    names = set()
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "var":
+            names.add(m.group())
+        elif m.lastgroup == "bad":
             message = (
                 "decimal coefficients are not supported; use p/q rationals"
-                if value == "."
-                else f"unexpected character {value!r}"
+                if m.group() == "."
+                else f"unexpected character {m.group()!r}"
             )
-            raise _parse_error(message, text, offset)
-    return tokens
-
-
-def _sort_key(name: str):
-    return (_LETTER_ORDER[name[0]], int(name[1:]))
+            raise _parse_error(message, text, m.start())
+    matches = _TOKEN.finditer(text)
+    return names, ((m.lastgroup, m.group(), m.start()) for m in matches if m.lastgroup != "ws")
 
 
 def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial:
@@ -74,12 +70,11 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
     name order (b-vars, then z, then t, by index); with one, names resolve
     through labels and unknown names are appended, also in sorted order.
     """
-    tokens = _tokenize(text)
-    names = sorted({value for kind, value, _ in tokens if kind == "var"}, key=_sort_key)
+    names, tokens = _tokenize(text)
     if registry is None:
         registry = VariableRegistry()
     ids = {}
-    for name in names:
+    for name in sorted(names, key=lambda name: ("bzt".index(name[0]), int(name[1:]))):
         existing = registry.by_label(name)
         if existing is None:
             # synthesized display tokens (for variables whose label does not
@@ -124,7 +119,7 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
             raise _parse_error("exponent without a variable", text, offset)
         previous = kind
     if previous == "sign":
-        raise _parse_error("dangling sign", text, tokens[-1][2])
+        raise _parse_error("dangling sign", text, offset)
     if factors is not None:
         terms.append((factors, coeff))
     return Polynomial(registry, terms)

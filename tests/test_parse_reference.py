@@ -228,6 +228,10 @@ def test_parser_matches_reference(text):
     ("0.5 b1", None),
     ("b1 +\n\n  q2", None),
     ("b1 -\n 2\n", None),
+    # a grammar error before a bad character: the bad character is still the error
+    ("b1 + + b2 !", None),
+    ("2^3 b1 .", None),
+    ("b1 -   ", None),  # a dangling sign is placed at the sign, not at the spaces after it
 ])
 def test_parser_matches_reference_on_fixed_texts(text, registry):
     make = _prefilled if registry else lambda: None
