@@ -76,8 +76,9 @@ def rosenberg_pair(
     add penalty * (bi*bj - 2*bi*ba - 2*bj*ba + 3*ba).
 
     The penalty polynomial is 0 exactly when ba = bi*bj and >= 1 otherwise,
-    so any weight at least the automatic one preserves the full spectrum; the
-    degree of every rewritten term drops by one.
+    and each rewritten cofactor lies in [-1, 1], so a weight of at least the
+    sum of |coefficient| over the rewritten terms preserves the full
+    spectrum and a smaller one is refused.  Each rewritten term loses one degree.
     """
     registry = p.registry
     _require_boolean(registry, (i, j))
@@ -88,11 +89,13 @@ def rosenberg_pair(
         for m in p.terms
     ):
         raise PairAbsent(f"no term of degree >= 3 contains both {i} and {j}")
-    if penalty == "auto":
-        penalty = rosenberg_auto_penalty(p, i, j)
-    penalty = Fraction(penalty)
+    auto = rosenberg_auto_penalty(p, i, j)
+    penalty = Fraction(auto if penalty == "auto" else penalty)
     if penalty <= 0:
         raise NonPositivePenalty(f"penalty must be positive, got {penalty}")
+    if penalty < auto - 1:
+        raise InvalidParameter(f"penalty {penalty} is below {auto - 1}, the sum of "
+                               "|coefficient| over the terms holding the pair")
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "rosenberg")
     terms = []

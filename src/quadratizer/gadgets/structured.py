@@ -23,7 +23,7 @@ from ..errors import (
     VariantRangeViolation,
     VerificationFailed,
 )
-from ..poly import Domain, Polynomial, VariableRegistry, _require_boolean
+from ..poly import Domain, Polynomial, VariableRegistry, _distinct, _require_boolean
 from ..verify import DEFAULT_STATE_CAP, check_claim, check_ternary_encoding
 from .base import GadgetResult, Guarantee
 from .single_term import _log2_ceil
@@ -133,14 +133,6 @@ def _exact_c_products(spec: ExactCSpec, vars):
         weight = Fraction((-1) ** (j - spec.c) * comb(j, spec.c)) * spec.gamma
         for subset in itertools.combinations(vars, j):
             yield subset, weight
-
-
-def _distinct(vars) -> list:
-    """`vars` sorted, with a repeat rejected as Polynomial.product rejects it."""
-    vars = sorted(vars)
-    if len(set(vars)) != len(vars):
-        raise ValueError("product() expects distinct variables")
-    return vars
 
 
 # ---------------------------------------------------------------------------
@@ -280,10 +272,11 @@ def ternary_to_binary(
         return p
     z1 = registry.add_auxiliary(Domain.SPIN, "ternary_to_binary")
     z2 = registry.add_auxiliary(Domain.SPIN, "ternary_to_binary")
-    z1p = Polynomial.variable(registry, z1)
-    z2p = Polynomial.variable(registry, z2)
-    replaced = p.substitute(t, (z1p + z2p).scale(Fraction(1, 2)))
-    output = replaced - (z1p * z2p + z1p - z2p).scale(lam)
+    half = Fraction(1, 2)
+    replaced = p.substitute(t, Polynomial.from_products(registry, [((z1,), half), ((z2,), half)]))
+    output = replaced + Polynomial.from_products(
+        registry, [((z1, z2), -lam), ((z1,), -lam), ((z2,), lam)]
+    )
     if verify:
         report = check_ternary_encoding(p, output, t, (z1, z2), lam, max_states)
         if not report.passed:

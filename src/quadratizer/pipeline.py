@@ -222,21 +222,18 @@ class StrategyOutcome:
     error: Optional[str]
 
 
+def _outcome(p: Polynomial, strategy: Strategy) -> StrategyOutcome:
+    """One run's row; its output is dropped on return, before the next run."""
+    try:
+        result = quadratize(p, strategy)
+    except QuadratizerError as error:
+        return StrategyOutcome(strategy, False, None, None, f"{type(error).__name__}: {error}")
+    return StrategyOutcome(strategy, True, result.cost, result.guarantee, None)
+
+
 def compare_strategies(p: Polynomial, strategies) -> list[StrategyOutcome]:
     """Run quadratize once per strategy and tabulate the cost trade-offs."""
-    rows = []
-    for strategy in strategies:
-        try:
-            result = quadratize(p, strategy)
-        except QuadratizerError as error:
-            rows.append(
-                StrategyOutcome(strategy, False, None, None, f"{type(error).__name__}: {error}")
-            )
-        else:
-            rows.append(
-                StrategyOutcome(strategy, True, result.cost, result.guarantee, None)
-            )
-    return rows
+    return [_outcome(p, strategy) for strategy in strategies]
 
 
 def flip_to_submodular(p: Polynomial):

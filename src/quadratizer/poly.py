@@ -245,6 +245,14 @@ def _require_boolean(registry: VariableRegistry, vars, message=None):
             raise DomainViolation(message or f"variable {var} is not a {{0,1}} variable")
 
 
+def _distinct(vars) -> list:
+    """`vars` sorted, with a repeated variable rejected."""
+    vars = sorted(vars)
+    if len(set(vars)) != len(vars):
+        raise ValueError("product() expects distinct variables")
+    return vars
+
+
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
@@ -281,22 +289,18 @@ class Polynomial:
 
     @classmethod
     def constant(cls, registry: VariableRegistry, value: Rational) -> "Polynomial":
-        return cls(registry, {ONE: _as_fraction(value)})
+        return cls.from_products(registry, [((), value)])
 
     @classmethod
     def variable(cls, registry: VariableRegistry, var: int) -> "Polynomial":
-        registry.entry(var)
-        return cls(registry, {((var, 1),): Fraction(1)})
+        return cls.from_products(registry, [((var,), 1)])
 
     @classmethod
     def product(
         cls, registry: VariableRegistry, vars: Sequence[int], coeff: Rational = 1
     ) -> "Polynomial":
         """coeff * product of distinct variables (each to the first power)."""
-        if len(set(vars)) != len(vars):
-            raise ValueError("product() expects distinct variables")
-        mono = tuple(sorted((v, 1) for v in vars))
-        return cls(registry, {mono: _as_fraction(coeff)})
+        return cls.from_products(registry, [(_distinct(vars), coeff)])
 
     @classmethod
     def from_products(cls, registry: VariableRegistry, products) -> "Polynomial":
@@ -304,7 +308,8 @@ class Polynomial:
 
         The pairs are added in the order given, exactly as the constructor adds
         terms: a repeated variable is a power, equal monomials merge in place,
-        and a monomial whose sum is zero drops out.
+        and a monomial whose sum is zero drops out.  Every constant, variable,
+        product and affine image (`flip`, domain conversion) is built here.
         """
         return cls(registry, ((tuple((v, 1) for v in vars), c) for vars, c in products))
 
@@ -406,11 +411,9 @@ class Polynomial:
         return Polynomial._wrap(self.registry, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.registry, other)
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, (int, Fraction, Polynomial)):
             return NotImplemented
-        return self + (-other)
+        return self + (-other)  # `+` makes a number a constant
 
     def __rsub__(self, other) -> "Polynomial":
         return (-self) + other
@@ -516,7 +519,7 @@ class Polynomial:
         flipped = self
         for var in sorted(mask):
             flipped = flipped.substitute(
-                var, Polynomial.constant(self.registry, 1) - Polynomial.variable(self.registry, var)
+                var, Polynomial.from_products(self.registry, [((), 1), ((var,), -1)])
             )
         return flipped, mask
 
@@ -537,14 +540,12 @@ class Polynomial:
                 raise DomainViolation(
                     f"variable {var} is not a {source.tag!r} variable"
                 )
+        # b = (1+z)/2 or z = 2b-1, as (twin coefficient, constant)
+        slope, shift = (Fraction(1, 2), Fraction(1, 2)) if target is Domain.SPIN else (2, -1)
         result = self
         for var in support:
             twin = self.registry.twin(var, target)
-            z = Polynomial.variable(self.registry, twin)
-            if target is Domain.SPIN:
-                image = (z + 1).scale(Fraction(1, 2))  # b = (1+z)/2
-            else:
-                image = z.scale(2) - 1  # z = 2b-1
+            image = Polynomial.from_products(self.registry, [((twin,), slope), ((), shift)])
             result = result.substitute(var, image)
         return result
 

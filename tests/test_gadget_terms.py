@@ -834,13 +834,22 @@ def test_multi_term_matches_reference():
                     return getattr(g, f"fgbz_{sign}")(group, r)
 
                 _assert_same(case)
-        for penalty in ("auto", Fraction(7, 3), 0):
+        p = _random_boolean(VariableRegistry(), seed, 30)
+        bound = rosenberg_auto_penalty(p, *(choose_rosenberg_pair(p) or (0, 1))) - 1
+        for penalty in ("auto", Fraction(7, 3), bound, 0):
             def case(g, r, seed=seed, penalty=penalty):
                 p = _random_boolean(r, seed, 30)
                 pair = choose_rosenberg_pair(p) or (0, 1)
                 return g.rosenberg_pair(p, *pair, penalty=penalty)
 
-            _assert_same(case)
+            if penalty != "auto" and 0 < penalty < bound:
+                # below the sum of |c| over the terms holding the pair: refused
+                # before an auxiliary is allocated
+                value, registry = _outcome(NEW, case)
+                assert value[0] is InvalidParameter and "below" in value[1]
+                assert len(registry) == len(p.registry)
+            else:
+                _assert_same(case)
 
 
 def test_multi_term_edge_groups_match_reference():

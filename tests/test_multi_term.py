@@ -1,8 +1,12 @@
 """Shared-auxiliary reductions and the structural splits."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadratizer.errors import (
     CommonTooSmall,
@@ -24,7 +28,7 @@ from quadratizer.gadgets import (
     scm_split,
     sym_antisym_split,
 )
-from quadratizer.poly import Domain, Polynomial, VariableRegistry
+from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_degree, monomial_vars
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import check_pointwise
 
@@ -32,13 +36,19 @@ from conftest import all_assignments, naive_value, pointwise_holds
 
 
 def test_rosenberg_worked_example_printed_form():
-    # with the bare penalty (weight 1) the printed rewrite comes out exactly
+    # The book prints this rewrite at weight 1, below the bound |1| + |1| = 2,
+    # so rosenberg_pair refuses that weight.  The printed form is pinned with
+    # the oracle's counterexample: at b = (1, 1, 1, 1) the objective is 2, and
+    # the printed form is 1 at b5 = 0.
     p = parse_polynomial("b1 b2 b3 + b1 b2 b4")
-    result = rosenberg_pair(p, 0, 1, penalty=1)
-    expected = parse_polynomial(
+    with pytest.raises(InvalidParameter, match="below 2"):
+        rosenberg_pair(p, 0, 1, penalty=1)
+    printed = parse_polynomial(
         "b3 b5 + b4 b5 + b1 b2 - 2 b1 b5 - 2 b2 b5 + 3 b5", p.registry
     )
-    assert result.output == expected
+    report = check_pointwise(p, printed, [p.registry.by_label("b5")])
+    assert not report.passed
+    assert report.counterexample == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_rosenberg_auto_penalty_value():
@@ -51,10 +61,9 @@ def test_rosenberg_auto_is_pointwise_but_unit_is_not():
     auto = rosenberg_pair(p, 0, 1, penalty="auto")
     assert check_pointwise(p, auto.output, auto.aux).passed
     p2 = parse_polynomial("b1 b2 b3 + b1 b2 b4")
-    unit = rosenberg_pair(p2, 0, 1, penalty=1)
-    report = check_pointwise(p2, unit.output, unit.aux)
-    assert not report.passed  # the oracle exhibits a counterexample
-    assert report.counterexample is not None
+    with pytest.raises(InvalidParameter):  # the unit weight is below the bound 2
+        rosenberg_pair(p2, 0, 1, penalty=1)
+    assert len(p2.registry) == 4  # refused before an auxiliary is allocated
 
 
 def test_rosenberg_single_cubic_small_penalties():
@@ -74,6 +83,49 @@ def test_rosenberg_rejects_nonpositive_penalty():
     p = parse_polynomial("b1 b2 b3")
     with pytest.raises(NonPositivePenalty):
         rosenberg_pair(p, 0, 1, penalty=0)
+
+
+def _pair_objective(seed):
+    """b1 (id 0), b2 (id 1) and one to three variables of any domain; the
+    first term holds b1 b2 and at least one other variable, perhaps squared."""
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    b1, b2 = (registry.add_variable(Domain.BOOLEAN) for _ in range(2))
+    others = [
+        registry.add_variable(Domain.from_tag(rng.choice("bzt"))) for _ in range(rng.randint(1, 3))
+    ]
+
+    def coefficient():
+        return Fraction(rng.choice((-4, -3, -2, -1, 1, 2, 3, 4)), rng.choice((1, 2)))
+
+    head = tuple((v, rng.choice((1, 2))) for v in rng.sample(others, rng.randint(1, len(others))))
+    terms = [(((b1, 1), (b2, 1)) + head, coefficient())]
+    pool = [b1, b2, *others]
+    for _ in range(rng.randint(0, 5)):
+        vars = sorted(rng.sample(pool, rng.randint(0, min(4, len(pool)))))
+        terms.append((tuple((v, rng.choice((1, 2))) for v in vars), coefficient()))
+    return Polynomial(registry, terms)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_rosenberg_pair_is_pointwise_at_every_accepted_penalty(seed):
+    """Every integer penalty from 1 to the automatic one, the bound itself and
+    "auto": below the bound (sum of |c| over the terms holding the pair) the
+    rewrite is refused, and at or above it the result passes check_pointwise."""
+    p = _pair_objective(seed)
+    if not any(monomial_degree(m) >= 3 and {0, 1} <= set(monomial_vars(m)) for m in p.terms):
+        return  # a z^2 factor or a merge took the pair's cubic term away
+    auto = rosenberg_auto_penalty(p, 0, 1)
+    penalties = sorted({*range(1, math.ceil(auto) + 1), auto - 1})
+    for penalty in [*penalties, "auto"]:
+        p = _pair_objective(seed)
+        if penalty != "auto" and penalty < auto - 1:
+            with pytest.raises(InvalidParameter, match="below"):
+                rosenberg_pair(p, 0, 1, penalty=penalty)
+            continue
+        result = rosenberg_pair(p, 0, 1, penalty=penalty)
+        assert check_pointwise(p, result.output, result.aux).passed, (p.terms, penalty)
 
 
 def test_rosenberg_degree_drops():

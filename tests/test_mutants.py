@@ -8,20 +8,27 @@ at k = 5.  The library's verdict on every mutant must equal the naive
 verdict.  A mutant that still passes is not a miss when the naive oracle
 passes it too (penalty slack is a valid output), so the survivors are pinned
 per gadget, degree and operator: a change that adds or removes slack shows
-up as a diff of these tables.
+up as a diff of these tables.  Random objectives routed under every CLI
+preset add a corpus with no pinned table: there only agreement is checked.
 """
 
 import itertools
+import random
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadratizer.cli import STRATEGY_PRESETS, _build_strategy
 from quadratizer.gadgets import GADGETS, MUST_PASS, apply_gadget
-from quadratizer.poly import Polynomial, VariableRegistry
+from quadratizer.pipeline import quadratize
+from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.rewrites import apply_deduc_reduc, apply_elc, find_elcs, find_zero_deductions
 from quadratizer.textio import parse_polynomial
-from quadratizer.verify import Guarantee, check_claim, check_conditional
+from quadratizer.verify import DEFAULT_STATE_CAP, Guarantee, check_claim, check_conditional
 
 from conftest import (
     CUBIC_OBJECTIVE,
@@ -166,3 +173,62 @@ def test_rewrite_mutants_get_the_naive_verdict(kind):
             survivors[operator] += passed
     pinned = {op: pair for (rewrite, op), pair in REWRITE_SURVIVORS.items() if rewrite == kind}
     assert {op: (mutants[op], survivors[op]) for op in mutants} == pinned
+
+
+def _routed_objective(seed):
+    """Up to 5 {0,1} variables and up to 4 terms of degree <= 4, coefficients
+    in -3..3 without 0."""
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    vars = [registry.add_variable(Domain.BOOLEAN) for _ in range(rng.randint(1, 5))]
+    terms = [
+        (tuple((v, 1) for v in rng.sample(vars, rng.randint(0, min(4, len(vars))))),
+         rng.choice((-3, -2, -1, 1, 2, 3)))
+        for _ in range(rng.randint(1, 4))
+    ]
+    return Polynomial(registry, terms)
+
+
+def _pointwise_table(original, output, aux):
+    """(original value, states, output values) per original assignment, over
+    every auxiliary assignment, all by naive_value: the values pointwise_holds
+    compares, computed once so that each mutant re-evaluates only the terms
+    where it differs from the output."""
+    aux = sorted(aux)
+    domains = [output.registry.domain(a).values for a in aux]
+    table = []
+    for x in all_assignments(original):
+        states = [{**x, **dict(zip(aux, combo))} for combo in itertools.product(*domains)]
+        table.append((naive_value(original, x), states, [naive_value(output, s) for s in states]))
+    return table
+
+
+def _pointwise_holds_by_table(table, output, mutant):
+    delta = dict(mutant.terms)
+    for mono, coeff in output.terms.items():
+        delta[mono] = delta.get(mono, 0) - coeff
+    delta = Polynomial(output.registry, delta)
+    return all(
+        min(value + naive_value(delta, state) for state, value in zip(states, values)) == want
+        for want, states, values in table
+    )
+
+
+@pytest.mark.parametrize("preset", sorted(STRATEGY_PRESETS))
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_routed_mutants_get_the_naive_verdict(preset, seed):
+    """Each CLI preset routes a random objective under verify_after (every
+    preset's route is pointwise); the output and each of its coefficient and
+    drop mutants get the naive verdict."""
+    p = _routed_objective(seed)
+    args = SimpleNamespace(strategy=preset, route=None, verify=True,
+                           allow_experimental=False, max_states=DEFAULT_STATE_CAP)
+    result = quadratize(p, _build_strategy(args))
+    assert result.guarantee == Guarantee.POINTWISE_MIN and result.report.passed
+    assert pointwise_holds(p, result.output, result.aux)
+    table = _pointwise_table(p, result.output, result.aux)
+    for operator, mutant in _mutants(result.output, rename_originals=False):
+        passed = check_claim(result.guarantee, p, mutant, result.aux).passed
+        naive = _pointwise_holds_by_table(table, result.output, mutant)
+        assert passed == naive, (preset, operator, p.terms, mutant.terms)

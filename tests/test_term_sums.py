@@ -44,6 +44,7 @@ from quadratizer.poly import (
     Domain,
     Polynomial,
     VariableRegistry,
+    _as_fraction,
     _require_boolean,
     monomial_degree,
     monomial_vars,
@@ -338,6 +339,155 @@ def test_ternary_to_binary_matches_reference():
 
 
 # ---------------------------------------------------------------------------
+# Constructors and affine images, against the arithmetic that built them
+# before `from_products` did
+
+
+def _ref_constant(registry, value):
+    return Polynomial(registry, {(): _as_fraction(value)})
+
+
+def _ref_variable(registry, var):
+    registry.entry(var)
+    return Polynomial(registry, {((var, 1),): Fraction(1)})
+
+
+def _ref_product(registry, vars, coeff=1):
+    if len(set(vars)) != len(vars):
+        raise ValueError("product() expects distinct variables")
+    return Polynomial(registry, {tuple(sorted((v, 1) for v in vars)): _as_fraction(coeff)})
+
+
+def _ref_minus(p, other):
+    if isinstance(other, (int, Fraction)):
+        other = _ref_constant(p.registry, other)
+    return p + (-other)
+
+
+def _ref_affine_flip(p, vars):
+    mask = frozenset(vars)
+    _require_boolean(p.registry, mask)
+    for var in sorted(mask):
+        one = _ref_constant(p.registry, 1)
+        p = p.substitute(var, _ref_minus(one, _ref_variable(p.registry, var)))
+    return p, mask
+
+
+def _ref_affine_convert(p, source, target):
+    support = p.variables()
+    for var in support:
+        if p.registry.domain(var) is not source:
+            raise DomainViolation(f"variable {var} is not a {source.tag!r} variable")
+    result = p
+    for var in support:
+        z = _ref_variable(p.registry, p.registry.twin(var, target))
+        if target is Domain.SPIN:
+            image = (z + _ref_constant(p.registry, 1)).scale(Fraction(1, 2))
+        else:
+            image = _ref_minus(z.scale(2), 1)
+        result = result.substitute(var, image)
+    return result
+
+
+def _ref_ternary_to_binary(p, t, lam):
+    registry = p.registry
+    if registry.domain(t) is not Domain.TERNARY:
+        raise DomainViolation(f"variable {t} is not ternary")
+    lam = Fraction(lam)
+    if lam <= 0:
+        raise InvalidParameter(f"lam must be positive, got {lam}")
+    if t not in p.variables():
+        return p
+    z1 = registry.add_auxiliary(Domain.SPIN, "ternary_to_binary")
+    z2 = registry.add_auxiliary(Domain.SPIN, "ternary_to_binary")
+    z1p, z2p = _ref_variable(registry, z1), _ref_variable(registry, z2)
+    replaced = p.substitute(t, (z1p + z2p).scale(Fraction(1, 2)))
+    return _ref_minus(replaced, _ref_minus(z1p * z2p + z1p, z2p).scale(lam))
+
+
+# name -> (call, reference call), each on (polynomial, drawn arguments)
+AFFINE_CALLS = {
+    "constant": (
+        lambda p, a: Polynomial.constant(p.registry, a["number"]),
+        lambda p, a: _ref_constant(p.registry, a["number"]),
+    ),
+    "variable": (
+        lambda p, a: Polynomial.variable(p.registry, a["var"]),
+        lambda p, a: _ref_variable(p.registry, a["var"]),
+    ),
+    "product": (
+        lambda p, a: Polynomial.product(p.registry, a["vars"], a["number"]),
+        lambda p, a: _ref_product(p.registry, a["vars"], a["number"]),
+    ),
+    "minus": (lambda p, a: p - a["exact"], lambda p, a: _ref_minus(p, a["exact"])),
+    "flip": (lambda p, a: p.flip(a["vars"]), lambda p, a: _ref_affine_flip(p, a["vars"])),
+    "to_spin": (
+        lambda p, a: p.to_spin(),
+        lambda p, a: _ref_affine_convert(p, Domain.BOOLEAN, Domain.SPIN),
+    ),
+    "to_boolean": (
+        lambda p, a: p.to_boolean(),
+        lambda p, a: _ref_affine_convert(p, Domain.SPIN, Domain.BOOLEAN),
+    ),
+    "ternary_to_binary": (
+        lambda p, a: ternary_to_binary(p, a["var"], a["lam"], verify=False),
+        lambda p, a: _ref_ternary_to_binary(p, a["var"], a["lam"]),
+    ),
+}
+
+
+def _affine_case(seed):
+    """A polynomial over {0,1}, spin or ternary variables (one domain or
+    several) and the arguments drawn for it, some invalid: an id outside the
+    registry, a repeated variable, a float, a non-positive lam."""
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    alphabet = rng.choice(("b", "z", "t", "bt", "bzt"))
+    tags = [rng.choice(alphabet) for _ in range(rng.randint(1, 5))]
+    vars = [registry.add_variable(Domain.from_tag(tag)) for tag in tags]
+    ternary = {v for v in vars if registry.domain(v) is Domain.TERNARY}
+    p = Polynomial(registry, _terms(rng, vars, rng.randint(0, 10), 4, ternary))
+    ids = range(-1, len(vars) + 1)  # -1 and len(vars) are not variables
+    exact = rng.choice((0, 1, -1, 3, Fraction(1, 2), Fraction(-7, 3), _coefficient(rng)))
+    args = {
+        "exact": exact,
+        "number": rng.choice((exact, exact, 1.5)),
+        "var": rng.choice(ids) if rng.random() < 0.2 else rng.choice(vars),
+        "vars": [rng.choice(vars) for _ in range(rng.randint(0, 4))]
+        + [rng.choice(ids)] * (rng.random() < 0.2),
+        "lam": rng.choice((-1, 0, Fraction(1, 2), 3, 10)),
+    }
+    return p, args
+
+
+def _affine_outcome(call, p, args):
+    """What `call` returns (terms in dict order, and flip's mask) or raises,
+    and the registry it leaves behind."""
+    try:
+        value = call(p, args)
+    except Exception as error:
+        value = (type(error), str(error))
+    else:
+        value = (_items(value[0]), value[1]) if isinstance(value, tuple) else _items(value)
+    return value, _registry_rows(p.registry)
+
+
+@given(SEEDS, st.sampled_from(sorted(AFFINE_CALLS)))
+@settings(max_examples=300, deadline=None)
+def test_constructors_and_affine_images_match_reference(seed, name):
+    call, ref_call = AFFINE_CALLS[name]
+    p, args = _affine_case(seed)
+    expected, _ = _affine_case(seed)
+    assert _affine_outcome(call, p, args) == _affine_outcome(ref_call, expected, args)
+
+
+def test_subtracting_a_float_names_the_minus_operator():
+    p = parse_polynomial("b1 b2 + 1")
+    with pytest.raises(TypeError, match="for -: 'Polynomial' and 'float'"):
+        p - 1.5
+
+
+# ---------------------------------------------------------------------------
 # flip_to_submodular
 
 
@@ -438,21 +588,17 @@ def test_rosenberg_pair_matches_reference(seed):
     expected, _, _ = _rosenberg_case(seed)
     if pair is None:
         return
+    if penalty != "auto" and penalty < rosenberg_auto_penalty(p, *pair) - 1:
+        # below the sum of |c| over the terms holding the pair: refused, and
+        # before an auxiliary is allocated
+        with pytest.raises(InvalidParameter, match="below"):
+            rosenberg_pair(p, *pair, penalty=penalty)
+        assert _registry_rows(p.registry) == _registry_rows(expected.registry)
+        return
     got = rosenberg_pair(p, *pair, penalty=penalty)
     ref = _ref_rosenberg_pair(expected, *pair, penalty=penalty)
     assert _gadget_rows(got) == _gadget_rows(ref)
     assert _registry_rows(p.registry) == _registry_rows(expected.registry)
-
-
-def test_rosenberg_pair_penalty_cancels_a_rewritten_term():
-    # b1 b2 -> ba turns -6 b1 b2 into -6 ba, which the penalty's 3*2 ba cancels
-    text = "b1 b2 b3 - 6 b1 b2 + b3"
-    got_p, ref_p = parse_polynomial(text), parse_polynomial(text)
-    b1, b2 = got_p.registry.by_label("b1"), got_p.registry.by_label("b2")
-    got = rosenberg_pair(got_p, b1, b2, penalty=2)
-    ref = _ref_rosenberg_pair(ref_p, b1, b2, penalty=2)
-    assert _gadget_rows(got) == _gadget_rows(ref)
-    assert ((got.aux[0], 1),) not in got.output.terms
 
 
 @pytest.mark.parametrize(
