@@ -4,9 +4,11 @@ lives in verify, next to the gate that proves each label."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Callable, Optional
 
-from ..poly import Domain, Polynomial
+from ..errors import DomainViolation, QuadratizerError, WrongDegree, WrongSign
+from ..poly import Domain, Monomial, Polynomial
 from ..verify import Guarantee  # re-exported: the gadget modules import it from here
 
 
@@ -28,9 +30,9 @@ EXPERIMENTAL = "experimental"
 class GadgetDescriptor:
     """Catalog entry: when a gadget applies, what it is said to cost, and its applier.
 
-    It takes degrees min_degree..max_degree (None: unbounded), only odd ones if
-    odd_only.  Routing (applies_to), degrees_up_to and a direct call
-    (single_term._inputs) all read that rule from degree_error."""
+    rejection is the one statement of which terms the row takes: routing
+    (pipeline._pick_gadget) takes the first route row that does not reject a
+    term, and a direct call (single_term._inputs) raises the rejection."""
 
     name: str
     sign: str  # "negative" | "positive" | "any"
@@ -54,12 +56,31 @@ class GadgetDescriptor:
             return f"{self.name} is stated for odd k only"
         return None
 
-    def applies_to(self, coefficient_sign: int, degree: int, domain: Domain) -> bool:
-        if self.sign == "negative" and coefficient_sign >= 0:
-            return False
-        if self.sign == "positive" and coefficient_sign <= 0:
-            return False
-        return domain is self.domain and self.degree_error(degree) is None
+    def sign_error(self, coeff) -> Optional[str]:
+        """Why the row rejects a term with this coefficient, or None if it accepts it."""
+        coeff = Fraction(coeff)
+        if self.sign == "negative" and coeff >= 0:
+            return f"expected a negative coefficient, got {coeff}"
+        if self.sign == "positive" and coeff <= 0:
+            return f"expected a positive coefficient, got {coeff}"
+        return None if coeff else "coefficient must be nonzero"
+
+    def rejection(self, coeff, mono: Monomial, registry) -> Optional[QuadratizerError]:
+        """The error a direct call raises for the term coeff*mono, or None if
+        the row accepts it.  Checked in order: each variable's exponent, then
+        its domain; a repeated variable (a power too); the sign; the degree."""
+        for var, exp in mono:
+            if exp != 1:
+                return DomainViolation("gadget monomials use each variable once")
+            if registry.domain(var) is not self.domain:
+                return DomainViolation(f"variable {var} is not in the {self.domain.tag!r} domain")
+        if len({var for var, _ in mono}) != len(mono):
+            return DomainViolation("gadget monomials use each variable once")
+        error = self.sign_error(coeff)
+        if error:
+            return WrongSign(error)
+        error = self.degree_error(len(mono))
+        return WrongDegree(error) if error else None
 
     def degrees_up_to(self, cap: int) -> list[int]:
         return [k for k in range(self.min_degree, cap + 1) if self.degree_error(k) is None]

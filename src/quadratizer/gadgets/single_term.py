@@ -21,14 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import (
-    DomainViolation,
-    InvalidParameter,
-    UnknownGadget,
-    VerificationFailed,
-    WrongDegree,
-    WrongSign,
-)
+from ..errors import InvalidParameter, UnknownGadget, VerificationFailed, WrongSign
 from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
 from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
@@ -38,33 +31,12 @@ POINTWISE, GROUND = Guarantee.POINTWISE_MIN, Guarantee.GROUND_STATE
 
 
 def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
-    """Check one term against the named gadget's catalog row (domain, sign,
-    degree rule) and return (sorted variables, coefficient, degree)."""
-    row = GADGETS[name]
-    vars = sorted(var for var, _ in mono)
-    for var, exp in mono:
-        if exp != 1:
-            raise DomainViolation("gadget monomials use each variable once")
-        if registry.domain(var) is not row.domain:
-            raise DomainViolation(f"variable {var} is not in the {row.domain.tag!r} domain")
-    if len(set(vars)) != len(vars):  # a repeated factor is a power too
-        raise DomainViolation("gadget monomials use each variable once")
-    coeff = _check_sign(coeff, row.sign)
-    error = row.degree_error(len(mono))
-    if error:
-        raise WrongDegree(error)
-    return vars, coeff, len(mono)
-
-
-def _check_sign(coeff: Fraction, want: str) -> Fraction:
-    coeff = Fraction(coeff)
-    if want == "negative" and coeff >= 0:
-        raise WrongSign(f"expected a negative coefficient, got {coeff}")
-    if want == "positive" and coeff <= 0:
-        raise WrongSign(f"expected a positive coefficient, got {coeff}")
-    if not coeff:
-        raise WrongSign("coefficient must be nonzero")
-    return coeff
+    """Raise the named gadget's catalog rejection of the term, if any, and
+    return (sorted variables, coefficient, degree)."""
+    error = GADGETS[name].rejection(coeff, mono, registry)
+    if error is not None:
+        raise error
+    return sorted(var for var, _ in mono), Fraction(coeff), len(mono)
 
 
 def _result(name, registry, output, aux, guarantee, coeff, vars) -> GadgetResult:
@@ -219,7 +191,10 @@ def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> 
     This is the generalized flipped form that keeps the output submodular in
     the flipped literals; the pipeline uses it for odd-degree split tails.
     """
-    coeff = _check_sign(coeff, "negative")
+    error = GADGETS["ntr_kzfd"].sign_error(coeff)
+    if error:
+        raise WrongSign(error)
+    coeff = Fraction(coeff)
     pos_vars, neg_vars = sorted(pos_vars), sorted(neg_vars)
     vars = pos_vars + neg_vars
     if len(set(vars)) != len(vars) or not vars:

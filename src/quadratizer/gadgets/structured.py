@@ -124,11 +124,12 @@ def exact_c_indicator(spec: ExactCSpec, vars, registry: VariableRegistry) -> Pol
     """
     if len(vars) != spec.n:
         raise InvalidParameter(f"expected {spec.n} variables")
-    return Polynomial.from_products(registry, _exact_c_products(spec, vars))
+    return Polynomial.from_products(registry, _exact_c_products(spec, vars, registry))
 
 
-def _exact_c_products(spec: ExactCSpec, vars):
+def _exact_c_products(spec: ExactCSpec, vars, registry: VariableRegistry):
     vars = _distinct(vars)
+    _require_boolean(registry, vars)
     for j in range(spec.c, spec.n + 1):
         weight = Fraction((-1) ** (j - spec.c) * comb(j, spec.c)) * spec.gamma
         for subset in itertools.combinations(vars, j):
@@ -178,7 +179,7 @@ def _czw_target(bias, vars, registry: VariableRegistry) -> Polynomial:
         term
         for j, beta in enumerate(bias, start=1) if beta
         for s in range(0, j)
-        for term in _exact_c_products(ExactCSpec(n=4, c=s, gamma=beta), vars)
+        for term in _exact_c_products(ExactCSpec(n=4, c=s, gamma=beta), vars, registry)
     ])
 
 

@@ -134,20 +134,16 @@ def _apply_multi_term(work, aux_map, guarantee, strategy):
 
 
 def _pick_gadget(registry, mono, coeff, strategy) -> str:
-    """The first gadget on the term's route whose catalog row accepts the term."""
+    """The first gadget on the term's route whose catalog row does not reject the term."""
+    for name in strategy.positive_route if coeff > 0 else strategy.negative_route:
+        if GADGETS[name].rejection(coeff, mono, registry) is None:
+            return name
     domains = {registry.domain(v) for v in monomial_vars(mono)}
     if len(domains) != 1:
         raise NoApplicableGadget("no gadget accepts monomials mixing variable domains")
-    domain = domains.pop()
-    degree = monomial_degree(mono)
-    sign = 1 if coeff > 0 else -1
-    route = strategy.positive_route if sign > 0 else strategy.negative_route
-    for name in route:
-        if GADGETS[name].applies_to(sign, degree, domain):
-            return name
     raise NoApplicableGadget(
-        f"no routed gadget accepts a degree-{degree} {domain.tag!r} term "
-        f"with coefficient {coeff}"
+        f"no routed gadget accepts a degree-{monomial_degree(mono)} {domains.pop().tag!r} "
+        f"term with coefficient {coeff}"
     )
 
 

@@ -13,6 +13,7 @@ pipeline's routing loop with the default routes.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -120,11 +121,12 @@ def find_elcs(
 
 
 def _elc_penalty(registry, config: PartialAssignment) -> Polynomial:
-    penalty = Polynomial.constant(registry, 1)
-    for var in sorted(config):
-        b = Polynomial.variable(registry, var)
-        penalty = penalty * (b if config[var] == 1 else (1 - b))
-    return penalty
+    """prod(b if set to 1 else 1 - b) over the configuration, expanded in one pass."""
+    literals = ([((v,), 1)] if config[v] == 1 else [((v,), -1), ((), 1)] for v in sorted(config))
+    return Polynomial.from_products(registry, (
+        (sum((vars for vars, _ in choice), ()), math.prod(c for _, c in choice))
+        for choice in itertools.product(*literals)
+    ))
 
 
 def apply_elc(

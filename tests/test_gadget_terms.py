@@ -27,6 +27,7 @@ from quadratizer.errors import (
     PairAbsent,
     VerificationFailed,
     WrongDegree,
+    WrongSign,
 )
 from quadratizer.gadgets import multi_term, single_term, structured
 from quadratizer.gadgets.base import GADGETS, GadgetResult, Guarantee
@@ -36,7 +37,7 @@ from quadratizer.gadgets.multi_term import (
     discover_fgbz_groups,
     rosenberg_auto_penalty,
 )
-from quadratizer.gadgets.single_term import _bcr3_m, _bcr4_m, _check_sign, _inputs, _result
+from quadratizer.gadgets.single_term import _bcr3_m, _bcr4_m, _inputs, _result
 from quadratizer.gadgets.structured import (
     CZW_PRESETS,
     ExactCSpec,
@@ -145,8 +146,19 @@ def _ref_ntr_rbl(coeff, mono, registry):
     return _result("ntr_rbl", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
+def _ref_check_sign(coeff, want):
+    coeff = Fraction(coeff)
+    if want == "negative" and coeff >= 0:
+        raise WrongSign(f"expected a negative coefficient, got {coeff}")
+    if want == "positive" and coeff <= 0:
+        raise WrongSign(f"expected a positive coefficient, got {coeff}")
+    if not coeff:
+        raise WrongSign("coefficient must be nonzero")
+    return coeff
+
+
 def _ref_ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry):
-    coeff = _check_sign(coeff, "negative")
+    coeff = _ref_check_sign(coeff, "negative")
     pos_vars, neg_vars = sorted(pos_vars), sorted(neg_vars)
     vars = pos_vars + neg_vars
     if len(set(vars)) != len(vars) or not vars:

@@ -9,7 +9,8 @@ verdict.  A mutant that still passes is not a miss when the naive oracle
 passes it too (penalty slack is a valid output), so the survivors are pinned
 per gadget, degree and operator: a change that adds or removes slack shows
 up as a diff of these tables.  Random objectives routed under every CLI
-preset add a corpus with no pinned table: there only agreement is checked.
+preset add a corpus with no pinned table: there only agreement is checked,
+and renames move auxiliaries only.
 """
 
 import itertools
@@ -219,8 +220,8 @@ def _pointwise_holds_by_table(table, output, mutant):
 @settings(max_examples=40, deadline=None)
 def test_routed_mutants_get_the_naive_verdict(preset, seed):
     """Each CLI preset routes a random objective under verify_after (every
-    preset's route is pointwise); the output and each of its coefficient and
-    drop mutants get the naive verdict."""
+    preset's route is pointwise); the output and each of its coefficient,
+    drop and auxiliary-rename mutants get the naive verdict."""
     p = _routed_objective(seed)
     args = SimpleNamespace(strategy=preset, route=None, verify=True,
                            allow_experimental=False, max_states=DEFAULT_STATE_CAP)
@@ -228,7 +229,7 @@ def test_routed_mutants_get_the_naive_verdict(preset, seed):
     assert result.guarantee == Guarantee.POINTWISE_MIN and result.report.passed
     assert pointwise_holds(p, result.output, result.aux)
     table = _pointwise_table(p, result.output, result.aux)
-    for operator, mutant in _mutants(result.output, rename_originals=False):
+    for operator, mutant in _mutants(result.output, result.aux, rename_originals=False):
         passed = check_claim(result.guarantee, p, mutant, result.aux).passed
         naive = _pointwise_holds_by_table(table, result.output, mutant)
         assert passed == naive, (preset, operator, p.terms, mutant.terms)

@@ -13,6 +13,7 @@ from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
     Deduction,
     _cofactor,
+    _elc_penalty,
     apply_deduc_reduc,
     apply_elc,
     elc_cancel,
@@ -303,6 +304,30 @@ def test_solve_by_splitting_rejects_spin():
     p = Polynomial.product(registry, zs)
     with pytest.raises(DomainViolation):
         solve_by_splitting(p)
+
+
+def _ref_elc_penalty(registry, config):
+    """The configuration's indicator as it was built, one literal at a time."""
+    penalty = Polynomial.constant(registry, 1)
+    for var in sorted(config):
+        b = Polynomial.variable(registry, var)
+        penalty = penalty * (b if config[var] == 1 else (1 - b))
+    return penalty
+
+
+@given(st.permutations(range(10)), st.integers(1, 10),
+       st.lists(st.sampled_from((0, 1)), min_size=10, max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_elc_penalty_matches_the_literal_products(ids, k, values):
+    """Up to 10 configured variables, keyed in random id order: the one-pass
+    expansion gives the literal-by-literal product's terms in dict order."""
+    registry = VariableRegistry()
+    for _ in range(10):
+        registry.add_variable(Domain.BOOLEAN)
+    config = dict(zip(ids[:k], values))
+    assert list(_elc_penalty(registry, config).terms.items()) == list(
+        _ref_elc_penalty(registry, config).terms.items()
+    )
 
 
 def _ref_cofactor(p, mono):

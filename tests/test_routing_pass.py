@@ -21,6 +21,15 @@ from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_degr
 from quadratizer.textio import parse_polynomial
 
 
+def _ref_applies_to(row, coefficient_sign, degree, domain):
+    """The earlier routing rule of a catalog row, kept as it was."""
+    if row.sign == "negative" and coefficient_sign >= 0:
+        return False
+    if row.sign == "positive" and coefficient_sign <= 0:
+        return False
+    return domain is row.domain and row.degree_error(degree) is None
+
+
 def _term_domain(p, mono):
     domains = {p.registry.domain(v) for v in monomial_vars(mono)}
     return domains.pop() if len(domains) == 1 else None
@@ -48,7 +57,7 @@ def _route_term(work, mono, coeff, strategy, aux_map, guarantee):
         return _route_odd_split(work, mono, coeff, strategy, aux_map, guarantee)
     route = strategy.positive_route if sign > 0 else strategy.negative_route
     for name in route:
-        if GADGETS[name].applies_to(sign, degree, domain):
+        if _ref_applies_to(GADGETS[name], sign, degree, domain):
             result = apply_gadget(name, coeff, mono, registry, strategy.max_states)
             work = work - Polynomial(registry, {mono: coeff})
             return _merge((work, aux_map, guarantee), result)
@@ -63,7 +72,7 @@ def _route_odd_split(work, mono, coeff, strategy, aux_map, guarantee):
     head_mono = tuple((v, 1) for v in head_vars)
     if len(head_vars) >= 3:
         for name in strategy.positive_route:
-            if GADGETS[name].applies_to(1, len(head_vars), Domain.BOOLEAN):
+            if _ref_applies_to(GADGETS[name], 1, len(head_vars), Domain.BOOLEAN):
                 result = apply_gadget(name, coeff, head_mono, registry, strategy.max_states)
                 break
         else:

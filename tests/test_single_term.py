@@ -38,7 +38,7 @@ from quadratizer.gadgets.base import GADGETS, MUST_PASS, Guarantee
 from quadratizer.gadgets import single_term
 from quadratizer.gadgets.single_term import apply_gadget
 from quadratizer.pipeline import Strategy, quadratize
-from quadratizer.poly import Domain, Polynomial, VariableRegistry
+from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_degree
 from quadratizer.textio import parse_polynomial
 from quadratizer.verify import check_groundstate, check_pointwise, enumerate_min
 
@@ -416,27 +416,69 @@ def test_every_row_has_an_aux_formula():
     assert sorted(name for name, _ in AUX_FORMULAS) == sorted(GADGETS)
 
 
+def _ref_applies_to(row, coefficient_sign, degree, domain):
+    """The earlier routing rule of a catalog row, kept as it was."""
+    if row.sign == "negative" and coefficient_sign >= 0:
+        return False
+    if row.sign == "positive" and coefficient_sign <= 0:
+        return False
+    return domain is row.domain and row.degree_error(degree) is None
+
+
+def _ref_routes(row, coeff, mono, registry):
+    """The earlier routing decision for one row: the term holds one domain,
+    and _ref_applies_to accepts its sign, degree and domain."""
+    domains = {registry.domain(v) for v, _ in mono}
+    sign = 1 if coeff > 0 else -1
+    return len(domains) == 1 and _ref_applies_to(row, sign, monomial_degree(mono), domains.pop())
+
+
 @pytest.mark.parametrize("name,formula", AUX_FORMULAS)
 def test_aux_counts_match_descriptors(name, formula):
-    """For both signs and k = 1..10, routing's rule (applies_to) accepts a
-    term exactly when the row's applier does, and each accepted call makes
-    the row's aux_count(k) auxiliaries, tagged with its name, under its
-    guarantee."""
+    """For both signs and k = 1..10, the earlier routing rule accepts a term
+    exactly when the row's rejection is None and its applier builds it, and
+    each accepted call makes the row's aux_count(k) auxiliaries, tagged with
+    its name, under its guarantee.
+
+    Both rules refuse a mixed-domain term, a foreign-domain term and a
+    squared ternary factor (the one squared factor a polynomial can hold).
+    A squared factor in the row's own domain never reaches routing, since a
+    polynomial reduces b^2 to b and z^2 to 1; the rejection refuses it as a
+    direct call does."""
     descriptor = GADGETS[name]
     for sign in (-1, 1):
         for k in range(1, 11):
             registry = VariableRegistry()
             mono = tuple((registry.add_variable(descriptor.domain), 1) for _ in range(k))
-            routed = descriptor.applies_to(sign, k, descriptor.domain)
+            routed = _ref_routes(descriptor, Fraction(sign), mono, registry)
+            rejection = descriptor.rejection(Fraction(sign), mono, registry)
+            assert routed == (rejection is None), (sign, k)
             try:
                 result = descriptor.apply(Fraction(sign), mono, registry)
-            except (WrongSign, WrongDegree):
+            except (WrongSign, WrongDegree) as error:
                 assert not routed, (sign, k)
+                assert (type(error), str(error)) == (type(rejection), str(rejection))
                 continue
             assert routed, (sign, k)
             assert len(result.aux) == formula(k) == descriptor.aux_count(k)
             assert [registry.entry(a).gadget for a in result.aux] == [name] * len(result.aux)
             assert result.guarantee == descriptor.guarantee
+
+    coeff = Fraction(1 if descriptor.sign == "positive" else -1)
+    k = next(d for d in descriptor.degrees_up_to(10) if d >= 3)
+    other = Domain.SPIN if descriptor.domain is Domain.BOOLEAN else Domain.BOOLEAN
+    registry = VariableRegistry()
+    own = [registry.add_variable(descriptor.domain) for _ in range(k)]
+    foreign = [registry.add_variable(other) for _ in range(k)]
+    ternary = [registry.add_variable(Domain.TERNARY) for _ in range(k - 1)]
+    mixed = tuple((v, 1) for v in own[:-1] + foreign[-1:])
+    squared_ternary = ((ternary[0], 2), *((v, 1) for v in ternary[1:]))
+    for mono in (mixed, tuple((v, 1) for v in foreign), squared_ternary):
+        assert not _ref_routes(descriptor, coeff, mono, registry)
+        assert isinstance(descriptor.rejection(coeff, mono, registry), DomainViolation)
+    squared_own = ((own[0], 2), *((v, 1) for v in own[1:-1]))
+    error = descriptor.rejection(coeff, squared_own, registry)
+    assert (type(error), str(error)) == (DomainViolation, "gadget monomials use each variable once")
 
 
 def test_submodularity_counts_kzfd_vs_abcg():
@@ -728,3 +770,31 @@ def test_apply_gadget_rejects_an_unknown_name():
     mono = tuple((registry.add_variable(Domain.BOOLEAN), 1) for _ in range(3))
     with pytest.raises(UnknownGadget, match="no gadget named 'nonsense'"):
         apply_gadget("nonsense", 1, mono, registry)
+
+
+THIRTY_DIGITS = Fraction(123456789012345678901234567891, 98765432109876543210987654323)
+
+
+@pytest.mark.parametrize("c", [Fraction(1), Fraction(3), Fraction(7, 3), THIRTY_DIGITS])
+@pytest.mark.parametrize("form,twin,twin_sign,domain,k", [
+    ("ptr_bcr2", "ptr_bcr4", 1, Domain.BOOLEAN, 4),
+    ("ptr_rbl_3to2", "ntr_rbl", -1, Domain.SPIN, 3),
+    ("ptr_rbl_4to2", "ntr_lhz_z", -1, Domain.SPIN, 4),
+])
+def test_experimental_rows_repeat_another_row(c, form, twin, twin_sign, domain, k):
+    """Three experimental rows build another row's output term for term (in
+    dict order, with the same auxiliaries and label): ptr_bcr2 at k = 4 is
+    the must-pass ptr_bcr4 at k = 4, with one auxiliary and pointwise-min,
+    and the two positive spin forms are their negative twins' formulas with
+    the sign not flipped, ptr_rbl_3to2(c) = ntr_rbl(-c) and
+    ptr_rbl_4to2(c) = ntr_lhz_z(-c)."""
+    results = []
+    for name, coeff in ((form, c), (twin, twin_sign * c)):
+        registry = VariableRegistry()
+        mono = tuple((registry.add_variable(domain), 1) for _ in range(k))
+        result = GADGETS[name].apply(coeff, mono, registry)
+        domains = [registry.domain(a) for a in result.aux]
+        results.append((list(result.output.terms.items()), result.aux, domains, result.guarantee))
+    assert results[0] == results[1]
+    if form == "ptr_bcr2":
+        assert len(results[0][1]) == 1 and results[0][3] == Guarantee.POINTWISE_MIN

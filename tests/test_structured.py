@@ -350,3 +350,17 @@ def test_exact_c_indicator_rejects_wrong_variable_count():
         exact_c_indicator(ExactCSpec(3, 1), ids[:2], registry)
     target = exact_c_indicator(ExactCSpec(3, 1), ids, registry)
     assert target.evaluate(dict.fromkeys(ids, 1)) == 0
+
+
+@pytest.mark.parametrize("domain", [Domain.SPIN, Domain.TERNARY])
+def test_exact_c_indicator_rejects_variables_outside_zero_one(domain):
+    """Over z1..z3 the expansion is no indicator (it ranges from -12 to 4), so
+    a variable outside {0,1} is refused; a repeated variable still raises
+    first."""
+    registry = VariableRegistry()
+    bs = [registry.add_variable(Domain.BOOLEAN) for _ in range(2)]
+    other = registry.add_variable(domain)
+    with pytest.raises(DomainViolation, match=r"^variable 2 is not a \{0,1\} variable$"):
+        exact_c_indicator(ExactCSpec(3, 1), [other, *bs], registry)
+    with pytest.raises(ValueError, match="distinct"):
+        exact_c_indicator(ExactCSpec(3, 1), [other, other, bs[0]], registry)
