@@ -161,9 +161,14 @@ def _cmd_verify(args):
     aux = [] if args.aux else registry.auxiliaries()
     for token in filter(None, map(str.strip, args.aux.split(","))):
         var = registry.by_label(token)
-        if var is None and not token.isdigit():
+        if var is None and token.isdigit():
+            try:
+                var = int(token)
+            except ValueError:  # a digit int() does not read, or too many of them
+                pass
+        if var is None:
             raise SchemaError(f"unknown auxiliary {token!r}")
-        aux.append(int(token) if var is None else var)
+        aux.append(var)
     report = check_claim(VERIFY_MODES[args.mode], original, transformed, aux, args.max_states)
     stats = report.stats
     payload = {"mode": report.mode, "passed": report.passed, "states": stats.states_enumerated,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from ..errors import InvalidParameter, UnknownGadget, VerificationFailed, WrongSign
+from ..errors import InvalidParameter, UnknownGadget, VerificationFailed, WrongDegree, WrongSign
 from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
 from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
@@ -442,12 +442,15 @@ def apply_gadget(
     """Apply a cataloged single-term gadget by name.
 
     Terms of degree <= 2 are returned unchanged with zero auxiliaries (the
-    identity is the only safe rewrite there).  Experimental gadgets are
-    oracle-gated on the spot.
+    identity is the only safe rewrite there), once the row accepts all but
+    their degree.  Experimental gadgets are oracle-gated on the spot.
     """
     if name not in GADGETS:
         raise UnknownGadget(f"no gadget named {name!r}")
     if monomial_degree(mono) <= 2:
+        error = GADGETS[name].rejection(coeff, mono, registry)
+        if error is not None and not isinstance(error, WrongDegree):
+            raise error
         return GadgetResult(
             output=Polynomial(registry, {mono: Fraction(coeff)}),
             aux=(),

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
@@ -47,7 +48,13 @@ def _parse_error(message: str, text: str, offset: int) -> ParseError:
 def _tokenize(text: str):
     """The names of `text`'s variables, and a generator of its non-space tokens
     as (kind, value, offset).  Two scans, no token list: the first collects the
-    names and raises at the first bad character, before any grammar error."""
+    names and raises at the first bad character, before any grammar error.  An
+    integer with more digits than int() reads (sys.get_int_max_str_digits())
+    raises before both."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = limit and re.search(r"\d{%d}" % (limit + 1), text)
+    if digits:
+        raise _parse_error(f"integer longer than {limit} digits", text, digits.start())
     names = set()
     for m in _TOKEN.finditer(text):
         if m.lastgroup == "var":
@@ -256,7 +263,7 @@ def _registry(pairs, default_domain: str) -> VariableRegistry:
 def _load_json(text: str):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as error:
+    except (ValueError, RecursionError) as error:  # a decode error, an int too long, too deep
         raise SchemaError(f"invalid JSON: {error}") from None
 
 

@@ -13,8 +13,11 @@ coefficients of the fast ones go on an exponent grid, and one small
 transform per axis, ``out[v] = sum_e v**e * in[e]`` (a zeta transform for
 {0,1}), turns the grid into values.  Every domain value is -1, 0 or 1, so each
 transform is only additions and subtractions.  Coefficients are pre-scaled by
-the common denominator, so the arithmetic runs on exact Python ints, and the
-consumers below fold blocks as they arrive instead of holding the whole space.
+the common denominator, so the arithmetic runs on exact Python ints.
+
+Above the kernel sit one fold and one compare.  ``_fold`` takes the minimum
+over the auxiliaries per original state, and ``_check`` compares it with the
+original for the four global checks, consuming blocks as they arrive.
 """
 
 from __future__ import annotations
@@ -260,29 +263,24 @@ def _split_vars(original: Polynomial, transformed: Polynomial, aux: Sequence[int
     allowed = set(x_vars) | set(aux)
     extra = [v for v in transformed.variables() if v not in allowed]
     if extra:
-        raise VariableMismatch(
-            f"transformed polynomial uses unexpected variables {extra}"
-        )
+        raise VariableMismatch(f"transformed polynomial uses unexpected variables {extra}")
     return x_vars, aux
 
 
-def _folded_minima(
-    original: Polynomial, transformed: Polynomial, aux: Sequence[int], max_states: int
-):
-    """min over auxiliary assignments of transformed, per original state.
-
-    Returns (original variables, states enumerated, scale, folded minima).
-    The auxiliaries vary slowest, so state i of the full space belongs to
-    original state i mod |x-space|.  A block holding several whole copies of
-    the x-space is first folded within itself with strided slices; then each
-    block is folded into one x-space-sized list with elementwise min.
-    """
-    x_vars, aux = _split_vars(original, transformed, aux)
-    registry = original.registry
-    size = _state_count(registry, x_vars)
-    n_states, scale = _space(registry, x_vars + aux, max_states, original, transformed)
+def _fold(transformed: Polynomial, x_vars: Sequence[int], aux: Sequence[int], scale: int):
+    """min over `aux` of `transformed` per state of `x_vars`, as (first
+    state index, values) blocks in state order: the kernel's own stream when
+    there are no auxiliaries, else one block.  The auxiliaries vary slowest,
+    so state i of the full space belongs to state i mod |x-space|.  A block
+    holding several whole copies of the x-space is first folded within
+    itself with strided slices; then each block is folded into one
+    x-space-sized list with elementwise min."""
+    blocks = _blocks(transformed, [*x_vars, *aux], scale)
+    if not aux:
+        return blocks
+    size = _state_count(transformed.registry, x_vars)
     folded: list = []
-    for first, values in _blocks(transformed, x_vars + aux, scale):
+    for first, values in blocks:
         if len(values) > size:
             values = [min(values[j::size]) for j in range(size)]
         if first < size:
@@ -291,7 +289,7 @@ def _folded_minima(
             offset = first % size
             end = offset + len(values)
             folded[offset:end] = map(min, folded[offset:end], values)
-    return x_vars, n_states, scale, folded
+    return [(0, folded)]
 
 
 def _first_difference(want: list, got: list) -> Optional[int]:
@@ -301,19 +299,49 @@ def _first_difference(want: list, got: list) -> Optional[int]:
 def _report(mode, counterexample, n_states, low_original, low_transformed, scale=1):
     """The verdict: passed exactly when there is no counterexample.  The
     minima are exact values times `scale`."""
-    stats = CheckStats(
-        states_enumerated=n_states,
-        min_original=Fraction(low_original, scale),
-        min_transformed=Fraction(low_transformed, scale),
-    )
+    stats = CheckStats(n_states, Fraction(low_original, scale), Fraction(low_transformed, scale))
     return VerificationReport(mode, counterexample is None, counterexample, stats)
 
 
-def _argmin_mismatch(registry, vars, argmin_original, argmin_transformed):
-    """The state with the lowest index in exactly one of the two argmin
-    sets, or None when they are equal."""
-    index = min(set(argmin_original) ^ set(argmin_transformed), default=None)
-    return None if index is None else _state_assignment(registry, vars, index)
+def _check(mode: str, original: Polynomial, transformed: Polynomial, aux: Sequence[int],
+           max_states: int) -> VerificationReport:
+    """The fold and compare step of the four global checks.  CONDITIONAL
+    compares over the union of both polynomials' variables, with no
+    auxiliaries; the other modes split the variables first (a
+    VariableMismatch comes before an EnumerationCapExceeded).  The original's
+    values stream block by block; only SPECTRUM holds every value.
+
+    The counterexample is the lowest failing state: for POINTWISE, and for
+    SPECTRUM when the multisets differ, the first state whose values differ;
+    for GROUND_STATE and CONDITIONAL the lowest state in exactly one argmin
+    set, else, for CONDITIONAL when only the minima differ, the first
+    original minimizer."""
+    if mode == CheckMode.CONDITIONAL:
+        x_vars, aux = sorted(set(original.variables()) | set(transformed.variables())), []
+    else:
+        x_vars, aux = _split_vars(original, transformed, aux)
+    n_states, scale = _space(original.registry, x_vars + aux, max_states, original, transformed)
+    want, got = _blocks(original, x_vars, scale), _fold(transformed, x_vars, aux, scale)
+    if mode in (CheckMode.GROUND_STATE, CheckMode.CONDITIONAL):
+        (low_want, argmin_want), (low_got, argmin_got) = _argmin(want), _argmin(got)
+        index = min(set(argmin_want) ^ set(argmin_got), default=None)
+        if index is None and mode == CheckMode.CONDITIONAL and low_want != low_got:
+            index = argmin_want[0]
+    else:
+        if mode == CheckMode.SPECTRUM:  # one block: the multisets need every value
+            want = [(0, [v for _, values in want for v in values])]
+        got = itertools.chain.from_iterable(values for _, values in got)
+        index, lows = None, []
+        for first, values in want:
+            others = list(itertools.islice(got, len(values)))
+            lows.append((min(values), min(others)))
+            if mode == CheckMode.SPECTRUM and sorted(values) == sorted(others):
+                continue
+            if index is None and (i := _first_difference(values, others)) is not None:
+                index = first + i
+        low_want, low_got = map(min, zip(*lows))
+    counterexample = None if index is None else _state_assignment(original.registry, x_vars, index)
+    return _report(mode, counterexample, n_states, low_want, low_got, scale)
 
 
 def check_pointwise(
@@ -327,21 +355,7 @@ def check_pointwise(
     This is the strongest guarantee: the transformed function reproduces the
     full spectrum of the original over every original assignment.
     """
-    x_vars, n_states, scale, folded = _folded_minima(
-        original, transformed, aux, max_states
-    )
-    counterexample, lows = None, []
-    for first, want in _blocks(original, x_vars, scale):
-        lows.append(min(want))
-        if counterexample is None:
-            index = _first_difference(want, folded[first : first + len(want)])
-            if index is not None:
-                counterexample = _state_assignment(
-                    original.registry, x_vars, first + index
-                )
-    return _report(
-        CheckMode.POINTWISE, counterexample, n_states, min(lows), min(folded), scale
-    )
+    return _check(CheckMode.POINTWISE, original, transformed, aux, max_states)
 
 
 def check_groundstate(
@@ -356,17 +370,7 @@ def check_groundstate(
     Minimum *values* are recorded in the stats but never compared: several
     gadgets shift or scale energies while preserving the ground manifold.
     """
-    x_vars, n_states, scale, folded = _folded_minima(
-        original, transformed, aux, max_states
-    )
-    best_original, argmin_original = _argmin(_blocks(original, x_vars, scale))
-    best_transformed, argmin_transformed = _argmin([(0, folded)])
-    counterexample = _argmin_mismatch(
-        original.registry, x_vars, argmin_original, argmin_transformed
-    )
-    return _report(
-        CheckMode.GROUND_STATE, counterexample, n_states, best_original, best_transformed, scale
-    )
+    return _check(CheckMode.GROUND_STATE, original, transformed, aux, max_states)
 
 
 def check_spectrum(
@@ -376,19 +380,7 @@ def check_spectrum(
     max_states: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """Multiset of aux-minimized values vs the original's value multiset."""
-    x_vars, n_states, scale, folded = _folded_minima(
-        original, transformed, aux, max_states
-    )
-    original_values = [
-        v for _, values in _blocks(original, x_vars, scale) for v in values
-    ]
-    counterexample = None
-    if sorted(original_values) != sorted(folded):
-        index = _first_difference(original_values, folded)
-        counterexample = _state_assignment(original.registry, x_vars, index)
-    return _report(
-        CheckMode.SPECTRUM, counterexample, n_states, min(original_values), min(folded), scale
-    )
+    return _check(CheckMode.SPECTRUM, original, transformed, aux, max_states)
 
 
 def check_conditional(
@@ -400,21 +392,11 @@ def check_conditional(
     over the union of both polynomials' variables.
 
     The fact the rewrite relied on is not re-proved here: `rewrites` proves
-    it when it applies the rewrite.  The
-    counterexample is the lowest state in exactly one argmin set, else the
-    first original minimizer when only the minima differ.
+    it when it applies the rewrite.  The counterexample is the lowest state
+    in exactly one argmin set, else the first original minimizer when only
+    the minima differ.
     """
-    vars = sorted(set(original.variables()) | set(transformed.variables()))
-    registry = original.registry
-    n_states, scale = _space(registry, vars, max_states, original, transformed)
-    best_original, argmin_original = _argmin(_blocks(original, vars, scale))
-    best_transformed, argmin_transformed = _argmin(_blocks(transformed, vars, scale))
-    counterexample = _argmin_mismatch(registry, vars, argmin_original, argmin_transformed)
-    if counterexample is None and best_original != best_transformed:
-        counterexample = _state_assignment(registry, vars, argmin_original[0])
-    return _report(
-        CheckMode.CONDITIONAL, counterexample, n_states, best_original, best_transformed, scale
-    )
+    return _check(CheckMode.CONDITIONAL, original, transformed, (), max_states)
 
 
 def check_claim(

@@ -3,11 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import quadratizer
 from quadratizer import cli, errors
 from quadratizer.cli import main
 from quadratizer.textio import parse_polynomial, qubo_from_json
@@ -355,6 +359,44 @@ def test_exit_code_duplicate_qubo_label(tmp_path, cubic_file, capsys):
     rc = main(["verify", "--original", str(cubic_file), "--quadratized", str(path)])
     assert rc == 2
     assert "labels" in capsys.readouterr().err
+
+
+_LONG = "9" * 5000  # more digits than CPython's int/str conversion reads by default
+
+
+@pytest.mark.parametrize(
+    "text,aux,where",
+    [
+        (f"b1 + {_LONG} b2 b3", None, "(line 1, column 6)"),
+        (f"b1 +\n 1/{_LONG} b2", None, "(line 2, column 4)"),
+        (f"b1^{_LONG} b2", None, "(line 1, column 4)"),
+        (f"b1 b{_LONG}", None, "(line 1, column 5)"),
+        ('{"vars": [], "terms": [], "x": %s}' % _LONG, None, "invalid JSON"),
+        ('{"x": %s%s}' % ("[" * 100_000, "]" * 100_000), None, "invalid JSON"),
+        ("b1 b2 b3", "\u00b2", "unknown auxiliary"),
+        ("b1 b2 b3", _LONG, "unknown auxiliary"),
+    ],
+    ids=["coefficient", "denominator", "exponent", "variable-index", "json-integer",
+         "json-nesting", "aux-superscript-digit", "aux-too-long"],
+)
+def test_oversized_input_exits_2_without_a_traceback(tmp_path, text, aux, where):
+    """Integers too long for int() and JSON too deep for the decoder exit 2
+    with one error line, in a fresh interpreter as a user runs it."""
+    path = tmp_path / "input"
+    path.write_text(text, encoding="utf-8")
+    if aux is None:
+        argv = ["analyze", "--in", str(path)]
+    else:
+        argv = ["verify", "--original", str(path), "--quadratized", str(path), "--aux", aux]
+    package_root = os.path.dirname(os.path.dirname(quadratizer.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "quadratizer", *argv], capture_output=True, text=True,
+        encoding="utf-8", env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+    assert where in run.stderr
 
 
 @pytest.mark.parametrize(

@@ -4,13 +4,14 @@ A real output is mutated one way at a time: one output coefficient +1/2 or
 -1/2, one output term dropped, or one variable in one output term renamed to
 another auxiliary or original variable.  Renames move any variable of a
 rewrite's output and of a gadget's output at k = 3..4, and only auxiliaries
-at k = 5.  The library's verdict on every mutant must equal the naive
-verdict.  A mutant that still passes is not a miss when the naive oracle
-passes it too (penalty slack is a valid output), so the survivors are pinned
-per gadget, degree and operator: a change that adds or removes slack shows
-up as a diff of these tables.  Random objectives routed under every CLI
-preset add a corpus with no pinned table: there only agreement is checked,
-and renames move auxiliaries only.
+at k = 5..6.  The library's verdict on every mutant must equal the naive
+verdict; a pointwise output's naive values are tabulated once, and each
+mutant re-evaluates only the terms where it differs.  A mutant that still
+passes is not a miss when the naive oracle passes it too (penalty slack is a
+valid output), so the survivors are pinned per gadget, degree and operator:
+a change that adds or removes slack shows up as a diff of these tables.
+Random objectives routed under every CLI preset add a corpus with no pinned
+table: there only agreement is checked, and renames move auxiliaries only.
 """
 
 import itertools
@@ -42,7 +43,7 @@ from conftest import (
 HALF = Fraction(1, 2)
 
 # (gadget, degree, operator) -> mutants that pass check_claim; the rest of
-# the 2403 mutants of the must-pass gadgets at k = 3..5 (1539 of them
+# the 3631 mutants of the must-pass gadgets at k = 3..6 (2275 of them
 # renames) fail it
 GADGET_SURVIVORS = {
     ("ntr_gbp", 3, "+1/2"): 2,
@@ -53,6 +54,7 @@ GADGET_SURVIVORS = {
     ("ptr_bg", 4, "+1/2"): 2,
     ("ptr_bg", 4, "rename"): 2,
     ("ptr_bg", 5, "+1/2"): 3,
+    ("ptr_bg", 6, "+1/2"): 4,
     ("ptr_gbp", 3, "+1/2"): 1,
     ("ptr_ishikawa", 5, "rename"): 5,
     ("ptr_kz", 3, "+1/2"): 3,
@@ -75,7 +77,7 @@ GADGET_CASES = [
     (name, k)
     for name, descriptor in sorted(GADGETS.items())
     if descriptor.status == MUST_PASS
-    for k in descriptor.degrees_up_to(5)
+    for k in descriptor.degrees_up_to(6)
     if k >= 3
 ]
 
@@ -129,20 +131,48 @@ def _conditional_holds(original, transformed) -> bool:
     return minima(original) == minima(transformed)
 
 
+def _pointwise_table(original, output, aux):
+    """(original value, states, output values) per original assignment, over
+    every auxiliary assignment, all by naive_value: the values pointwise_holds
+    compares, computed once so that each mutant re-evaluates only the terms
+    where it differs from the output."""
+    aux = sorted(aux)
+    domains = [output.registry.domain(a).values for a in aux]
+    table = []
+    for x in all_assignments(original):
+        states = [{**x, **dict(zip(aux, combo))} for combo in itertools.product(*domains)]
+        table.append((naive_value(original, x), states, [naive_value(output, s) for s in states]))
+    return table
+
+
+def _pointwise_holds_by_table(table, output, mutant):
+    delta = dict(mutant.terms)
+    for mono, coeff in output.terms.items():
+        delta[mono] = delta.get(mono, 0) - coeff
+    delta = Polynomial(output.registry, delta)
+    return all(
+        min(value + naive_value(delta, state) for state, value in zip(states, values)) == want
+        for want, states, values in table
+    )
+
+
 @pytest.mark.parametrize("name,k", GADGET_CASES)
 def test_gadget_mutants_get_the_naive_verdict(name, k):
-    """Input coefficient -1 for a negative row, +1 for a positive one."""
+    """Input coefficient -1 for a negative row, +1 for a positive one.  A
+    pointwise output's values are tabulated once, as in the routed test."""
     descriptor = GADGETS[name]
     registry = VariableRegistry()
     mono = tuple((registry.add_variable(descriptor.domain), 1) for _ in range(k))
     coeff = Fraction(-1 if descriptor.sign == "negative" else 1)
     result = apply_gadget(name, coeff, mono, registry)
     original = Polynomial(registry, {mono: coeff})
+    pointwise = result.guarantee == Guarantee.POINTWISE_MIN
+    table = _pointwise_table(original, result.output, result.aux) if pointwise else None
     survivors = Counter()
     for operator, mutant in _mutants(result.output, result.aux, rename_originals=k <= 4):
         passed = check_claim(result.guarantee, original, mutant, result.aux).passed
-        if result.guarantee == Guarantee.POINTWISE_MIN:
-            naive = pointwise_holds(original, mutant, result.aux)
+        if pointwise:
+            naive = _pointwise_holds_by_table(table, result.output, mutant)
         else:
             naive = _groundstate_holds(original, mutant, result.aux)
         assert passed == naive, (name, k, operator, mutant.terms)
@@ -188,31 +218,6 @@ def _routed_objective(seed):
         for _ in range(rng.randint(1, 4))
     ]
     return Polynomial(registry, terms)
-
-
-def _pointwise_table(original, output, aux):
-    """(original value, states, output values) per original assignment, over
-    every auxiliary assignment, all by naive_value: the values pointwise_holds
-    compares, computed once so that each mutant re-evaluates only the terms
-    where it differs from the output."""
-    aux = sorted(aux)
-    domains = [output.registry.domain(a).values for a in aux]
-    table = []
-    for x in all_assignments(original):
-        states = [{**x, **dict(zip(aux, combo))} for combo in itertools.product(*domains)]
-        table.append((naive_value(original, x), states, [naive_value(output, s) for s in states]))
-    return table
-
-
-def _pointwise_holds_by_table(table, output, mutant):
-    delta = dict(mutant.terms)
-    for mono, coeff in output.terms.items():
-        delta[mono] = delta.get(mono, 0) - coeff
-    delta = Polynomial(output.registry, delta)
-    return all(
-        min(value + naive_value(delta, state) for state, value in zip(states, values)) == want
-        for want, states, values in table
-    )
 
 
 @pytest.mark.parametrize("preset", sorted(STRATEGY_PRESETS))

@@ -531,6 +531,11 @@ def test_apply_gadget_identity_below_cubic():
     assert result.aux == ()
     assert result.output == Polynomial(registry, {mono: Fraction(5)})
     assert result.guarantee == Guarantee.POINTWISE_MIN
+    # below cubic the named row still checks the term's domain and sign
+    with pytest.raises(DomainViolation, match="not in the 'z' domain"):
+        apply_gadget("ntr_rbl", Fraction(5), mono, registry)
+    with pytest.raises(WrongSign, match="expected a positive coefficient"):
+        apply_gadget("ptr_ishikawa", Fraction(-5), mono, registry)
 
 
 # ---------------------------------------------------------------------------
