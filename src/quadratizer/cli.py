@@ -127,8 +127,7 @@ def _build_strategy(args):
         else:
             value = tuple(value.split("|"))
         overrides[field] = value
-    return Strategy(**overrides, verify_after=args.verify,
-                    allow_experimental=args.allow_experimental, max_states=args.max_states)
+    return Strategy(**overrides, verify_after=args.verify, max_states=args.max_states)
 
 
 def _cmd_quadratize(args):
@@ -237,7 +236,6 @@ OPTIONS = {
     "--route": {"action": "append", "metavar": "KEY=VALUE",
                 "help": "strategy overrides, e.g. positive=ptr_bcr4,negative=ntr_kzfd"},
     "--verify": {"action": "store_true", "help": "prove the result by enumeration"},
-    "--allow-experimental": {"action": "store_true"},
     "--max-states": {"type": _state_cap, "help": "enumeration cap, a positive integer "
                      "(default: $QUADRATIZER_MAX_STATES, else 2^20)"},
     "--original": {"required": True},
@@ -250,7 +248,7 @@ OPTIONS = {
 # Each subcommand's help line and options; `main` runs `_cmd_<subcommand>`.
 COMMANDS = {
     "quadratize": ("reduce a polynomial to degree <= 2", "--in --out --format --strategy --route "
-                   "--verify --allow-experimental --max-states"),
+                   "--verify --max-states"),
     "verify": ("check a quadratization against its original",
                "--original --quadratized --aux --mode --max-states"),
     "analyze": ("degree/term/submodularity report", "--in"),

@@ -8,7 +8,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from ..errors import DomainViolation, QuadratizerError, WrongDegree, WrongSign
-from ..poly import Domain, Monomial, Polynomial
+from ..poly import Domain, Monomial, Polynomial, format_fraction
 from ..verify import Guarantee  # re-exported: the gadget modules import it from here
 
 
@@ -60,9 +60,9 @@ class GadgetDescriptor:
         """Why the row rejects a term with this coefficient, or None if it accepts it."""
         coeff = Fraction(coeff)
         if self.sign == "negative" and coeff >= 0:
-            return f"expected a negative coefficient, got {coeff}"
+            return f"expected a negative coefficient, got {format_fraction(coeff)}"
         if self.sign == "positive" and coeff <= 0:
-            return f"expected a positive coefficient, got {coeff}"
+            return f"expected a positive coefficient, got {format_fraction(coeff)}"
         return None if coeff else "coefficient must be nonzero"
 
     def rejection(self, coeff, mono: Monomial, registry) -> Optional[QuadratizerError]:

@@ -29,6 +29,7 @@ from ..poly import (
     Polynomial,
     VariableRegistry,
     _require_boolean,
+    format_fraction,
     monomial_degree,
     monomial_divides,
     monomial_vars,
@@ -92,10 +93,11 @@ def rosenberg_pair(
     auto = rosenberg_auto_penalty(p, i, j)
     penalty = Fraction(auto if penalty == "auto" else penalty)
     if penalty <= 0:
-        raise NonPositivePenalty(f"penalty must be positive, got {penalty}")
+        raise NonPositivePenalty(f"penalty must be positive, got {format_fraction(penalty)}")
     if penalty < auto - 1:
-        raise InvalidParameter(f"penalty {penalty} is below {auto - 1}, the sum of "
-                               "|coefficient| over the terms holding the pair")
+        raise InvalidParameter(f"penalty {format_fraction(penalty)} is below "
+                               f"{format_fraction(auto - 1)}, the sum of |coefficient| over "
+                               "the terms holding the pair")
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "rosenberg")
     terms = []
@@ -110,7 +112,7 @@ def rosenberg_pair(
     ])
     trace = (
         f"rosenberg({registry.display_name(i)},{registry.display_name(j)} -> "
-        f"{registry.display_name(ba)}, penalty={penalty})"
+        f"{registry.display_name(ba)}, penalty={format_fraction(penalty)})"
     )
     return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
 

@@ -22,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 
 from ..errors import InvalidParameter, UnknownGadget, VerificationFailed, WrongDegree, WrongSign
-from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, monomial_degree
+from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, format_fraction
+from ..poly import monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
 from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
 
@@ -42,7 +43,7 @@ def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
 def _result(name, registry, output, aux, guarantee, coeff, vars) -> GadgetResult:
     labels = ",".join(registry.display_name(a) for a in aux)
     body = "".join(registry.display_name(v) for v in vars)
-    trace = f"{name}({coeff}*{body})" + (f" aux={labels}" if labels else "")
+    trace = f"{name}({format_fraction(coeff)}*{body})" + (f" aux={labels}" if labels else "")
     return GadgetResult(output=output, aux=tuple(aux), guarantee=guarantee, trace=trace)
 
 

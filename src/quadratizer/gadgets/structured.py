@@ -24,6 +24,7 @@ from ..errors import (
     VerificationFailed,
 )
 from ..poly import Domain, Polynomial, VariableRegistry, _distinct, _require_boolean
+from ..poly import format_fraction
 from ..verify import DEFAULT_STATE_CAP, check_claim, check_ternary_encoding
 from .base import GadgetResult, Guarantee
 from .single_term import _log2_ceil
@@ -112,7 +113,8 @@ def sfr_bcr(
         out = (bracket * bracket).scale(spec.gamma)
     else:
         out = (bracket * (bracket - 1)).scale(spec.gamma * Fraction(1, 2))
-    trace = f"sfr_bcr_{variant}(n={spec.n}, c={spec.c}, gamma={spec.gamma})"
+    trace = (f"sfr_bcr_{variant}(n={spec.n}, c={format_fraction(spec.c)}, "
+             f"gamma={format_fraction(spec.gamma)})")
     return GadgetResult(out, tuple(aux), Guarantee.POINTWISE_MIN, trace)
 
 
@@ -220,7 +222,7 @@ def czw_count4(
         lam = 1 + sum(abs(b) for b in bias)
     lam = Fraction(lam)
     if lam <= 0:
-        raise InvalidParameter(f"lam must be positive, got {lam}")
+        raise InvalidParameter(f"lam must be positive, got {format_fraction(lam)}")
 
     h_count, aux = czw_counting_hamiltonian(vars, registry)
     bias_poly = Polynomial.from_products(registry, [((ba,), beta) for ba, beta in zip(aux, bias)])
@@ -229,9 +231,9 @@ def czw_count4(
     if verify:
         check_claim(
             Guarantee.GROUND_STATE, target, output, aux, max_states,
-            f"czw_count4 does not reproduce the target ground space at lam={lam}",
+            f"czw_count4 does not reproduce the target ground space at lam={format_fraction(lam)}",
         )
-    trace = f"czw_count4(lam={lam}, bias={tuple(str(b) for b in bias)})"
+    trace = f"czw_count4(lam={format_fraction(lam)}, bias={tuple(map(format_fraction, bias))})"
     return GadgetResult(output, tuple(aux), Guarantee.GROUND_STATE, trace)
 
 
@@ -268,7 +270,7 @@ def ternary_to_binary(
         raise DomainViolation(f"variable {t} is not ternary")
     lam = Fraction(lam)
     if lam <= 0:
-        raise InvalidParameter(f"lam must be positive, got {lam}")
+        raise InvalidParameter(f"lam must be positive, got {format_fraction(lam)}")
     if t not in p.variables():
         return p
     z1 = registry.add_auxiliary(Domain.SPIN, "ternary_to_binary")
@@ -281,7 +283,6 @@ def ternary_to_binary(
     if verify:
         report = check_ternary_encoding(p, output, t, (z1, z2), lam, max_states)
         if not report.passed:
-            raise VerificationFailed(
-                f"ternary encoding failed its ground-space check at lam={lam}", report
-            )
+            raise VerificationFailed(f"ternary encoding failed its ground-space check at "
+                                     f"lam={format_fraction(lam)}", report)
     return output

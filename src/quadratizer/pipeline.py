@@ -17,9 +17,9 @@ from itertools import chain
 from typing import Optional
 
 from .errors import InvalidParameter, NoApplicableGadget, QuadratizerError, UnknownGadget
-from .gadgets.base import EXPERIMENTAL, GADGETS, GadgetResult
+from .gadgets.base import GADGETS, GadgetResult
 from .gadgets.single_term import apply_gadget, ntr_kzfd_literals
-from .poly import Domain, Polynomial, monomial_degree, monomial_vars
+from .poly import Domain, Polynomial, format_fraction, monomial_degree, monomial_vars
 from .poly import _accumulate, _share_coefficients
 from .verify import (
     DEFAULT_STATE_CAP,
@@ -34,8 +34,8 @@ from .verify import (
 class Strategy:
     """How quadratize() picks its rewrites.
 
-    Routes are ordered gadget-name lists tried left to right per term; a
-    routed gadget must be must-pass unless allow_experimental is set.
+    Routes are ordered gadget-name lists tried left to right per term; an
+    experimental row on a route is applied through apply_gadget's oracle gate.
     multi_term enables Rosenberg substitution or the cover reductions as a
     grouping pre-pass; odd_split peels odd positive monomials into an
     even-degree head and a negated-literal tail first.
@@ -46,7 +46,6 @@ class Strategy:
     multi_term: Optional[str] = None  # None | "rosenberg" | "fgbz"
     odd_split: bool = False
     verify_after: bool = False
-    allow_experimental: bool = False
     max_states: int = DEFAULT_STATE_CAP
 
 
@@ -76,10 +75,6 @@ def _validate_strategy(strategy: Strategy):
     for name in tuple(strategy.negative_route) + tuple(strategy.positive_route):
         if name not in GADGETS:
             raise UnknownGadget(f"no gadget named {name!r}")
-        if GADGETS[name].status == EXPERIMENTAL and not strategy.allow_experimental:
-            raise InvalidParameter(
-                f"{name!r} is experimental; set allow_experimental to route it"
-            )
 
 
 def _routes_through_twins(p: Polynomial, strategy: Strategy) -> bool:
@@ -143,7 +138,7 @@ def _pick_gadget(registry, mono, coeff, strategy) -> str:
         raise NoApplicableGadget("no gadget accepts monomials mixing variable domains")
     raise NoApplicableGadget(
         f"no routed gadget accepts a degree-{monomial_degree(mono)} {domains.pop().tag!r} "
-        f"term with coefficient {coeff}"
+        f"term with coefficient {format_fraction(coeff)}"
     )
 
 

@@ -24,6 +24,7 @@ value.  Sharing is invisible to `terms`, `items()` and `==`.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -32,6 +33,7 @@ from .errors import (
     DomainViolation,
     MissingVariable,
     NotQuadratic,
+    QuadratizerError,
     RegistryMismatch,
     UnknownVariable,
 )
@@ -218,6 +220,24 @@ def _as_fraction(value: Rational) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"coefficients must be exact rationals, got {type(value).__name__}")
+
+
+# The most digits int() reads or writes (sys.get_int_max_str_digits); 0 means no limit.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def format_fraction(value: Rational) -> str:
+    """str(Fraction(value)), or a QuadratizerError when its numerator or
+    denominator has more digits than int() writes.  Every output, trace and
+    message that prints a number goes through here."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    limit = _int_max_str_digits()
+    # a number below 2**(3 * limit) has at most limit digits: skip the power
+    largest = max(abs(value.numerator), value.denominator)
+    if limit and largest.bit_length() > 3 * limit and largest >= 10**limit:
+        raise QuadratizerError(f"a number has more than {limit} digits, the most int() writes")
+    return str(value)
 
 
 def _accumulate(terms: dict, mono: Monomial, coeff: Fraction) -> None:

@@ -22,7 +22,8 @@ from .errors import DeductionUnproven, DomainViolation, ElcUnproven, InvalidPara
 from .gadgets.base import GADGETS, GadgetResult, Guarantee
 from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
-from .poly import Monomial, Polynomial, _require_boolean, monomial_degree, monomial_vars
+from .poly import Monomial, Polynomial, _require_boolean, format_fraction, monomial_degree
+from .poly import monomial_vars
 from .verify import DEFAULT_STATE_CAP, enumerate_min, value_range
 
 
@@ -100,7 +101,7 @@ def apply_deduc_reduc(
     cofactor, rest = _cofactor(p, mono)
     lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
     output = rest + Polynomial(p.registry, {mono: lam})
-    trace = f"deduc_reduc({mono_text}=0, lam={lam})"
+    trace = f"deduc_reduc({mono_text}=0, lam={format_fraction(lam)})"
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
 
 
@@ -153,12 +154,12 @@ def apply_elc(
         alpha = high - low + 1
     alpha = Fraction(alpha)
     if alpha < 0:
-        raise InvalidParameter(f"alpha must be >= 0, got {alpha}")
+        raise InvalidParameter(f"alpha must be >= 0, got {format_fraction(alpha)}")
     output = p + _elc_penalty(registry, elc).scale(alpha)
     config_text = ",".join(
         f"{registry.display_name(v)}={elc[v]}" for v in sorted(elc)
     )
-    trace = f"elc({config_text}, alpha={alpha})"
+    trace = f"elc({config_text}, alpha={format_fraction(alpha)})"
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
 
 

@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
 from .errors import DomainViolation, NotQuadratic, ParseError, SchemaError
-from .poly import Domain, Polynomial, VariableRegistry, _require_boolean
+from .poly import Domain, Polynomial, VariableRegistry, _int_max_str_digits, _require_boolean
+from .poly import format_fraction
 
 _TOKEN = re.compile(
     r"(?P<ws>\s+)"
@@ -51,7 +51,7 @@ def _tokenize(text: str):
     names and raises at the first bad character, before any grammar error.  An
     integer with more digits than int() reads (sys.get_int_max_str_digits())
     raises before both."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = _int_max_str_digits()
     digits = limit and re.search(r"\d{%d}" % (limit + 1), text)
     if digits:
         raise _parse_error(f"integer longer than {limit} digits", text, digits.start())
@@ -130,14 +130,6 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
     if factors is not None:
         terms.append((factors, coeff))
     return Polynomial(registry, terms)
-
-
-def format_fraction(value: Fraction) -> str:
-    if not isinstance(value, Fraction):
-        value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def format_polynomial(p: Polynomial) -> str:

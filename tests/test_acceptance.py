@@ -10,9 +10,11 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from quadratizer.cli import STRATEGY_PRESETS, _build_strategy
 from quadratizer.cli import main as cli_main
 from quadratizer.gadgets import (
     ExactCSpec,
@@ -40,6 +42,7 @@ from quadratizer.textio import (
     polynomial_to_json,
 )
 from quadratizer.verify import (
+    DEFAULT_STATE_CAP,
     check_conditional,
     check_groundstate,
     check_pointwise,
@@ -304,31 +307,28 @@ def test_criterion_11_experimental_gate(tmp_path):
             assert reports[required] is not None
             if not reports[required].passed:
                 assert reports[required].counterexample is not None
-        # the default pipeline never routes to experimental gadgets
-        for name in tuple(DEFAULT_STRATEGY.negative_route) + tuple(
-            DEFAULT_STRATEGY.positive_route
-        ):
-            assert GADGETS[name].status == MUST_PASS
-        from quadratizer.errors import InvalidParameter
+        # the default pipeline and every CLI preset never route to experimental gadgets
+        presets = [
+            _build_strategy(SimpleNamespace(strategy=preset, route=None, verify=False,
+                                            max_states=DEFAULT_STATE_CAP))
+            for preset in STRATEGY_PRESETS
+        ]
+        for strategy in (DEFAULT_STRATEGY, *presets):
+            for name in tuple(strategy.negative_route) + tuple(strategy.positive_route):
+                assert GADGETS[name].status == MUST_PASS, (strategy, name)
+        # a route naming a failing experimental gadget meets the oracle gate
+        from quadratizer.errors import VerificationFailed
 
         registry = VariableRegistry()
         zs = [registry.add_variable(Domain.SPIN) for _ in range(3)]
         q = Polynomial.product(registry, zs)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(VerificationFailed) as excinfo:
             quadratize(q, Strategy(positive_route=("ptr_rbl_3to2",)))
-        # forcing a failing experimental gadget through the CLI exits 1
+        assert excinfo.value.report.counterexample is not None
+        # so does the same route through the CLI, which exits 1
         spin_file = tmp_path / "spin.txt"
         spin_file.write_text("z1 z2 z3\n")
-        rc = cli_main(
-            [
-                "quadratize",
-                "--in",
-                str(spin_file),
-                "--route",
-                "positive=ptr_rbl_3to2",
-                "--allow-experimental",
-            ]
-        )
+        rc = cli_main(["quadratize", "--in", str(spin_file), "--route", "positive=ptr_rbl_3to2"])
         assert rc == 1
 
 

@@ -171,23 +171,14 @@ def test_even_degree_routes_past_ptr_bcr1(tmp_path, capsys, route, code):
     routed gadget, or finds none."""
     path = tmp_path / "quartic.txt"
     path.write_text("b1 b2 b3 b4")
-    rc = main(["quadratize", "--in", str(path), "--allow-experimental", "--route", route])
+    rc = main(["quadratize", "--in", str(path), "--route", route])
     assert rc == code, capsys.readouterr().err
 
 
 def test_exit_code_forced_experimental_failure(tmp_path, capsys):
     path = tmp_path / "spin.txt"
     path.write_text("z1 z2 z3")
-    rc = main(
-        [
-            "quadratize",
-            "--in",
-            str(path),
-            "--route",
-            "positive=ptr_rbl_3to2",
-            "--allow-experimental",
-        ]
-    )
+    rc = main(["quadratize", "--in", str(path), "--route", "positive=ptr_rbl_3to2"])
     assert rc == 1
     assert "counterexample" in capsys.readouterr().err
 
@@ -397,6 +388,42 @@ def test_oversized_input_exits_2_without_a_traceback(tmp_path, text, aux, where)
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
     assert where in run.stderr
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_NINES = "9" * _LIMIT  # the longest integer int() reads, so each text below parses
+_MERGED = f"{_NINES} b1 b2 b3 + {_NINES} b1 b2 b3"  # one coefficient, one digit too many
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this interpreter writes integers of any length")
+@pytest.mark.parametrize(
+    "text,argv",
+    [
+        (_MERGED, ["quadratize", "--format", "qubo", "--in"]),
+        (_MERGED, ["quadratize", "--format", "text", "--in"]),
+        (f"{_NINES} t1 t2 t3 + {_NINES} t1 t2 t3", ["quadratize", "--in"]),
+        (f"{_NINES} b1 b2 b3 b4 b5", ["quadratize", "--format", "text", "--in"]),
+        (f"{_NINES} b1 b2 b3 b4 b5", ["quadratize", "--format", "qubo", "--in"]),
+        (_MERGED, ["analyze", "--in"]),
+        (_MERGED, ["convert", "--to", "text", "--in"]),
+        (_MERGED, ["convert", "--to", "json", "--in"]),
+        (f"-{_NINES} b1 - {_NINES} b1", ["verify", "--quadratized", "{path}", "--original"]),
+    ],
+    ids=["gadget-trace-qubo", "gadget-trace-text", "no-gadget-message", "gadget-output-text",
+         "gadget-output-qubo", "analyze", "convert-text", "convert-json", "verify-minimum"],
+)
+def test_oversized_output_exits_2_without_a_traceback(tmp_path, capsys, text, argv):
+    """A number that grows past int()'s digit limit, in a merged coefficient,
+    a gadget's output, a trace or a message, exits 2 with one error line
+    before any output is written."""
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    argv = [str(path) if arg == "{path}" else arg for arg in argv]
+    assert main([*argv, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    message = f"a number has more than {_LIMIT} digits, the most int() writes"
+    assert captured.err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -228,8 +228,7 @@ def test_routed_mutants_get_the_naive_verdict(preset, seed):
     preset's route is pointwise); the output and each of its coefficient,
     drop and auxiliary-rename mutants get the naive verdict."""
     p = _routed_objective(seed)
-    args = SimpleNamespace(strategy=preset, route=None, verify=True,
-                           allow_experimental=False, max_states=DEFAULT_STATE_CAP)
+    args = SimpleNamespace(strategy=preset, route=None, verify=True, max_states=DEFAULT_STATE_CAP)
     result = quadratize(p, _build_strategy(args))
     assert result.guarantee == Guarantee.POINTWISE_MIN and result.report.passed
     assert pointwise_holds(p, result.output, result.aux)

@@ -15,7 +15,8 @@ from quadratizer.errors import (
     VerificationFailed,
 )
 from quadratizer import pipeline
-from quadratizer.gadgets.base import GadgetResult, Guarantee
+from quadratizer.gadgets.base import EXPERIMENTAL, GADGETS, GadgetResult, Guarantee
+from quadratizer.gadgets.single_term import apply_gadget
 from quadratizer.pipeline import (
     Strategy,
     compare_strategies,
@@ -184,25 +185,58 @@ def test_strategy_validation():
     with pytest.raises(UnknownGadget):
         quadratize(p, Strategy(positive_route=("ptr_nonsense",)))
     with pytest.raises(InvalidParameter):
-        quadratize(p, Strategy(positive_route=("ptr_bcr2",)))  # experimental
-    with pytest.raises(InvalidParameter):
         quadratize(p, Strategy(multi_term="bogus"))
 
 
 def test_experimental_route_gate():
     # a passing experimental gadget may be routed explicitly...
     p = parse_polynomial("b1 b2 b3 b4")
-    strategy = Strategy(positive_route=("ptr_bcr2",), allow_experimental=True, verify_after=True)
+    strategy = Strategy(positive_route=("ptr_bcr2",), verify_after=True)
     result = quadratize(p, strategy)
     assert result.report.passed
     # ...while a failing one raises with the counterexample report attached
     registry = VariableRegistry()
     zs = [registry.add_variable(Domain.SPIN) for _ in range(3)]
     q = Polynomial.product(registry, zs, Fraction(1))
-    failing = Strategy(positive_route=("ptr_rbl_3to2",), allow_experimental=True)
+    failing = Strategy(positive_route=("ptr_rbl_3to2",))
     with pytest.raises(VerificationFailed) as excinfo:
         quadratize(q, failing)
     assert excinfo.value.report is not None
+
+
+def _experimental_probe(row):
+    """The row's minimum-degree term, -1 on a negative row and +1 otherwise,
+    over a fresh registry."""
+    registry = VariableRegistry()
+    mono = tuple((registry.add_variable(row.domain), 1) for _ in range(row.min_degree))
+    return registry, mono, Fraction(-1 if row.sign == "negative" else 1)
+
+
+@pytest.mark.parametrize(
+    "name", [name for name, row in GADGETS.items() if row.status == EXPERIMENTAL]
+)
+def test_same_name_same_gate(name):
+    """A route naming an experimental row gives what apply_gadget gives for
+    the term: the same output, auxiliaries and trace, or the same refusal."""
+    registry, mono, coeff = _experimental_probe(GADGETS[name])
+    try:
+        direct = apply_gadget(name, coeff, mono, registry)
+    except VerificationFailed as error:
+        direct = error
+    registry, mono, coeff = _experimental_probe(GADGETS[name])
+    route = "negative_route" if coeff < 0 else "positive_route"
+    try:
+        routed = quadratize(Polynomial(registry, {mono: coeff}), Strategy(**{route: (name,)}))
+    except VerificationFailed as error:
+        assert isinstance(direct, VerificationFailed), name
+        assert str(error) == str(direct) and error.report == direct.report
+        assert error.report.counterexample is not None
+        return
+    assert isinstance(direct, GadgetResult), name
+    assert routed.output.terms == direct.output.terms
+    assert routed.aux == direct.aux
+    assert list(routed.aux_map.values()) == [direct.trace] * len(direct.aux)
+    assert routed.guarantee == direct.guarantee
 
 
 def test_quadratize_idempotent(cubic_objective):

@@ -754,10 +754,10 @@ def test_catalog_row_applies_its_named_gadget(name):
 def test_ptr_bcr1_turns_even_degrees_away_in_routing():
     """ptr_bcr1 is stated for odd k only.  Its row says so, so a route moves
     an even term on to its next gadget, and a direct call still rejects it."""
-    route = Strategy(positive_route=("ptr_bcr1", "ptr_ishikawa"), allow_experimental=True)
+    route = Strategy(positive_route=("ptr_bcr1", "ptr_ishikawa"))
     result = quadratize(parse_polynomial("b1 b2 b3 b4"), route)
     assert [trace.split("(")[0] for trace in result.aux_map.values()] == ["ptr_ishikawa"]
-    alone = Strategy(positive_route=("ptr_bcr1",), allow_experimental=True)
+    alone = Strategy(positive_route=("ptr_bcr1",))
     with pytest.raises(NoApplicableGadget):
         quadratize(parse_polynomial("b1 b2 b3 b4"), alone)
     registry, _, mono = boolean_instance(4)

@@ -11,13 +11,14 @@ import tracemalloc
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import quadratizer
-from quadratizer import cli
+from quadratizer import cli, verify
 from quadratizer.errors import (
     EnumerationCapExceeded,
     QuadratizerError,
@@ -761,6 +762,117 @@ def test_ternary_to_binary_returns_an_encoding_with_a_free_spin():
     output = ternary_to_binary(p, 0, "1/2")
     assert format_polynomial(output) == "1/2 + z3"
     assert _naive_ternary_encoding_holds(p, output, 0, (1, 2), "1/2")
+
+
+# ---------------------------------------------------------------------------
+# The oracle in small blocks: every draw crosses many blocks, with many slow
+# variables, which the default block size reaches only past 12 {0,1} variables
+
+SMALL_BLOCKS = 8
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_checks_match_their_references_in_small_blocks(seed):
+    with mock.patch.object(verify, "BLOCK_STATES", SMALL_BLOCKS):
+        test_checks_match_their_references.hypothesis.inner_test(seed)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_ternary_encoding_check_matches_its_reference_in_small_blocks(seed):
+    with mock.patch.object(verify, "BLOCK_STATES", SMALL_BLOCKS):
+        test_ternary_encoding_check_matches_its_reference.hypothesis.inner_test(seed)
+
+
+# the case whose x-space fits in one block is left out: at this block size
+# its precondition no longer holds
+@pytest.mark.parametrize("x_tags, aux_tags", [("ttttttbt", "z")], ids=["x-space-over-several-blocks"])
+@given(data=st.data())
+@settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+def test_folded_checks_past_one_block_match_naive_oracle_in_small_blocks(x_tags, aux_tags, data):
+    with mock.patch.object(verify, "BLOCK_STATES", SMALL_BLOCKS):
+        test_folded_checks_past_one_block_match_naive_oracle.hypothesis.inner_test(
+            x_tags, aux_tags, True, data
+        )
+
+
+@given(data=st.data())
+@settings(max_examples=3, deadline=None, phases=NO_SHRINK)
+def test_check_spectrum_holds_values_that_move_across_blocks(data):
+    """Flipping the slow variable of 13 {0,1} variables swaps the two blocks
+    of values: the multisets are equal over the whole space, not block by
+    block.  A shifted term breaks the equality, as the reference says."""
+    registry = VariableRegistry()
+    vars = [registry.add_variable(Domain.BOOLEAN) for _ in range(13)]
+    p = data.draw(covering_polys(registry, vars))
+    assert _state_space(registry, vars[:-1]) == BLOCK_STATES
+    flipped, _ = p.flip([vars[-1]])
+    assert check_spectrum(p, flipped, []).passed
+    mono = data.draw(st.sampled_from(sorted(flipped.terms)))
+    shifted = flipped + Polynomial(registry, {mono: 1})
+    assert _outcome(check_spectrum, p, shifted, []) == _outcome(_ref_check_spectrum, p, shifted, [])
+
+
+def _naively_fails(check, original, transformed, aux, x) -> bool:
+    """Does the original assignment `x` fail `check` by the naive oracle:
+    for check_pointwise, does min over `aux` of `transformed` at `x` differ
+    from `original` at `x`; for check_groundstate, is `x` a minimizer on
+    exactly one side?"""
+    domains = [transformed.registry.domain(a).values for a in aux]
+    folded = min(
+        naive_value(transformed, {**x, **dict(zip(aux, values))})
+        for values in itertools.product(*domains)
+    )
+    if check is check_pointwise:
+        return folded != naive_value(original, x)
+    on_original = naive_value(original, x) == brute_force_min(original)[0]
+    return on_original != (folded == brute_force_min(transformed)[0])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_relabeled_checks_keep_their_verdicts(seed):
+    """Metamorphic: a routed {0,1} objective and its output, and a +-1/2
+    coefficient mutant of it, rebuilt in a fresh registry that adds the
+    variables in a random order, get the same verdicts and minima from
+    check_pointwise and check_groundstate, in small blocks.  Each
+    counterexample, mapped back, fails by the naive oracle."""
+    rng = random.Random(seed)
+    registry = VariableRegistry()
+    xs = [registry.add_variable(Domain.BOOLEAN) for _ in range(rng.randint(6, 9))]
+    p = Polynomial.from_products(registry, [
+        (rng.sample(xs, rng.randint(1, 4)), rng.choice((-3, -2, -1, 1, 2, 3)))
+        for _ in range(rng.randint(3, 6))
+    ])
+    result = quadratize(p)
+    mono = rng.choice(sorted(result.output.terms))
+    mutant = result.output + Polynomial(registry, {mono: Fraction(rng.choice((-1, 1)), 2)})
+    order = rng.sample(range(len(registry)), len(registry))  # new id k is old id order[k]
+    relabeled = VariableRegistry()
+    for _ in order:
+        relabeled.add_variable(Domain.BOOLEAN)
+    new = {old: k for k, old in enumerate(order)}
+
+    def move(q):
+        return Polynomial(relabeled, [
+            (tuple((new[v], e) for v, e in mono), coeff) for mono, coeff in q.terms.items()
+        ])
+
+    aux = list(result.aux)
+    with mock.patch.object(verify, "BLOCK_STATES", SMALL_BLOCKS):
+        for transformed in (result.output, mutant):
+            for check in (check_pointwise, check_groundstate):
+                before = check(p, transformed, aux)
+                after = check(move(p), move(transformed), [new[a] for a in aux])
+                assert (after.mode, after.passed, after.stats) == (
+                    before.mode, before.passed, before.stats
+                )
+                mapped = after.counterexample and {
+                    order[v]: value for v, value in after.counterexample.items()
+                }
+                for x in (before.counterexample, mapped):
+                    assert x is None or _naively_fails(check, p, transformed, aux, x)
 
 
 def test_reports_are_built_only_in_verify():
