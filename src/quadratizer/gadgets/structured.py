@@ -15,7 +15,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 from ..errors import (
     DomainViolation,
@@ -57,6 +56,11 @@ def sfr_aux_count(variant: int, spec: ExactCSpec) -> int:
     raise InvalidParameter(f"variant must be 1..4, got {variant}")
 
 
+def _check_c(spec: ExactCSpec):
+    if not 0 <= spec.c <= spec.n:
+        raise VariantRangeViolation(f"c must lie in [0, {spec.n}], got {spec.c}")
+
+
 def _validate_spec(variant: int, spec: ExactCSpec):
     if variant not in (1, 2, 3, 4):
         raise InvalidParameter(f"variant must be 1..4, got {variant}")
@@ -65,8 +69,7 @@ def _validate_spec(variant: int, spec: ExactCSpec):
             "gamma must be positive: the closed forms are squares/binomials, "
             "so negative values cannot be reached; route negatives via NTR"
         )
-    if not 0 <= spec.c <= spec.n:
-        raise VariantRangeViolation(f"c must lie in [0, {spec.n}], got {spec.c}")
+    _check_c(spec)
     if variant in (1, 3):
         if 2 * spec.c < spec.n:
             raise VariantRangeViolation(
@@ -119,23 +122,13 @@ def sfr_bcr(
 
 
 def exact_c_indicator(spec: ExactCSpec, vars, registry: VariableRegistry) -> Polynomial:
-    """gamma * [sum(b) == c] as a multilinear polynomial (the oracle target).
-
-    Uses [sum = c] = sum_{j>=c} (-1)^(j-c) * C(j, c) * e_j(b) over the
-    elementary symmetric polynomials e_j.
-    """
+    """gamma * [sum(b) == c], the oracle target, from its values by weight; 0 <= c <= n."""
     if len(vars) != spec.n:
         raise InvalidParameter(f"expected {spec.n} variables")
-    return Polynomial.from_products(registry, _exact_c_products(spec, vars, registry))
-
-
-def _exact_c_products(spec: ExactCSpec, vars, registry: VariableRegistry):
-    vars = _distinct(vars)
-    _require_boolean(registry, vars)
-    for j in range(spec.c, spec.n + 1):
-        weight = Fraction((-1) ** (j - spec.c) * comb(j, spec.c)) * spec.gamma
-        for subset in itertools.combinations(vars, j):
-            yield subset, weight
+    _check_c(spec)
+    _require_boolean(registry, _distinct(vars))
+    values = [spec.gamma * (w == spec.c) for w in range(spec.n + 1)]
+    return Polynomial.symmetric(registry, vars, values)
 
 
 # ---------------------------------------------------------------------------
@@ -174,17 +167,6 @@ def czw_counting_hamiltonian(vars, registry: VariableRegistry):
     return h_count, aux
 
 
-def _czw_target(bias, vars, registry: VariableRegistry) -> Polynomial:
-    """Spectrum the bias reproduces on the counting manifold:
-    sum_j bias_j * [sum(b) <= j-1], as a multilinear polynomial."""
-    return Polynomial.from_products(registry, [
-        term
-        for j, beta in enumerate(bias, start=1) if beta
-        for s in range(0, j)
-        for term in _exact_c_products(ExactCSpec(n=4, c=s, gamma=beta), vars, registry)
-    ])
-
-
 def czw_count4(
     lam,
     target_bias,
@@ -196,11 +178,11 @@ def czw_count4(
     """bias + lam * H_count over 4 logical variables and 4 auxiliaries.
 
     `target_bias` is a preset name ("b1b2b3b4" or "z1z2z3z4") or a list of 4
-    rationals applied to the auxiliaries.  The result is oracle-gated unless
-    verify=False: the ground manifold must project onto the target
-    spectrum's minimizers for the chosen lam, else VerificationFailed
-    carries the counterexample.  The default lam is 1 + (range of the bias
-    terms).
+    rationals applied to the auxiliaries.  The target is Polynomial.symmetric of
+    [w = 4], (-1)^w or sum_j bias_j * [w < j] by weight w = sum(b).  The result
+    is oracle-gated unless verify=False: the ground manifold must project onto
+    the target spectrum's minimizers for the chosen lam, else VerificationFailed
+    carries the counterexample.  The default lam is 1 + sum_j |bias_j|.
     """
     vars = sorted(vars)
     if isinstance(target_bias, str):
@@ -208,15 +190,18 @@ def czw_count4(
             bias = CZW_PRESETS[target_bias]
         except KeyError:
             raise InvalidParameter(f"unknown preset {target_bias!r}") from None
-        if target_bias == "b1b2b3b4":
-            target = Polynomial.product(registry, vars)
-        else:
-            target = _spin_product_in_boolean(vars, registry)
+        values = [w == len(vars) if target_bias == "b1b2b3b4" else (-1) ** w
+                  for w in range(len(vars) + 1)]
     else:
         bias = tuple(Fraction(b) for b in target_bias)
         if len(bias) != 4:
             raise InvalidParameter("the bias must list exactly 4 coefficients")
-        target = _czw_target(bias, vars, registry)
+        if any(bias):
+            _require_boolean(registry, _distinct(vars))
+        values = [sum(bias[w:]) for w in range(len(vars) + 1)]
+    target = Polynomial.zero(registry)
+    if any(values):  # an all-zero bias checks no variable
+        target = Polynomial.symmetric(registry, vars, values)
 
     if lam is None:
         lam = 1 + sum(abs(b) for b in bias)
@@ -235,15 +220,6 @@ def czw_count4(
         )
     trace = f"czw_count4(lam={format_fraction(lam)}, bias={tuple(map(format_fraction, bias))})"
     return GadgetResult(output, tuple(aux), Guarantee.GROUND_STATE, trace)
-
-
-def _spin_product_in_boolean(vars, registry: VariableRegistry) -> Polynomial:
-    """The 4-spin product written over the {0,1} images of the same variables:
-    16*b1b2b3b4 - 8*(triples) + 4*(pairs) - 2*(singles) + 1."""
-    vars = _distinct(vars)
-    return Polynomial.from_products(registry, [
-        (subset, (-2) ** size) for size in range(5) for subset in itertools.combinations(vars, size)
-    ])
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,11 @@ value.  Sharing is invisible to `terms`, `items()` and `==`.
 
 from __future__ import annotations
 
+import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -332,6 +334,20 @@ class Polynomial:
         product and affine image (`flip`, domain conversion) is built here.
         """
         return cls(registry, ((tuple((v, 1) for v in vars), c) for vars, c in products))
+
+    @classmethod
+    def symmetric(cls, registry: VariableRegistry, vars: Sequence[int], values) -> "Polynomial":
+        """The multilinear polynomial over the distinct `vars` that is values[w] where w of
+        them are 1 (binomial inversion): sum_d alpha_d * e_d(vars), alpha_d = sum_j (-1)^(d-j)
+        * C(d, j) * values[j], d going up, in combinations order, any alpha_d of 0 left out."""
+        vars = _distinct(vars)
+        values = [_as_fraction(v) for v in values]
+        alphas = [sum(values[j] * (-1) ** (d - j) * comb(d, j) for j in range(d + 1))
+                  for d in range(len(vars) + 1)]
+        return cls.from_products(registry, (
+            (subset, alpha) for d, alpha in enumerate(alphas) if alpha
+            for subset in itertools.combinations(vars, d)
+        ))
 
     @classmethod
     def _wrap(cls, registry: VariableRegistry, terms: dict) -> "Polynomial":

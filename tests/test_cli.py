@@ -6,9 +6,10 @@ import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import quadratizer
@@ -665,6 +666,157 @@ def test_cli_fuzz_exits_with_documented_codes(tmp_path_factory, invocation):
     argv = [arg.format(**paths) for arg in argv]
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(argv) in (0, 1, 2, 3, 4)
+
+
+# -- the contract: every run of every subcommand ends with exit 0-4 ----------
+
+_WIDE = _LIMIT or 4300  # int()'s digit limit, or CPython's default where there is none
+
+
+@st.composite
+def _coefficient(draw):
+    """A small literal, or a digit run around int()'s digit limit that parses,
+    is refused, or outgrows the limit once a gadget multiplies it."""
+    length = draw(st.sampled_from([1, 2, _WIDE - 1, _WIDE, _WIDE, _WIDE + 1]))
+    digits = draw(st.sampled_from("99919")) * length
+    if draw(st.integers(0, 2)) == 0:
+        digits += "/" + draw(st.sampled_from(["3", digits]))
+    return draw(st.sampled_from(["", "-"])) + digits
+
+
+@st.composite
+def _wide_grammar(draw):
+    names = st.lists(st.sampled_from(["b1", "b2", "b3", "b4", "b5", "b1", "z1"]),
+                     max_size=5, unique=True)
+    terms = [" ".join([draw(_coefficient()), *draw(names)])
+             for _ in range(draw(st.integers(1, 3)))]
+    if draw(st.booleans()):
+        terms.append(terms[0])  # the same literal twice merges into one coefficient
+    return " + ".join(terms)
+
+
+@st.composite
+def _wide_json(draw):
+    count = draw(st.integers(1, 5))
+    if draw(st.booleans()):  # polynomial JSON
+        records = [{"id": i, "domain": "b", "kind": "orig", "label": f"b{i + 1}"}
+                   for i in range(count)]
+        monomials = st.sets(st.sampled_from([str(i) for i in range(count)]))
+        terms = [{"m": dict.fromkeys(draw(monomials), 1), "c": draw(_coefficient())}
+                 for _ in range(draw(st.integers(1, 3)))]
+        return json.dumps({"vars": records, "terms": terms})
+    var_map = {str(i): {"label": f"b{i + 1}", "kind": draw(st.sampled_from(["orig", "aux"])),
+                        "domain": "b"} for i in range(count)}
+    keys = st.sampled_from([str(i) for i in range(count)])
+    pairs = st.sampled_from([f"{i},{j}" for i in range(count) for j in range(i + 1, count)]
+                            or ["0,1"])
+    return json.dumps({
+        "offset": draw(_coefficient()),
+        "linear": draw(st.dictionaries(keys, _coefficient(), max_size=3)),
+        "quadratic": draw(st.dictionaries(pairs, _coefficient(), max_size=3)),
+        "var_map": var_map,
+    })
+
+
+_EDITS = st.text(st.sampled_from(list("0123456789 +-/^{}[],:\"\nbzt")), max_size=3)
+
+
+@st.composite
+def _mutated(draw, texts):
+    text = draw(texts)
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 3]))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 3))
+        text = text[:at] + draw(_EDITS) + text[at + cut:]
+    return text
+
+
+_TEXTS = _mutated(st.one_of(
+    _wide_grammar(), _wide_grammar(), _wide_grammar(), _wide_json(),
+    _grammar(), _polynomial_json(), _qubo_json(),
+))
+_CAPS = ["4096", "65536"] * 4 + ["1", "64", "0", "-3", "abc", "", "9" * (_WIDE + 1)]
+# tokens an edit of argv inserts; "{a}" and "{b}" are the two input files
+_ARGV_TOKENS = _CAPS + [
+    "--verify", "--max-states", "--format", "text", "json", "qubo", "--to", "spin", "boolean",
+    "--aux", "a1", "--mode", "conditional", "--route", "positive=ptr_bcr4", "multi_term=fgbz",
+    "odd_split=on", "--strategy", "rosenberg", "--verdicts", "--in", "--out", "--original",
+    "--quadratized", "-", "{a}", "{b}", "--help",
+]
+
+
+@st.composite
+def _contract_runs(draw):
+    command = draw(st.sampled_from(["quadratize", "verify", "analyze", "convert", "list-gadgets"]))
+    argv = {
+        "quadratize": ["quadratize", "--in", "{a}",
+                       "--format", draw(st.sampled_from(["text", "json", "qubo"])),
+                       "--strategy", draw(st.sampled_from(sorted(cli.STRATEGY_PRESETS))),
+                       "--verify"],
+        "verify": ["verify", "--original", "{b}", "--quadratized", "{a}",
+                   "--mode", draw(st.sampled_from(sorted(cli.VERIFY_MODES)))],
+        "analyze": ["analyze", "--in", "{a}"],
+        "convert": ["convert", "--in", "{a}",
+                    "--to", draw(st.sampled_from(["spin", "boolean", "json", "text"]))],
+        "list-gadgets": ["list-gadgets", "--verdicts"],
+    }[command]
+    if command in ("quadratize", "verify", "list-gadgets"):
+        argv += ["--max-states", draw(st.sampled_from(_CAPS))]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.sampled_from(_ARGV_TOKENS)))
+    env = draw(st.one_of(st.none(), st.none(), st.sampled_from(_CAPS)))
+    # verify reads, as often as not, what quadratize wrote for its original
+    derived = command == "verify" and draw(st.sampled_from([None, "text", "json", "qubo"]))
+    return argv, draw(_TEXTS), draw(_TEXTS), env, derived
+
+
+# ROADMAP item 13's reproductions, and a verify run on a real quadratization
+@example((["quadratize", "--in", "{a}", "--format", "text"], f"{_NINES} b1 b2 b3 b4 b5", "",
+          None, None))
+@example((["analyze", "--in", "-"], _MERGED, "", "64", None))
+@example((["verify", "--original", "{b}", "--quadratized", "{a}"], "", "b1 b2 b3 - b1",
+          None, "qubo"))
+@given(_contract_runs())
+@settings(max_examples=80, deadline=None)
+def test_cli_contract_exits_0_to_4(tmp_path_factory, run):
+    """Every subcommand, on mutated argv, text, polynomial JSON, QUBO JSON and
+    QUADRATIZER_MAX_STATES, with digit runs around int()'s limit, literals that
+    merge past it and coefficients a gadget multiplies, exits 0-4 (argparse's
+    SystemExit included), and no other exception escapes.  A verify run may
+    first quadratize its original into the file it checks.  The working folder
+    is the run's own, so a stray --out writes there; "-" reads the first input."""
+    argv, first, second, env, derived = run
+    folder = tmp_path_factory.mktemp("contract")
+    paths = {"a": folder / "a", "b": folder / "b"}
+    paths["a"].write_text(first, encoding="utf-8")
+    paths["b"].write_text(second, encoding="utf-8")
+    argv = [arg.format(**paths) if arg in ("{a}", "{b}") else arg for arg in argv]
+    stdin = io.TextIOWrapper(io.BytesIO(first.encode("utf-8")))
+    runs = [argv]
+    if derived:
+        runs.insert(0, ["quadratize", "--in", str(paths["b"]), "--out", str(paths["a"]),
+                        "--format", derived])
+    cwd = os.getcwd()
+    os.chdir(folder)
+    try:
+        with mock.patch.dict(os.environ), mock.patch.object(sys, "stdin", stdin), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            os.environ.pop("QUADRATIZER_MAX_STATES", None)
+            if env is not None:
+                os.environ["QUADRATIZER_MAX_STATES"] = env
+            codes = []
+            for args in runs:
+                try:
+                    codes.append(main(args))
+                except SystemExit as exit:  # argparse: 0 after --help, 2 on a usage error
+                    codes.append(exit.code)
+    finally:
+        os.chdir(cwd)
+    assert set(codes) <= {0, 1, 2, 3, 4}
 
 
 def test_verify_repeated_aux_label_is_one_variable(tmp_path, capsys):

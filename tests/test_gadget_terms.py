@@ -583,8 +583,6 @@ NEW = SimpleNamespace(
     sfr_bcr=structured.sfr_bcr,
     exact_c_indicator=structured.exact_c_indicator,
     czw_counting_hamiltonian=structured.czw_counting_hamiltonian,
-    czw_target=structured._czw_target,
-    spin_product_in_boolean=structured._spin_product_in_boolean,
     czw_count4=structured.czw_count4,
     rosenberg_pair=multi_term.rosenberg_pair,
     fgbz_negative=multi_term.fgbz_negative,
@@ -599,8 +597,6 @@ REF = SimpleNamespace(
     sfr_bcr=_ref_sfr_bcr,
     exact_c_indicator=_ref_exact_c_indicator,
     czw_counting_hamiltonian=_ref_czw_counting_hamiltonian,
-    czw_target=_ref_czw_target,
-    spin_product_in_boolean=_ref_spin_product_in_boolean,
     czw_count4=_ref_czw_count4,
     rosenberg_pair=_ref_rosenberg_pair,
     fgbz_negative=_ref_fgbz_negative,
@@ -789,6 +785,21 @@ CZW_BIASES = [
     (1, 2, 3),
 ]
 
+# Rejections whose order a rewrite of the target must keep: a bias checks its
+# variables (distinct, then {0,1}) before lam, and only when some entry is
+# nonzero; a preset checks only that they are distinct.  The reference checks
+# domains in the counting Hamiltonian alone, after lam, so the two spin cases
+# with a bias differ from it; each case is pinned by its outcome instead.
+LAM_ZERO = (InvalidParameter, "lam must be positive, got 0")
+NOT_BOOLEAN = (DomainViolation, "variable 0 is not a {0,1} variable")
+CZW_REJECTIONS = [
+    # bias, domain, variable count, first variable repeated, lam, outcome
+    ((1, 0, 0, 0), Domain.SPIN, 4, False, 0, NOT_BOOLEAN),
+    ((0, 0, 0, 0), Domain.BOOLEAN, 4, True, 0, LAM_ZERO),
+    ((1, 0, 0, 0), Domain.SPIN, 3, False, None, NOT_BOOLEAN),
+    ("z1z2z3z4", Domain.SPIN, 5, False, 0, LAM_ZERO),
+]
+
 
 def test_czw_matches_reference():
     for bias in CZW_BIASES:
@@ -796,15 +807,9 @@ def test_czw_matches_reference():
             _assert_same(
                 lambda g, r: g.czw_count4(lam, bias, _variables(r, Domain.BOOLEAN, 4)[::-1], r)
             )
-        if not isinstance(bias, str) and len(bias) == 4:
-            beta = tuple(Fraction(b) for b in bias)
-            _assert_same(lambda g, r: g.czw_target(beta, _variables(r, Domain.BOOLEAN, 4), r))
     for count in (3, 4, 5):
         _assert_same(
             lambda g, r: g.czw_counting_hamiltonian(_variables(r, Domain.BOOLEAN, count), r)
-        )
-        _assert_same(
-            lambda g, r: g.spin_product_in_boolean(_variables(r, Domain.BOOLEAN, count), r)
         )
     _assert_same(lambda g, r: g.czw_counting_hamiltonian(_variables(r, Domain.SPIN, 4), r))
 
@@ -822,6 +827,16 @@ def test_czw_matches_reference():
         return g.czw_count4(None, "z1z2z3z4", [b, b, *rest], r)
 
     _assert_same(repeated)
+
+    for bias, domain, count, repeat, lam, want in CZW_REJECTIONS:
+
+        def rejected(g, r):
+            vars = _variables(r, domain, count)
+            return g.czw_count4(lam, bias, vars[:1] * repeat + vars[repeat:], r)
+
+        value, entries = _outcome(NEW, rejected)
+        assert value == want
+        assert not any(gadget for _, _, gadget, _ in entries)
 
 
 def _random_boolean(registry, seed, term_count):

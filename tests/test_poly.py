@@ -1,5 +1,6 @@
 """Core polynomial algebra: canonical forms, ring laws, conversions."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -143,6 +144,45 @@ def test_evaluate_is_ring_homomorphism(pair):
         assert (p + q).evaluate(a) == p.evaluate(a) + q.evaluate(a)
         assert (p * q).evaluate(a) == p.evaluate(a) * q.evaluate(a)
         assert p.scale(Fraction(3, 2)).evaluate(a) == Fraction(3, 2) * p.evaluate(a)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_symmetric_takes_its_values_by_weight(data):
+    """Polynomial.symmetric over up to 8 {0,1} variables in a random id order
+    is values[weight] at every assignment (by the naive evaluator), and holds
+    every subset of each degree d whose forward difference of the values at 0
+    is nonzero, with that coefficient, and no other term."""
+    registry = VariableRegistry()
+    vars = data.draw(st.permutations(
+        [registry.add_variable(Domain.BOOLEAN) for _ in range(data.draw(st.integers(0, 8)))]
+    ))
+    rational = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 6))
+    if data.draw(st.booleans()):
+        values = data.draw(st.lists(rational, min_size=len(vars) + 1, max_size=len(vars) + 1))
+    else:  # a polynomial in the weight, so every degree above its own has alpha 0
+        coeffs = data.draw(st.lists(rational, max_size=3))
+        values = [sum(c * w**i for i, c in enumerate(coeffs)) for w in range(len(vars) + 1)]
+    p = Polynomial.symmetric(registry, vars, values)
+
+    for bits in itertools.product((0, 1), repeat=len(vars)):
+        assert naive_value(p, dict(zip(vars, bits))) == values[sum(bits)]
+    differences, alphas = list(values), []
+    while differences:
+        alphas.append(differences[0])
+        differences = [b - a for a, b in zip(differences, differences[1:])]
+    assert list(p.terms.items()) == [
+        (tuple((v, 1) for v in subset), alpha)
+        for d, alpha in enumerate(alphas) if alpha
+        for subset in itertools.combinations(sorted(vars), d)
+    ]
+    assert Polynomial.symmetric(registry, vars, [0] * (len(vars) + 1)) == Polynomial.zero(registry)
+    if vars:
+        with pytest.raises(ValueError) as repeated:
+            Polynomial.symmetric(registry, vars + vars[:1], values + [0])
+        with pytest.raises(ValueError) as product:
+            Polynomial.product(registry, vars + vars[:1])
+        assert str(repeated.value) == str(product.value)
 
 
 def test_substitute_bit_flip_example():

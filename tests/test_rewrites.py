@@ -3,11 +3,13 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadratizer import verify
 from quadratizer.errors import DeductionUnproven, DomainViolation, ElcUnproven, InvalidParameter
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
@@ -481,3 +483,13 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
                     assert mono not in result.output.terms  # the penalty cancels it
     assert [c for c in find_elcs(p, vars) if len(c) <= 3] == elcs
     assert not cancels  # every pick is a configuration apply_elc accepts
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rewrites_accept_exactly_the_facts_in_small_blocks(seed):
+    """The same facts against the naive minimizers, with the oracle's kernel
+    at 4-state blocks: an objective here has at most 5 {0,1} variables, so
+    only blocks this small give enumerate_min three slow variables."""
+    with mock.patch.object(verify, "BLOCK_STATES", 4):
+        test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches.hypothesis.inner_test(seed)

@@ -803,3 +803,34 @@ def test_experimental_rows_repeat_another_row(c, form, twin, twin_sign, domain, 
     assert results[0] == results[1]
     if form == "ptr_bcr2":
         assert len(results[0][1]) == 1 and results[0][3] == Guarantee.POINTWISE_MIN
+
+
+# ROADMAP item 2 proves a component by weight class when its output is a
+# function of the term's weight, that is, invariant under every permutation of
+# the term's variables.  One transposition and one k-cycle generate them all.
+WEIGHT_ROWS = ["ntr_kzfd", "ptr_ishikawa", "ntr_abcg2", "ptr_bcr3", "ptr_bcr4", "ntr_rbl", "ptr_kz"]
+ORDERED_ROWS = ["ntr_abcg", "ptr_bg", "ntr_gbp", "ptr_gbp"]
+
+
+def _relabeled(p, perm):
+    return Polynomial(p.registry, [
+        (tuple((perm.get(v, v), e) for v, e in mono), coeff) for mono, coeff in p.terms.items()
+    ])
+
+
+@pytest.mark.parametrize("name", WEIGHT_ROWS + ORDERED_ROWS)
+def test_weight_rows_are_invariant_under_permutations_of_the_term(name):
+    """The must-pass rows item 2 lists give, at every degree 3..8 they take,
+    an output that a transposition and a k-cycle of the term's variables
+    leave unchanged, with the auxiliaries fixed; the ordered rows do not."""
+    row = GADGETS[name]
+    sign = -1 if row.sign == "negative" else 1
+    for k in range(3, min(row.max_degree or 8, 8) + 1):
+        for coeff in (Fraction(sign * 3, 2), Fraction(sign * 7)):
+            registry = VariableRegistry()
+            vs = [registry.add_variable(row.domain) for _ in range(k)]
+            output = row.apply(coeff, tuple((v, 1) for v in vs), registry).output
+            swap = {vs[0]: vs[1], vs[1]: vs[0]}
+            cycle = {v: vs[(i + 1) % k] for i, v in enumerate(vs)}
+            invariant = all(_relabeled(output, perm) == output for perm in (swap, cycle))
+            assert invariant == (name in WEIGHT_ROWS), (name, k, coeff)

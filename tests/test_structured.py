@@ -352,6 +352,23 @@ def test_exact_c_indicator_rejects_wrong_variable_count():
     assert target.evaluate(dict.fromkeys(ids, 1)) == 0
 
 
+@pytest.mark.parametrize("n, c", [(3, -1), (3, 4), (0, -1), (0, 1)])
+def test_exact_c_indicator_refuses_c_outside_zero_to_n(n, c):
+    """As sfr_bcr does, with its message: c = -1 raised math.comb's bare
+    ValueError, and c = n + 1 gave the zero polynomial.  The variable count
+    is checked first, the range before the variables."""
+    registry, zs = _vars(n + 1, Domain.SPIN)
+    with pytest.raises(VariantRangeViolation) as excinfo:
+        exact_c_indicator(ExactCSpec(n, c), zs[:n], registry)
+    assert str(excinfo.value) == f"c must lie in [0, {n}], got {c}"
+    with pytest.raises(InvalidParameter, match=f"expected {n} variables"):
+        exact_c_indicator(ExactCSpec(n, c), zs, registry)
+    registry, bs = _vars(n)
+    with pytest.raises(VariantRangeViolation) as sfr:
+        sfr_bcr(2, ExactCSpec(n, c), bs, registry)
+    assert str(sfr.value) == str(excinfo.value)
+
+
 @pytest.mark.parametrize("domain", [Domain.SPIN, Domain.TERNARY])
 def test_exact_c_indicator_rejects_variables_outside_zero_one(domain):
     """Over z1..z3 the expansion is no indicator (it ranges from -12 to 4), so
