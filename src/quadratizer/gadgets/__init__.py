@@ -57,7 +57,7 @@ def experimental_reports(max_states: int = DEFAULT_STATE_CAP) -> dict:
     # czw_count4 is built unchecked and proved here once, so its report is kept
     registry = VariableRegistry()
     vars = [registry.add_variable(Domain.BOOLEAN) for _ in range(4)]
-    result = czw_count4(None, "b1b2b3b4", vars, registry, max_states, verify=False)
+    result = czw_count4(None, "b1b2b3b4", vars, registry, verify=False)
     reports["czw_count4"] = check_claim(
         result.guarantee, Polynomial.product(registry, vars), result.output, result.aux, max_states
     )

@@ -139,7 +139,7 @@ def ntr_abcg2(registry, vars, coeff, new, scale_c=2):
     """
     scale_c = Fraction(scale_c)
     if scale_c < 1:
-        raise InvalidParameter(f"C must be >= 1, got {scale_c}")
+        raise InvalidParameter(f"C must be >= 1, got {format_fraction(scale_c)}")
     [ba] = new(B)
     return _kzfd_terms(ba, vars, (), coeff, scale_c)
 

@@ -24,7 +24,7 @@ from ..errors import (
 )
 from ..poly import Domain, Polynomial, VariableRegistry, _distinct, _require_boolean
 from ..poly import format_fraction
-from ..verify import DEFAULT_STATE_CAP, check_claim, check_ternary_encoding
+from ..verify import check_claim, check_ternary_encoding
 from .base import GadgetResult, Guarantee
 from .single_term import _log2_ceil
 
@@ -53,17 +53,19 @@ def sfr_aux_count(variant: int, spec: ExactCSpec) -> int:
         return max(1, _log2_ceil(spec.c))
     if variant == 4:
         return max(1, _log2_ceil(spec.n - spec.c))
-    raise InvalidParameter(f"variant must be 1..4, got {variant}")
+    raise InvalidParameter(f"variant must be 1..4, got {format_fraction(variant)}")
 
 
 def _check_c(spec: ExactCSpec):
     if not 0 <= spec.c <= spec.n:
-        raise VariantRangeViolation(f"c must lie in [0, {spec.n}], got {spec.c}")
+        raise VariantRangeViolation(
+            f"c must lie in [0, {format_fraction(spec.n)}], got {format_fraction(spec.c)}"
+        )
 
 
 def _validate_spec(variant: int, spec: ExactCSpec):
     if variant not in (1, 2, 3, 4):
-        raise InvalidParameter(f"variant must be 1..4, got {variant}")
+        raise InvalidParameter(f"variant must be 1..4, got {format_fraction(variant)}")
     if spec.gamma <= 0:
         raise InvalidParameter(
             "gamma must be positive: the closed forms are squares/binomials, "
@@ -73,14 +75,16 @@ def _validate_spec(variant: int, spec: ExactCSpec):
     if variant in (1, 3):
         if 2 * spec.c < spec.n:
             raise VariantRangeViolation(
-                f"variants 1/3 need n/2 <= c <= n, got c={spec.c}, n={spec.n}"
+                f"variants 1/3 need n/2 <= c <= n, got c={format_fraction(spec.c)}, "
+                f"n={format_fraction(spec.n)}"
             )
         if spec.c < 1:
             raise VariantRangeViolation("variants 1/3 need c >= 1")
     else:
         if 2 * spec.c > spec.n:
             raise VariantRangeViolation(
-                f"variants 2/4 need 0 <= c <= n/2, got c={spec.c}, n={spec.n}"
+                f"variants 2/4 need 0 <= c <= n/2, got c={format_fraction(spec.c)}, "
+                f"n={format_fraction(spec.n)}"
             )
 
 
@@ -99,7 +103,7 @@ def sfr_bcr(
     """
     vars = sorted(vars)
     if len(vars) != spec.n or len(set(vars)) != spec.n:
-        raise InvalidParameter(f"expected {spec.n} distinct variables")
+        raise InvalidParameter(f"expected {format_fraction(spec.n)} distinct variables")
     _require_boolean(registry, vars)
     _validate_spec(variant, spec)
     m = sfr_aux_count(variant, spec)
@@ -124,7 +128,7 @@ def sfr_bcr(
 def exact_c_indicator(spec: ExactCSpec, vars, registry: VariableRegistry) -> Polynomial:
     """gamma * [sum(b) == c], the oracle target, from its values by weight; 0 <= c <= n."""
     if len(vars) != spec.n:
-        raise InvalidParameter(f"expected {spec.n} variables")
+        raise InvalidParameter(f"expected {format_fraction(spec.n)} variables")
     _check_c(spec)
     _require_boolean(registry, _distinct(vars))
     values = [spec.gamma * (w == spec.c) for w in range(spec.n + 1)]
@@ -172,17 +176,16 @@ def czw_count4(
     target_bias,
     vars,
     registry: VariableRegistry,
-    max_states: int = DEFAULT_STATE_CAP,
     verify: bool = True,
 ) -> GadgetResult:
     """bias + lam * H_count over 4 logical variables and 4 auxiliaries.
 
     `target_bias` is a preset name ("b1b2b3b4" or "z1z2z3z4") or a list of 4
     rationals applied to the auxiliaries.  The target is Polynomial.symmetric of
-    [w = 4], (-1)^w or sum_j bias_j * [w < j] by weight w = sum(b).  The result
-    is oracle-gated unless verify=False: the ground manifold must project onto
-    the target spectrum's minimizers for the chosen lam, else VerificationFailed
-    carries the counterexample.  The default lam is 1 + sum_j |bias_j|.
+    [w = 4], (-1)^w or sum_j bias_j * [w < j] by weight w = sum(b).  Unless
+    verify=False, the oracle proves at DEFAULT_STATE_CAP that the ground manifold
+    projects onto the target's minimizers at lam, else VerificationFailed carries
+    the counterexample.  The default lam is 1 + sum_j |bias_j|.
     """
     vars = sorted(vars)
     if isinstance(target_bias, str):
@@ -214,10 +217,9 @@ def czw_count4(
     output = bias_poly + h_count.scale(lam)
 
     if verify:
-        check_claim(
-            Guarantee.GROUND_STATE, target, output, aux, max_states,
-            f"czw_count4 does not reproduce the target ground space at lam={format_fraction(lam)}",
-        )
+        check_claim(Guarantee.GROUND_STATE, target, output, aux, failure=(
+            f"czw_count4 does not reproduce the target ground space at lam={format_fraction(lam)}"
+        ))
     trace = f"czw_count4(lam={format_fraction(lam)}, bias={tuple(map(format_fraction, bias))})"
     return GadgetResult(output, tuple(aux), Guarantee.GROUND_STATE, trace)
 
@@ -231,7 +233,6 @@ def ternary_to_binary(
     t: int,
     lam,
     verify: bool = True,
-    max_states: int = DEFAULT_STATE_CAP,
 ) -> Polynomial:
     """Replace the ternary variable t by (z1 + z2)/2 over two fresh spins and
     add the penalty -lam*(z1*z2 + z1 - z2).
@@ -239,7 +240,8 @@ def ternary_to_binary(
     Three of the four (z1, z2) states realize t in {-1, 0, 1} at a uniform
     penalty energy of -lam and the fourth sits 4*lam above, so for lam large
     enough the ground space reproduces the original's.  The rewrite verifies
-    itself by enumeration unless verify=False.
+    itself by enumeration at DEFAULT_STATE_CAP unless verify=False; for a wider
+    check, pass verify=False and call check_ternary_encoding with a cap.
     """
     registry = p.registry
     if registry.domain(t) is not Domain.TERNARY:
@@ -257,7 +259,7 @@ def ternary_to_binary(
         registry, [((z1, z2), -lam), ((z1,), -lam), ((z2,), lam)]
     )
     if verify:
-        report = check_ternary_encoding(p, output, t, (z1, z2), lam, max_states)
+        report = check_ternary_encoding(p, output, t, (z1, z2), lam)
         if not report.passed:
             raise VerificationFailed(f"ternary encoding failed its ground-space check at "
                                      f"lam={format_fraction(lam)}", report)

@@ -5,9 +5,10 @@ All three trade enumeration work for auxiliary variables.  A deduction
 m = 0 and an excludable configuration are facts about the global minima of a
 reference polynomial, proved one way (`_excludable`): no global minimizer
 extends the configuration, for a deduction the one setting m's variables to
-1.  A rewrite always proves its fact before it applies it.  Split reduction
-has no routing of its own: a branch it quadratizes in place goes through the
-pipeline's routing loop with the default routes.
+1.  A rewrite always proves its fact before it applies it, enumerating at
+verify.DEFAULT_STATE_CAP.  Split reduction has no routing of its own: a branch
+it quadratizes in place goes through the pipeline's routing loop with the
+default routes.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
 from .poly import Monomial, Polynomial, _require_boolean, format_fraction, monomial_degree
 from .poly import monomial_vars
-from .verify import DEFAULT_STATE_CAP, enumerate_min, value_range
+from .verify import enumerate_min, value_range
 
 
 @dataclass(frozen=True)
@@ -45,17 +46,15 @@ def _extends(assignment: dict, config: dict) -> bool:
     return all(assignment.get(v, x) == x for v, x in config.items())
 
 
-def _excludable(p: Polynomial, configs, max_states: int = DEFAULT_STATE_CAP) -> list:
+def _excludable(p: Polynomial, configs) -> list:
     """The configurations, in the order given, that no global minimizer of p
     extends.  A variable outside p's support is free, so a minimizer always
     extends to match it."""
-    _, minimizers = enumerate_min(p, max_states)
+    _, minimizers = enumerate_min(p)
     return [c for c in configs if not any(_extends(m, c) for m in minimizers)]
 
 
-def find_zero_deductions(
-    p: Polynomial, max_arity: int, max_states: int = DEFAULT_STATE_CAP
-) -> list[Deduction]:
+def find_zero_deductions(p: Polynomial, max_arity: int) -> list[Deduction]:
     """Every monomial of arity <= max_arity over p's {0,1} variables that
     vanishes at all global minima of p, in deterministic order."""
     support = p.variables()
@@ -65,7 +64,7 @@ def find_zero_deductions(
         for arity in range(1, max_arity + 1)
         for subset in itertools.combinations(support, arity)
     )
-    return [Deduction(tuple(config.items())) for config in _excludable(p, ones, max_states)]
+    return [Deduction(tuple(config.items())) for config in _excludable(p, ones)]
 
 
 def _cofactor(p: Polynomial, mono: Monomial):
@@ -81,9 +80,7 @@ def _cofactor(p: Polynomial, mono: Monomial):
     return Polynomial(p.registry, cofactor), Polynomial(p.registry, rest)
 
 
-def apply_deduc_reduc(
-    p: Polynomial, deduction: Deduction, max_states: int = DEFAULT_STATE_CAP
-) -> GadgetResult:
+def apply_deduc_reduc(p: Polynomial, deduction: Deduction) -> GadgetResult:
     """Rewrite p = m*C + R as R + lam*m for a deduction m = 0 over {0,1}
     variables, once it is proved here.
 
@@ -96,18 +93,16 @@ def apply_deduc_reduc(
     vars = monomial_vars(mono)
     _require_boolean(p.registry, vars, "deductions are defined over {0,1} variables")
     mono_text = "".join(p.registry.display_name(v) for v in vars)
-    if not _excludable(p, [dict.fromkeys(vars, 1)], max_states):
+    if not _excludable(p, [dict.fromkeys(vars, 1)]):
         raise DeductionUnproven(f"{mono_text}=0 fails at a global minimizer")
     cofactor, rest = _cofactor(p, mono)
-    lam = value_range(cofactor, max_states)[1] if cofactor else Fraction(0)
+    lam = value_range(cofactor)[1] if cofactor else Fraction(0)
     output = rest + Polynomial(p.registry, {mono: lam})
     trace = f"deduc_reduc({mono_text}=0, lam={format_fraction(lam)})"
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
 
 
-def find_elcs(
-    p: Polynomial, vars, max_states: int = DEFAULT_STATE_CAP
-) -> list[PartialAssignment]:
+def find_elcs(p: Polynomial, vars) -> list[PartialAssignment]:
     """All partial assignments over nonempty subsets of `vars` that no global
     minimizer of p extends (excludable local configurations)."""
     vars = sorted(vars)
@@ -118,7 +113,7 @@ def find_elcs(
         for subset in itertools.combinations(vars, arity)
         for values in itertools.product((0, 1), repeat=arity)
     )
-    return _excludable(p, configs, max_states)
+    return _excludable(p, configs)
 
 
 def _elc_penalty(registry, config: PartialAssignment) -> Polynomial:
@@ -130,9 +125,7 @@ def _elc_penalty(registry, config: PartialAssignment) -> Polynomial:
     ))
 
 
-def apply_elc(
-    p: Polynomial, elc: PartialAssignment, alpha="auto", max_states: int = DEFAULT_STATE_CAP
-) -> GadgetResult:
+def apply_elc(p: Polynomial, elc: PartialAssignment, alpha="auto") -> GadgetResult:
     """Add alpha * [configuration matched] to p, once the configuration is
     proved here.
 
@@ -147,10 +140,10 @@ def apply_elc(
     for value in elc.values():
         if value not in (0, 1):
             raise DomainViolation(f"value {value} is not in {{0,1}}")
-    if not _excludable(p, [elc], max_states):
+    if not _excludable(p, [elc]):
         raise ElcUnproven(f"a global minimizer extends the configuration {elc}")
     if alpha == "auto":
-        low, high = value_range(p, max_states)
+        low, high = value_range(p)
         alpha = high - low + 1
     alpha = Fraction(alpha)
     if alpha < 0:
@@ -163,9 +156,7 @@ def apply_elc(
     return GadgetResult(output, (), Guarantee.CONDITIONAL_MIN, trace)
 
 
-def elc_cancel(
-    p: Polynomial, mono: Monomial, max_states: int = DEFAULT_STATE_CAP
-) -> Optional[tuple]:
+def elc_cancel(p: Polynomial, mono: Monomial) -> Optional[tuple]:
     """Pick an (elc, alpha) whose penalty cancels the named monomial's
     coefficient, when some proven configuration allows it.
 
@@ -186,7 +177,7 @@ def elc_cancel(
         for values in sorted(itertools.product((0, 1), repeat=len(vars)), reverse=True)
         if (-1) ** values.count(0) * coeff < 0
     )
-    found = _excludable(p, eligible, max_states)
+    found = _excludable(p, eligible)
     return (found[0], abs(coeff)) if found else None
 
 

@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
 
-from .errors import EnumerationCapExceeded, InvalidParameter, VariableMismatch, VerificationFailed
-from .poly import Domain, Polynomial, monomial_degree
+from .errors import EnumerationCapExceeded, InvalidParameter, QuadratizerError, VariableMismatch
+from .errors import VerificationFailed
+from .poly import Domain, Polynomial, format_fraction, monomial_degree
 
 DEFAULT_STATE_CAP = 1 << 20
 BLOCK_STATES = 4096
@@ -117,14 +119,25 @@ def _state_count(registry, vars: Sequence[int]) -> int:
     return count
 
 
+def _count_text(count: int, past_limit: str) -> str:
+    """format_fraction(count), or `past_limit` when int() cannot write count."""
+    try:
+        return format_fraction(count)
+    except QuadratizerError:
+        return past_limit
+
+
 def _space(registry, vars: Sequence[int], max_states: int, *polys: Polynomial):
     """(number of states over `vars`, common scale of the coefficients of
-    `polys`); a space larger than the cap raises before anything is scaled."""
+    `polys`); a space larger than the cap raises before anything is scaled.
+    A count or cap that int() cannot write is written as powers instead."""
     n_states = _state_count(registry, vars)
     if n_states > max_states:
-        raise EnumerationCapExceeded(
-            f"{n_states} states exceed the cap of {max_states}"
-        )
+        sizes = Counter(len(registry.domain(var).values) for var in vars)
+        powers = " * ".join(f"{size}^{k}" for size, k in sorted(sizes.items()))
+        cap_bound = f"2^{max_states.bit_length() - 1} or more"
+        raise EnumerationCapExceeded(f"{_count_text(n_states, powers)} states exceed the cap "
+                                     f"of {_count_text(max_states, cap_bound)}")
     denominators = [c.denominator for p in polys for c in p.terms.values()]
     return n_states, lcm(*denominators) if denominators else 1
 
@@ -240,10 +253,10 @@ def enumerate_min(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
     return Fraction(best, scale), minimizers
 
 
-def value_range(p: Polynomial, max_states: int = DEFAULT_STATE_CAP):
-    """Exact (minimum, maximum) of p over every assignment of its variables."""
+def value_range(p: Polynomial):
+    """Exact (minimum, maximum) of p over its assignments, at DEFAULT_STATE_CAP."""
     vars = p.variables()
-    _, scale = _space(p.registry, vars, max_states, p)
+    _, scale = _space(p.registry, vars, DEFAULT_STATE_CAP, p)
     lows, highs = [], []
     for _, values in _blocks(p, vars, scale):
         lows.append(min(values))

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -394,8 +395,12 @@ def test_oversized_input_exits_2_without_a_traceback(tmp_path, text, aux, where)
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _NINES = "9" * _LIMIT  # the longest integer int() reads, so each text below parses
 _MERGED = f"{_NINES} b1 b2 b3 + {_NINES} b1 b2 b3"  # one coefficient, one digit too many
+# t1 + ... + t9100 at the default limit: 3^9100 states, a count of 4342 digits
+_WIDE_SPACE = int((_LIMIT or 4300) / math.log10(3)) + 88
+_TERNARY_SUM = " + ".join(f"t{i}" for i in range(1, _WIDE_SPACE + 1))
 
 
+@pytest.mark.seed_loop
 @pytest.mark.skipif(not _LIMIT, reason="this interpreter writes integers of any length")
 @pytest.mark.parametrize(
     "text,argv",
@@ -425,6 +430,21 @@ def test_oversized_output_exits_2_without_a_traceback(tmp_path, capsys, text, ar
     assert captured.out == "" and "Traceback" not in captured.err
     message = f"a number has more than {_LIMIT} digits, the most int() writes"
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this interpreter writes integers of any length")
+@pytest.mark.parametrize("argv", [["quadratize", "--verify", "--in", "{path}"],
+                                  ["verify", "--original", "{path}", "--quadratized", "{path}"]],
+                         ids=["quadratize", "verify"])
+def test_a_state_count_past_the_digit_limit_exits_3(tmp_path, capsys, argv):
+    """A space whose state count int() cannot write is still over the cap:
+    exit 3 with one error line that writes the count as a power."""
+    path = tmp_path / "sum.txt"
+    path.write_text(_TERNARY_SUM)
+    assert main([str(path) if arg == "{path}" else arg for arg in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: 3^{_WIDE_SPACE} states exceed the cap of 1048576\n"
 
 
 @pytest.mark.parametrize(
@@ -779,6 +799,11 @@ def _contract_runs(draw):
 @example((["analyze", "--in", "-"], _MERGED, "", "64", None))
 @example((["verify", "--original", "{b}", "--quadratized", "{a}"], "", "b1 b2 b3 - b1",
           None, "qubo"))
+# a state count past int()'s digit limit, through both commands that enumerate
+@example((["quadratize", "--in", "{a}", "--verify"], _TERNARY_SUM, "", None, None))
+@example((["verify", "--original", "{b}", "--quadratized", "{a}"], _TERNARY_SUM, _TERNARY_SUM,
+          None, None))
+@pytest.mark.seed_loop
 @given(_contract_runs())
 @settings(max_examples=80, deadline=None)
 def test_cli_contract_exits_0_to_4(tmp_path_factory, run):

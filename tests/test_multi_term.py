@@ -107,6 +107,7 @@ def _pair_objective(seed):
     return Polynomial(registry, terms)
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_rosenberg_pair_is_pointwise_at_every_accepted_penalty(seed):

@@ -5,19 +5,24 @@ A real output is mutated one way at a time: one output coefficient +1/2 or
 another auxiliary or original variable.  Renames move any variable of a
 rewrite's output and of a gadget's output at k = 3..4, and only auxiliaries
 at k = 5..6.  The library's verdict on every mutant must equal the naive
-verdict; a pointwise output's naive values are tabulated once, and each
-mutant re-evaluates only the terms where it differs.  A mutant that still
-passes is not a miss when the naive oracle passes it too (penalty slack is a
-valid output), so the survivors are pinned per gadget, degree and operator:
-a change that adds or removes slack shows up as a diff of these tables.
-Random objectives routed under every CLI preset add a corpus with no pinned
-table: there only agreement is checked, and renames move auxiliaries only.
+verdict; a pointwise output's naive values are tabulated once, in exact
+integers, and each mutant re-evaluates only the terms where it differs.  A
+mutant that still passes is not a miss when the naive oracle passes it too
+(penalty slack is a valid output), so the survivors are pinned per gadget,
+degree and operator: a change that adds or removes slack shows up as a diff
+of these tables.  Random {0,1} and spin objectives routed under every CLI
+preset add a corpus with no pinned table: there only agreement is checked,
+and renames move original variables too on objectives of at most 4
+variables.  A spin objective past degree 2 routes through its {0,1} twins:
+check_claim judges its mutants against the spin original, the naive oracle
+against the twin image.
 """
 
 import itertools
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -37,10 +42,11 @@ from conftest import (
     DEDUC_INSTANCE,
     all_assignments,
     naive_value,
-    pointwise_holds,
 )
 
 HALF = Fraction(1, 2)
+# the routed spin corpus's draws per preset, and mutants checked per draw
+SPIN_EXAMPLES, SPIN_MUTANTS = 8, 200
 
 # (gadget, degree, operator) -> mutants that pass check_claim; the rest of
 # the 3631 mutants of the must-pass gadgets at k = 3..6 (2275 of them
@@ -131,28 +137,51 @@ def _conditional_holds(original, transformed) -> bool:
     return minima(original) == minima(transformed)
 
 
+def _scaled_terms(p, scale):
+    terms = [(c * scale, mono) for mono, c in p.terms.items()]
+    assert all(c.denominator == 1 for c, _ in terms), "the scale misses a denominator"
+    return [(int(c), mono) for c, mono in terms]
+
+
+def _scaled_value(terms, state) -> int:
+    """naive_value's term-by-term sum over integer (coefficient, monomial) pairs."""
+    return sum(c * prod([state[v] ** e for v, e in mono]) for c, mono in terms)
+
+
 def _pointwise_table(original, output, aux):
-    """(original value, states, output values) per original assignment, over
-    every auxiliary assignment, all by naive_value: the values pointwise_holds
-    compares, computed once so that each mutant re-evaluates only the terms
-    where it differs from the output."""
+    """(scale, rows): per original assignment, the original value, the states
+    over every auxiliary assignment and the output values there, each times
+    `scale`, a common denominator of the original, the output and every
+    +-1/2 mutant, so that the naive sums run in exact integers.  The values
+    are computed once; each mutant re-evaluates only the terms where it
+    differs from the output, once per assignment of their variables."""
+    scale = lcm(2, *(c.denominator for q in (original, output) for c in q.terms.values()))
+    original_terms, output_terms = _scaled_terms(original, scale), _scaled_terms(output, scale)
     aux = sorted(aux)
     domains = [output.registry.domain(a).values for a in aux]
-    table = []
+    rows = []
     for x in all_assignments(original):
         states = [{**x, **dict(zip(aux, combo))} for combo in itertools.product(*domains)]
-        table.append((naive_value(original, x), states, [naive_value(output, s) for s in states]))
-    return table
+        rows.append((_scaled_value(original_terms, x), states,
+                     [_scaled_value(output_terms, s) for s in states]))
+    return scale, rows
 
 
 def _pointwise_holds_by_table(table, output, mutant):
+    scale, rows = table
     delta = dict(mutant.terms)
     for mono, coeff in output.terms.items():
         delta[mono] = delta.get(mono, 0) - coeff
     delta = Polynomial(output.registry, delta)
+    terms, vars = _scaled_terms(delta, scale), delta.variables()
+    shifts = {
+        values: _scaled_value(terms, dict(zip(vars, values)))
+        for values in itertools.product(*(delta.registry.domain(v).values for v in vars))
+    }
     return all(
-        min(value + naive_value(delta, state) for state, value in zip(states, values)) == want
-        for want, states, values in table
+        min(value + shifts[tuple(map(state.__getitem__, vars))]
+            for state, value in zip(states, values)) == want
+        for want, states, values in rows
     )
 
 
@@ -206,12 +235,12 @@ def test_rewrite_mutants_get_the_naive_verdict(kind):
     assert {op: (mutants[op], survivors[op]) for op in mutants} == pinned
 
 
-def _routed_objective(seed):
-    """Up to 5 {0,1} variables and up to 4 terms of degree <= 4, coefficients
-    in -3..3 without 0."""
+def _routed_objective(seed, domain=Domain.BOOLEAN, most=5):
+    """Up to `most` variables of `domain` and up to 4 terms of degree <= 4,
+    coefficients in -3..3 without 0."""
     rng = random.Random(seed)
     registry = VariableRegistry()
-    vars = [registry.add_variable(Domain.BOOLEAN) for _ in range(rng.randint(1, 5))]
+    vars = [registry.add_variable(domain) for _ in range(rng.randint(1, most))]
     terms = [
         (tuple((v, 1) for v in rng.sample(vars, rng.randint(0, min(4, len(vars))))),
          rng.choice((-3, -2, -1, 1, 2, 3)))
@@ -220,20 +249,47 @@ def _routed_objective(seed):
     return Polynomial(registry, terms)
 
 
+def _check_routed_mutants(preset, p, image, pick=list):
+    """Route p under the preset with verify_after (every preset's route is
+    pointwise); the output and the coefficient, drop and rename mutants that
+    `pick` keeps get the library's verdict against p and the naive verdict
+    against `image`, the polynomial the output is over.  Renames move
+    original variables too when p has at most 4 variables."""
+    args = SimpleNamespace(strategy=preset, route=None, verify=True, max_states=DEFAULT_STATE_CAP)
+    result = quadratize(p, _build_strategy(args))
+    assert result.guarantee == Guarantee.POINTWISE_MIN and result.report.passed
+    table = _pointwise_table(image, result.output, result.aux)
+    assert _pointwise_holds_by_table(table, result.output, result.output)
+    renames = len(p.variables()) <= 4
+    for operator, mutant in pick(_mutants(result.output, result.aux, rename_originals=renames)):
+        passed = check_claim(result.guarantee, p, mutant, result.aux).passed
+        naive = _pointwise_holds_by_table(table, result.output, mutant)
+        assert passed == naive, (preset, operator, p.terms, mutant.terms)
+
+
+@pytest.mark.seed_loop
 @pytest.mark.parametrize("preset", sorted(STRATEGY_PRESETS))
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_routed_mutants_get_the_naive_verdict(preset, seed):
-    """Each CLI preset routes a random objective under verify_after (every
-    preset's route is pointwise); the output and each of its coefficient,
-    drop and auxiliary-rename mutants get the naive verdict."""
+    """A random {0,1} objective of up to 5 variables under each CLI preset."""
     p = _routed_objective(seed)
-    args = SimpleNamespace(strategy=preset, route=None, verify=True, max_states=DEFAULT_STATE_CAP)
-    result = quadratize(p, _build_strategy(args))
-    assert result.guarantee == Guarantee.POINTWISE_MIN and result.report.passed
-    assert pointwise_holds(p, result.output, result.aux)
-    table = _pointwise_table(p, result.output, result.aux)
-    for operator, mutant in _mutants(result.output, result.aux, rename_originals=False):
-        passed = check_claim(result.guarantee, p, mutant, result.aux).passed
-        naive = _pointwise_holds_by_table(table, result.output, mutant)
-        assert passed == naive, (preset, operator, p.terms, mutant.terms)
+    _check_routed_mutants(preset, p, p)
+
+
+@pytest.mark.parametrize("preset", sorted(STRATEGY_PRESETS))
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=SPIN_EXAMPLES, deadline=None)
+def test_routed_spin_mutants_get_the_naive_verdict(preset, seed):
+    """A random spin objective of up to 4 variables under each CLI preset.
+    Past degree 2 it routes through its {0,1} twins, so the naive oracle
+    judges the twin image while check_claim is given the spin original.  A
+    draw checks at most SPIN_MUTANTS of its mutants, a sample seeded by the
+    draw: a four-spin quartic under "counter" has 1164 over 13 variables."""
+    p = _routed_objective(seed, Domain.SPIN, 4)
+
+    def pick(mutants):
+        mutants = list(mutants)
+        return random.Random(seed).sample(mutants, min(len(mutants), SPIN_MUTANTS))
+
+    _check_routed_mutants(preset, p, p.to_boolean() if p.degree() >= 3 else p, pick)

@@ -204,6 +204,7 @@ PIECES = st.one_of(st.sampled_from(CHARACTERS), st.sampled_from(TOKENS))
 TEXTS = st.lists(PIECES, max_size=24).map("".join)
 
 
+@pytest.mark.seed_loop
 @settings(max_examples=400, deadline=None)
 @given(TEXTS)
 def test_parser_matches_reference(text):

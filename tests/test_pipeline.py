@@ -212,6 +212,7 @@ def _experimental_probe(row):
     return registry, mono, Fraction(-1 if row.sign == "negative" else 1)
 
 
+@pytest.mark.seed_loop
 @pytest.mark.parametrize(
     "name", [name for name, row in GADGETS.items() if row.status == EXPERIMENTAL]
 )

@@ -146,6 +146,7 @@ def test_evaluate_is_ring_homomorphism(pair):
         assert p.scale(Fraction(3, 2)).evaluate(a) == Fraction(3, 2) * p.evaluate(a)
 
 
+@pytest.mark.seed_loop
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_symmetric_takes_its_values_by_weight(data):

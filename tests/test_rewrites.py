@@ -317,6 +317,7 @@ def _ref_elc_penalty(registry, config):
     return penalty
 
 
+@pytest.mark.seed_loop
 @given(st.permutations(range(10)), st.integers(1, 10),
        st.lists(st.sampled_from((0, 1)), min_size=10, max_size=10))
 @settings(max_examples=100, deadline=None)
@@ -387,6 +388,7 @@ def test_cofactor_with_a_zero_partial_sum_matches_the_old_loop():
     _check_deduc_reduc_against_reference(p, mono)
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_deduc_reduc_matches_the_old_cofactor_loop(seed):
@@ -405,6 +407,7 @@ def test_deduc_reduc_matches_the_old_cofactor_loop(seed):
     _check_deduc_reduc_against_reference(p, mono)
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
@@ -485,6 +488,7 @@ def test_rewrites_accept_exactly_the_facts_no_naive_minimizer_matches(seed):
     assert not cancels  # every pick is a configuration apply_elc accepts
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=30, deadline=None)
 def test_rewrites_accept_exactly_the_facts_in_small_blocks(seed):

@@ -8,6 +8,7 @@ import pytest
 from quadratizer.errors import (
     DomainViolation,
     InvalidParameter,
+    QuadratizerError,
     VariantRangeViolation,
     VerificationFailed,
 )
@@ -17,6 +18,7 @@ from quadratizer.gadgets import (
     czw_count4,
     czw_counting_hamiltonian,
     exact_c_indicator,
+    ntr_abcg2,
     ntr_rbl,
     sfr_aux_count,
     sfr_bcr,
@@ -381,3 +383,26 @@ def test_exact_c_indicator_rejects_variables_outside_zero_one(domain):
         exact_c_indicator(ExactCSpec(3, 1), [other, *bs], registry)
     with pytest.raises(ValueError, match="distinct"):
         exact_c_indicator(ExactCSpec(3, 1), [other, other, bs[0]], registry)
+
+
+_HUGE = 10**5000  # more digits than int() writes under CPython's default limit
+
+
+@pytest.mark.parametrize("call", [
+    lambda r, bs: exact_c_indicator(ExactCSpec(3, _HUGE), bs, r),
+    lambda r, bs: exact_c_indicator(ExactCSpec(_HUGE, 1), bs, r),
+    lambda r, bs: sfr_bcr(1, ExactCSpec(3, _HUGE), bs, r),
+    lambda r, bs: sfr_bcr(1, ExactCSpec(_HUGE, 1), bs, r),
+    lambda r, bs: sfr_bcr(_HUGE, ExactCSpec(3, 2), bs, r),
+    lambda r, bs: sfr_aux_count(_HUGE, ExactCSpec(3, 2)),
+    lambda r, bs: ntr_abcg2(Fraction(-1), tuple((b, 1) for b in bs), r,
+                            scale_c=Fraction(1, _HUGE)),
+], ids=["indicator-c", "indicator-n", "sfr-c", "sfr-n", "sfr-variant", "aux-count-variant",
+        "abcg2-C"])
+def test_a_refused_number_int_cannot_write_raises_a_library_error(call):
+    """The message names c, n, the variant or C through format_fraction, so a
+    number past int()'s digit limit raises a QuadratizerError, not a bare
+    ValueError from the f-string."""
+    registry, ids = _vars(3)
+    with pytest.raises(QuadratizerError):
+        call(registry, ids)

@@ -472,6 +472,7 @@ def _affine_outcome(call, p, args):
     return value, _registry_rows(p.registry)
 
 
+@pytest.mark.seed_loop
 @given(SEEDS, st.sampled_from(sorted(AFFINE_CALLS)))
 @settings(max_examples=300, deadline=None)
 def test_constructors_and_affine_images_match_reference(seed, name):

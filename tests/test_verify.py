@@ -9,7 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import lcm, log10
 from pathlib import Path
 from unittest import mock
 
@@ -227,6 +227,40 @@ def test_enumeration_cap():
     p = Polynomial.product(registry, ids)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_min(p, max_states=512)
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _linear_sum(domain, n):
+    registry = VariableRegistry()
+    return Polynomial.from_products(registry, [((registry.add_variable(domain),), 1)
+                                               for _ in range(n)])
+
+
+@pytest.mark.skipif(not _LIMIT, reason="this interpreter writes integers of any length")
+@pytest.mark.parametrize("domain, size", [(Domain.BOOLEAN, 2), (Domain.SPIN, 2),
+                                          (Domain.TERNARY, 3)], ids=["b", "z", "t"])
+def test_a_state_count_int_cannot_write_still_raises_the_cap_error(domain, size):
+    """Past int()'s digit limit the count is written as a power of the domain
+    size and the cap as a power of two it reaches; a few digits below the
+    limit both stay plain numbers."""
+    wide = int(_LIMIT / log10(size)) + 15  # a few digits past the limit
+    p = _linear_sum(domain, wide)
+    for call in (lambda: enumerate_min(p), lambda: check_pointwise(p, p, [])):
+        with pytest.raises(EnumerationCapExceeded) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{size}^{wide} states exceed the cap of {DEFAULT_STATE_CAP}"
+    cap = 10**_LIMIT
+    with pytest.raises(EnumerationCapExceeded) as excinfo:
+        check_pointwise(p, p, [], cap)
+    assert str(excinfo.value) == (f"{size}^{wide} states exceed the cap of "
+                                  f"2^{cap.bit_length() - 1} or more")
+    narrow = int((_LIMIT - 1) / log10(size)) - 5  # int() writes size**narrow
+    p = _linear_sum(domain, narrow)
+    with pytest.raises(EnumerationCapExceeded) as excinfo:
+        check_pointwise(p, p, [])
+    assert str(excinfo.value) == f"{size**narrow} states exceed the cap of {DEFAULT_STATE_CAP}"
 
 
 def test_reports_are_deterministic(cubic_objective):
@@ -650,6 +684,7 @@ FOLDED_CHECKS = [
 ]
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_checks_match_their_references(seed):
@@ -693,6 +728,7 @@ def test_checks_match_their_references(seed):
     assert _outcome(check_conditional, *args) == _outcome(_ref_check_conditional, *args)
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_ternary_encoding_check_matches_its_reference(seed):
@@ -771,6 +807,7 @@ def test_ternary_to_binary_returns_an_encoding_with_a_free_spin():
 SMALL_BLOCKS = 8
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_checks_match_their_references_in_small_blocks(seed):
@@ -778,6 +815,7 @@ def test_checks_match_their_references_in_small_blocks(seed):
         test_checks_match_their_references.hypothesis.inner_test(seed)
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 def test_ternary_encoding_check_matches_its_reference_in_small_blocks(seed):
@@ -787,6 +825,7 @@ def test_ternary_encoding_check_matches_its_reference_in_small_blocks(seed):
 
 # the case whose x-space fits in one block is left out: at this block size
 # its precondition no longer holds
+@pytest.mark.seed_loop
 @pytest.mark.parametrize("x_tags, aux_tags", [("ttttttbt", "z")], ids=["x-space-over-several-blocks"])
 @given(data=st.data())
 @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
@@ -797,6 +836,7 @@ def test_folded_checks_past_one_block_match_naive_oracle_in_small_blocks(x_tags,
         )
 
 
+@pytest.mark.seed_loop
 @given(data=st.data())
 @settings(max_examples=3, deadline=None, phases=NO_SHRINK)
 def test_check_spectrum_holds_values_that_move_across_blocks(data):
@@ -830,6 +870,7 @@ def _naively_fails(check, original, transformed, aux, x) -> bool:
     return on_original != (folded == brute_force_min(transformed)[0])
 
 
+@pytest.mark.seed_loop
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=8, deadline=None)
 def test_relabeled_checks_keep_their_verdicts(seed):
