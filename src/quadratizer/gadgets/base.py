@@ -4,11 +4,10 @@ lives in verify, next to the gate that proves each label."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Optional
 
 from ..errors import DomainViolation, QuadratizerError, WrongDegree, WrongSign
-from ..poly import Domain, Monomial, Polynomial, format_fraction
+from ..poly import Domain, Monomial, Polynomial, _as_fraction, format_fraction
 from ..verify import Guarantee  # re-exported: the gadget modules import it from here
 
 
@@ -58,7 +57,7 @@ class GadgetDescriptor:
 
     def sign_error(self, coeff) -> Optional[str]:
         """Why the row rejects a term with this coefficient, or None if it accepts it."""
-        coeff = Fraction(coeff)
+        coeff = _as_fraction(coeff)
         if self.sign == "negative" and coeff >= 0:
             return f"expected a negative coefficient, got {format_fraction(coeff)}"
         if self.sign == "positive" and coeff <= 0:

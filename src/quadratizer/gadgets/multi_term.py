@@ -28,6 +28,7 @@ from ..poly import (
     Monomial,
     Polynomial,
     VariableRegistry,
+    _as_fraction,
     _require_boolean,
     format_fraction,
     monomial_degree,
@@ -91,7 +92,7 @@ def rosenberg_pair(
     ):
         raise PairAbsent(f"no term of degree >= 3 contains both {i} and {j}")
     auto = rosenberg_auto_penalty(p, i, j)
-    penalty = Fraction(auto if penalty == "auto" else penalty)
+    penalty = _as_fraction(auto if penalty == "auto" else penalty)
     if penalty <= 0:
         raise NonPositivePenalty(f"penalty must be positive, got {format_fraction(penalty)}")
     if penalty < auto - 1:
@@ -142,6 +143,14 @@ def choose_rosenberg_pair(p: Polynomial) -> Optional[tuple]:
 # FGBZ and pairwise covers
 
 
+def _tails(group: TermGroup, common_vars, registry: VariableRegistry) -> list:
+    """Each member's variables outside C, all checked {0,1} (in member order)
+    before the caller allocates its auxiliary."""
+    tails = [tuple(v for v in monomial_vars(m) if v not in common_vars) for m, _ in group.members]
+    _require_boolean(registry, [v for tail in tails for v in tail])
+    return tails
+
+
 def fgbz_negative(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
     """Rip the common component C out of negative terms with one auxiliary:
 
@@ -150,21 +159,21 @@ def fgbz_negative(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
     The bracket reduces to prod(H\\C) when all of C is 1 and is never negative
     when some of C is 0, so minimizing over ba recovers every value exactly.
     (With singleton tails this is the shared-auxiliary form of the standard
-    negative-monomial rewrite.)
+    negative-monomial rewrite.)  C, the signs and every tail are checked
+    before ba is allocated, so a refused group leaves the registry unchanged.
     """
     common_vars = monomial_vars(group.common)
     if len(common_vars) < 2:
         raise CommonTooSmall("the common component must have at least 2 variables")
     _require_boolean(registry, common_vars)
     for _, coeff in group.members:
-        if coeff >= 0:
+        if _as_fraction(coeff) >= 0:
             raise MixedSigns("fgbz_negative needs all-negative coefficients")
+    tails = _tails(group, common_vars, registry)
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "fgbz_negative")
     products = []
-    for mono, coeff in group.members:
-        tail = tuple(v for v in monomial_vars(mono) if v not in common_vars)
-        _require_boolean(registry, tail)
+    for (_, coeff), tail in zip(group.members, tails):
         products += [((v, ba), coeff) for v in common_vars]
         products += [((ba,), -len(common_vars) * coeff), ((*tail, ba), coeff)]
     output = Polynomial.from_products(registry, products)
@@ -181,20 +190,20 @@ def fgbz_positive(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
 
     A perfect transformation: minimizing over ba recovers the original group.
     The (1 - ba) * prod(H\\C) parts contain negative higher-degree pieces that
-    the negative-term reductions can then consume.
+    the negative-term reductions can then consume.  As in fgbz_negative, a
+    refused group allocates nothing.
     """
     common_vars = monomial_vars(group.common)
     _require_boolean(registry, common_vars)
     for _, coeff in group.members:
-        if coeff <= 0:
+        if _as_fraction(coeff) <= 0:
             raise MixedSigns("fgbz_positive needs all-positive coefficients")
+    tails = _tails(group, common_vars, registry)
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "fgbz_positive")
     total_weight = sum((coeff for _, coeff in group.members), Fraction(0))
     products = [((*common_vars, ba), total_weight)]
-    for mono, coeff in group.members:
-        tail = tuple(v for v in monomial_vars(mono) if v not in common_vars)
-        _require_boolean(registry, tail)
+    for (_, coeff), tail in zip(group.members, tails):
         products += [((*tail, ba), -coeff), (tail, coeff)]
     output = Polynomial.from_products(registry, products)
     names = "".join(registry.display_name(v) for v in common_vars)
@@ -240,7 +249,7 @@ def scm_split(
     if any(e != 1 for _, e in mono):
         raise InvalidParameter("scm_split expects a multilinear monomial")
     _require_boolean(registry, vars)
-    coeff = Fraction(coeff)
+    coeff = _as_fraction(coeff)
     k = len(vars)
     if k <= 1:
         return (

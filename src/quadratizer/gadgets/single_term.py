@@ -18,12 +18,11 @@ spot and the result is only returned when its claimed guarantee holds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
 
 from ..errors import InvalidParameter, UnknownGadget, VerificationFailed, WrongDegree, WrongSign
 from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, format_fraction
-from ..poly import monomial_degree
+from ..poly import _as_fraction, monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
 from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
 
@@ -37,7 +36,7 @@ def _inputs(name: str, coeff, mono: Monomial, registry: VariableRegistry):
     error = GADGETS[name].rejection(coeff, mono, registry)
     if error is not None:
         raise error
-    return sorted(var for var, _ in mono), Fraction(coeff), len(mono)
+    return sorted(var for var, _ in mono), _as_fraction(coeff), len(mono)
 
 
 def _result(name, registry, output, aux, guarantee, coeff, vars) -> GadgetResult:
@@ -137,7 +136,7 @@ def ntr_abcg2(registry, vars, coeff, new, scale_c=2):
     The only non-submodular term is linear.  C = 1 reproduces ntr_kzfd
     exactly; the default C = 2 is the published form.
     """
-    scale_c = Fraction(scale_c)
+    scale_c = _as_fraction(scale_c)
     if scale_c < 1:
         raise InvalidParameter(f"C must be >= 1, got {format_fraction(scale_c)}")
     [ba] = new(B)
@@ -195,7 +194,7 @@ def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> 
     error = GADGETS["ntr_kzfd"].sign_error(coeff)
     if error:
         raise WrongSign(error)
-    coeff = Fraction(coeff)
+    coeff = _as_fraction(coeff)
     pos_vars, neg_vars = sorted(pos_vars), sorted(neg_vars)
     vars = pos_vars + neg_vars
     if len(set(vars)) != len(vars) or not vars:
@@ -411,7 +410,7 @@ def evaluate_experimental(
     if name not in GADGETS or GADGETS[name].status != EXPERIMENTAL:
         raise UnknownGadget(f"no experimental gadget named {name!r}")
     result = GADGETS[name].apply(coeff, mono, registry)
-    target = Polynomial(registry, {mono: Fraction(coeff)})
+    target = Polynomial(registry, {mono: coeff})
     return result, check_claim(result.guarantee, target, result.output, result.aux, max_states)
 
 
@@ -453,7 +452,7 @@ def apply_gadget(
         if error is not None and not isinstance(error, WrongDegree):
             raise error
         return GadgetResult(
-            output=Polynomial(registry, {mono: Fraction(coeff)}),
+            output=Polynomial(registry, {mono: coeff}),
             aux=(),
             guarantee=POINTWISE,
             trace=f"identity (degree {monomial_degree(mono)} <= 2)",

@@ -23,7 +23,7 @@ from ..errors import (
     VerificationFailed,
 )
 from ..poly import Domain, Polynomial, VariableRegistry, _distinct, _require_boolean
-from ..poly import format_fraction
+from ..poly import _as_fraction, format_fraction
 from ..verify import check_claim, check_ternary_encoding
 from .base import GadgetResult, Guarantee
 from .single_term import _log2_ceil
@@ -66,7 +66,7 @@ def _check_c(spec: ExactCSpec):
 def _validate_spec(variant: int, spec: ExactCSpec):
     if variant not in (1, 2, 3, 4):
         raise InvalidParameter(f"variant must be 1..4, got {format_fraction(variant)}")
-    if spec.gamma <= 0:
+    if _as_fraction(spec.gamma) <= 0:
         raise InvalidParameter(
             "gamma must be positive: the closed forms are squares/binomials, "
             "so negative values cannot be reached; route negatives via NTR"
@@ -99,7 +99,9 @@ def sfr_bcr(
     variant 4:  the mirrored binomial form
 
     Each bracket can reach 0 (variants 1/2) or {0, 1} (variants 3/4) exactly
-    when sum(b) != c and is forced to a best value of 1 on the shell.
+    when sum(b) != c and is forced to a best value of 1 on the shell.  The
+    variables, the variant, c and gamma (a positive int or Fraction) are all
+    checked before any auxiliary is allocated.
     """
     vars = sorted(vars)
     if len(vars) != spec.n or len(set(vars)) != spec.n:
@@ -196,7 +198,7 @@ def czw_count4(
         values = [w == len(vars) if target_bias == "b1b2b3b4" else (-1) ** w
                   for w in range(len(vars) + 1)]
     else:
-        bias = tuple(Fraction(b) for b in target_bias)
+        bias = tuple(map(_as_fraction, target_bias))
         if len(bias) != 4:
             raise InvalidParameter("the bias must list exactly 4 coefficients")
         if any(bias):
@@ -208,7 +210,7 @@ def czw_count4(
 
     if lam is None:
         lam = 1 + sum(abs(b) for b in bias)
-    lam = Fraction(lam)
+    lam = _as_fraction(lam)
     if lam <= 0:
         raise InvalidParameter(f"lam must be positive, got {format_fraction(lam)}")
 
@@ -246,7 +248,7 @@ def ternary_to_binary(
     registry = p.registry
     if registry.domain(t) is not Domain.TERNARY:
         raise DomainViolation(f"variable {t} is not ternary")
-    lam = Fraction(lam)
+    lam = _as_fraction(lam)
     if lam <= 0:
         raise InvalidParameter(f"lam must be positive, got {format_fraction(lam)}")
     if t not in p.variables():

@@ -28,7 +28,7 @@ import itertools
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
@@ -482,31 +482,18 @@ class Polynomial:
     def evaluate(self, assignment: Assignment) -> Fraction:
         """Exact value at a (total) assignment.
 
-        Raises MissingVariable if the assignment lacks a used variable and
-        DomainViolation if a supplied value lies outside that variable's
-        domain.  Extra assignments are ignored.
+        Each used variable is checked once, in id order, before the sum; the
+        first faulty one raises MissingVariable if the assignment lacks it
+        and DomainViolation if its value lies outside its domain.  Extra
+        assignments are ignored.
         """
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            product = coeff
-            for var, exp in mono:
-                try:
-                    value = assignment[var]
-                except KeyError:
-                    raise MissingVariable(
-                        f"assignment lacks variable {var}"
-                    ) from None
-                domain = self.registry.domain(var)
-                if not domain.contains(value):
-                    raise DomainViolation(
-                        f"value {value} outside domain of variable {var}"
-                    )
-                if value == 0:
-                    product = Fraction(0)
-                    break
-                product *= value**exp
-            total += product
-        return total
+        for var in self.variables():
+            if var not in assignment:
+                raise MissingVariable(f"assignment lacks variable {var}")
+            if not self.registry.domain(var).contains(value := assignment[var]):
+                raise DomainViolation(f"value {value} outside domain of variable {var}")
+        return sum((coeff * prod(assignment[var] ** exp for var, exp in mono)
+                    for mono, coeff in self.terms.items()), Fraction(0))
 
     # -- substitution and flips ------------------------------------------------
 

@@ -24,7 +24,7 @@ from .gadgets.base import GADGETS, GadgetResult, Guarantee
 from .gadgets.multi_term import _shared_subsets
 from .pipeline import DEFAULT_STRATEGY, _pick_gadget, _route_terms
 from .poly import Monomial, Polynomial, _require_boolean, format_fraction, monomial_degree
-from .poly import monomial_vars
+from .poly import _as_fraction, monomial_vars
 from .verify import enumerate_min, value_range
 
 
@@ -145,7 +145,7 @@ def apply_elc(p: Polynomial, elc: PartialAssignment, alpha="auto") -> GadgetResu
     if alpha == "auto":
         low, high = value_range(p)
         alpha = high - low + 1
-    alpha = Fraction(alpha)
+    alpha = _as_fraction(alpha)
     if alpha < 0:
         raise InvalidParameter(f"alpha must be >= 0, got {format_fraction(alpha)}")
     output = p + _elc_penalty(registry, elc).scale(alpha)

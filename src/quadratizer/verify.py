@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import EnumerationCapExceeded, InvalidParameter, QuadratizerError, VariableMismatch
 from .errors import VerificationFailed
-from .poly import Domain, Polynomial, format_fraction, monomial_degree
+from .poly import Domain, Polynomial, _as_fraction, format_fraction, monomial_degree
 
 DEFAULT_STATE_CAP = 1 << 20
 BLOCK_STATES = 4096
@@ -131,6 +131,8 @@ def _space(registry, vars: Sequence[int], max_states: int, *polys: Polynomial):
     """(number of states over `vars`, common scale of the coefficients of
     `polys`); a space larger than the cap raises before anything is scaled.
     A count or cap that int() cannot write is written as powers instead."""
+    if not isinstance(max_states, int):
+        raise TypeError(f"the state cap must be an int, got {type(max_states).__name__}")
     n_states = _state_count(registry, vars)
     if n_states > max_states:
         sizes = Counter(len(registry.domain(var).values) for var in vars)
@@ -469,7 +471,7 @@ def check_ternary_encoding(
     z1, z2 = z_pair
     for var in (t, z1, z2):
         original.registry.entry(var)  # an id outside the registry is an error, not a free spin
-    lam = Fraction(lam)
+    lam = _as_fraction(lam)
     min_original, argmin_original = enumerate_min(original, max_states)
     min_transformed, argmin_transformed = enumerate_min(transformed, max_states)
     n_states = sum(_state_count(p.registry, p.variables()) for p in (original, transformed))

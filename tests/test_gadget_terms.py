@@ -907,7 +907,14 @@ def test_multi_term_edge_groups_match_reference():
         group_case("positive", 1, (1, 2), 1, Domain.SPIN),
     ]
     for case in cases:
-        _assert_same(case)
+        (value, rows), (ref_value, ref_rows) = _outcome(NEW, case), _outcome(REF, case)
+        assert value == ref_value
+        if isinstance(value[0], type):
+            # refused: the reference allocates its auxiliary before it checks
+            # the tails, while the library leaves the registry as it was
+            assert rows == [row for row in ref_rows if row[2] is None]
+        else:
+            assert rows == ref_rows
 
     def rosenberg_same(g, r):
         p = _random_boolean(r, 0, 10)

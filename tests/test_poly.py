@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadratizer.errors import (
@@ -119,6 +119,55 @@ def test_evaluate_errors():
         p.evaluate({b: 1})
     with pytest.raises(DomainViolation):
         p.evaluate({b: -1, z: 1})
+
+
+@st.composite
+def polys_with_assignments(draw):
+    """A polynomial with up to 8 terms, exponents 1-3, over up to 5 {0,1}, spin
+    and ternary variables, and an assignment that is valid on every variable,
+    or, half the time, lacks some or gives them -2, 2 or 5.  Either way it
+    also holds an unregistered id, which evaluate ignores."""
+    registry = VariableRegistry()
+    domains = draw(st.lists(st.sampled_from([Domain.BOOLEAN, Domain.SPIN, Domain.TERNARY]),
+                            min_size=1, max_size=5))
+    ids = [registry.add_variable(domain) for domain in domains]
+    factor = st.tuples(st.sampled_from(ids), st.integers(1, 3))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    terms = draw(st.lists(st.tuples(st.lists(factor, max_size=4).map(tuple), coeff), max_size=8))
+    corrupt = draw(st.booleans())
+    assignment = {99: 7}
+    for var, domain in zip(ids, domains):
+        value = draw(st.sampled_from(domain.values + ((None, -2, 2, 5) if corrupt else ())))
+        if value is not None:
+            assignment[var] = value
+    return Polynomial(registry, terms), assignment
+
+
+_ZERO_FACTOR = parse_polynomial("- 2 b1 b2 + 3 z3")  # b1 = 0 zeroes the first term
+
+
+@example((_ZERO_FACTOR, {0: 0, 2: 1}))  # b2 missing
+@example((_ZERO_FACTOR, {0: 0, 1: 5, 2: 1}))  # b2 = 5
+@given(polys_with_assignments())
+@settings(max_examples=300, deadline=None)
+def test_evaluate_checks_each_used_variable_then_sums(case):
+    """A valid assignment gives the naive value as a Fraction; otherwise the
+    lowest used variable that is missing or outside its domain is reported,
+    even where another factor of its term is 0."""
+    p, assignment = case
+    faults = [v for v in p.variables()
+              if v not in assignment or not p.registry.domain(v).contains(assignment[v])]
+    if not faults:
+        value = p.evaluate(assignment)
+        assert type(value) is Fraction and value == naive_value(p, assignment)
+        return
+    var = faults[0]
+    error, message = MissingVariable, f"assignment lacks variable {var}"
+    if var in assignment:
+        error, message = DomainViolation, f"value {assignment[var]} outside domain of variable {var}"
+    with pytest.raises(error) as raised:
+        p.evaluate(assignment)
+    assert str(raised.value) == message
 
 
 @st.composite

@@ -779,25 +779,25 @@ def test_ternary_encoding_check_projects_a_cancelled_spin_both_ways():
     registry = VariableRegistry()
     t = registry.add_variable(Domain.TERNARY)
     registry.add_variable(Domain.SPIN)
-    p = parse_polynomial("8/3 + t1", registry)
+    p, lam = parse_polynomial("8/3 + t1", registry), Fraction(1, 2)
     z1 = len(registry)
-    output = ternary_to_binary(p, t, "1/2", verify=False)
+    output = ternary_to_binary(p, t, lam, verify=False)
     moved = output + Polynomial.product(registry, [z1, z1 + 1], Fraction(1, 2))
     assert format_polynomial(moved) == "8/3 + z4"
     for transformed in (output, moved):
-        report = check_ternary_encoding(p, transformed, t, (z1, z1 + 1), "1/2")
-        assert report.passed == _naive_ternary_encoding_holds(p, transformed, t, (z1, z1 + 1), "1/2")
-    assert report == _ref_check_ternary_encoding(p, moved, t, (z1, z1 + 1), "1/2")
+        report = check_ternary_encoding(p, transformed, t, (z1, z1 + 1), lam)
+        assert report.passed == _naive_ternary_encoding_holds(p, transformed, t, (z1, z1 + 1), lam)
+    assert report == _ref_check_ternary_encoding(p, moved, t, (z1, z1 + 1), lam)
     assert not report.passed and report.counterexample == {t: -1}
 
 
 def test_ternary_to_binary_returns_an_encoding_with_a_free_spin():
     """`t1 + t1^2` at lam 1/2 encodes as `1/2 + z3`: z2 cancels, and z3 = -1
     with z2 free projects to the original argmin {-1, 0}."""
-    p = parse_polynomial("t1 + t1^2")
-    output = ternary_to_binary(p, 0, "1/2")
+    p, lam = parse_polynomial("t1 + t1^2"), Fraction(1, 2)
+    output = ternary_to_binary(p, 0, lam)
     assert format_polynomial(output) == "1/2 + z3"
-    assert _naive_ternary_encoding_holds(p, output, 0, (1, 2), "1/2")
+    assert _naive_ternary_encoding_holds(p, output, 0, (1, 2), lam)
 
 
 # ---------------------------------------------------------------------------
