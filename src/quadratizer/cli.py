@@ -193,7 +193,7 @@ def _cmd_analyze(args):
     p = _load(args.input)
     payload = {"degree": p.degree(), "terms": len(p.terms), "variables": len(p.variables()),
                "term_degree_histogram": Counter(str(monomial_degree(m)) for m in p.terms),
-               "max_abs_coefficient": format_fraction(max(map(abs, p.terms.values()), default=0))}
+               "max_abs_coefficient": format_fraction(p._max_abs_coefficient())}
     if p.degree() <= 2 and all(p.registry.domain(v) is Domain.BOOLEAN for v in p.variables()):
         profile = p.quadratic_profile()
         payload["submodularity"] = {"non_submodular_quadratics": profile.non_submodular,

@@ -239,13 +239,13 @@ def flip_to_submodular(p: Polynomial):
     into c*u - c*v*u, so it negates exactly the quadratic coefficients that
     hold v and never zeroes or merges one.  The polynomial is flipped once.
     """
-    p.quadratic_profile()  # raises NotQuadratic or DomainViolation
+    count = p.quadratic_profile().non_submodular  # raises NotQuadratic or DomainViolation
     positive = {m: c > 0 for m, c in p.terms.items() if monomial_degree(m) == 2}
     incident: dict = {var: [] for var in p.variables()}
     for mono in positive:
         for var, _ in mono:
             incident[var].append(mono)
-    count, mask = sum(positive.values()), frozenset()
+    mask = frozenset()
     while True:
         best_var, best_count = None, count
         for var, monos in incident.items():

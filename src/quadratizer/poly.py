@@ -33,6 +33,7 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import (
     DomainViolation,
+    InvalidParameter,
     MissingVariable,
     NotQuadratic,
     QuadratizerError,
@@ -299,8 +300,7 @@ class Polynomial:
         canonical: dict[Monomial, Fraction] = {}
         for mono, coeff in (terms.items() if isinstance(terms, dict) else terms or ()):
             coeff = _as_fraction(coeff)
-            if coeff:
-                _accumulate(canonical, self._canonical_monomial(mono), coeff)
+            _accumulate(canonical, self._canonical_monomial(mono), coeff)
         self.terms = _share_coefficients(canonical)
 
     # -- construction -------------------------------------------------------
@@ -341,6 +341,9 @@ class Polynomial:
         them are 1 (binomial inversion): sum_d alpha_d * e_d(vars), alpha_d = sum_j (-1)^(d-j)
         * C(d, j) * values[j], d going up, in combinations order, any alpha_d of 0 left out."""
         vars = _distinct(vars)
+        if len(values) != len(vars) + 1:  # one value per weight 0..n
+            raise InvalidParameter(f"{len(vars)} variables take {len(vars) + 1} values, "
+                                   f"got {len(values)}")
         values = [_as_fraction(v) for v in values]
         alphas = [sum(values[j] * (-1) ** (d - j) * comb(d, j) for j in range(d + 1))
                   for d in range(len(vars) + 1)]
@@ -575,21 +578,27 @@ class Polynomial:
     # -- analysis ------------------------------------------------------------------
 
     def quadratic_profile(self) -> "QuadraticProfile":
-        """Submodularity report for a quadratic {0,1} polynomial.
-
-        Counts quadratic terms whose coefficient is positive: minimizing such
-        functions is hard, so positive quadratic coefficients are the usual
-        "non-submodular term" count.
-        """
+        """Submodularity report for a quadratic {0,1} polynomial, counted as
+        `verify.cost_report` counts an output."""
         if self.degree() > 2:
             raise NotQuadratic("submodularity is defined for degree <= 2")
         _require_boolean(self.registry, self.variables(), "submodularity requires {0,1} variables")
-        quadratics = [c for m, c in self.terms.items() if monomial_degree(m) == 2]
         return QuadraticProfile(
-            non_submodular=sum(1 for c in quadratics if c > 0),
-            quadratic_terms=len(quadratics),
-            max_abs_coefficient=max((abs(c) for c in self.terms.values()), default=Fraction(0)),
+            non_submodular=self._non_submodular(),
+            quadratic_terms=sum(1 for m in self.terms if monomial_degree(m) == 2),
+            max_abs_coefficient=self._max_abs_coefficient(),
         )
+
+    def _non_submodular(self) -> int:
+        """Positive terms on two {0,1} variables (so degree 2), the terms that make
+        minimization hard; spin and ternary pairs do not count."""
+        domain = self.registry.domain
+        return sum(1 for mono, coeff in self.terms.items() if len(mono) == 2 and coeff > 0
+                   and domain(mono[0][0]) is domain(mono[1][0]) is Domain.BOOLEAN)
+
+    def _max_abs_coefficient(self) -> Fraction:
+        """The largest |coefficient|, 0 for the zero polynomial."""
+        return max(map(abs, self.terms.values()), default=Fraction(0))
 
 
 @dataclass(frozen=True)

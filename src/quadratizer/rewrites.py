@@ -140,14 +140,15 @@ def apply_elc(p: Polynomial, elc: PartialAssignment, alpha="auto") -> GadgetResu
     for value in elc.values():
         if value not in (0, 1):
             raise DomainViolation(f"value {value} is not in {{0,1}}")
+    if alpha != "auto":  # refused before the proof, which may enumerate up to the cap
+        alpha = _as_fraction(alpha)
+        if alpha < 0:
+            raise InvalidParameter(f"alpha must be >= 0, got {format_fraction(alpha)}")
     if not _excludable(p, [elc]):
         raise ElcUnproven(f"a global minimizer extends the configuration {elc}")
     if alpha == "auto":
         low, high = value_range(p)
         alpha = high - low + 1
-    alpha = _as_fraction(alpha)
-    if alpha < 0:
-        raise InvalidParameter(f"alpha must be >= 0, got {format_fraction(alpha)}")
     output = p + _elc_penalty(registry, elc).scale(alpha)
     config_text = ",".join(
         f"{registry.display_name(v)}={elc[v]}" for v in sorted(elc)

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .errors import EnumerationCapExceeded, InvalidParameter, QuadratizerError, VariableMismatch
 from .errors import VerificationFailed
-from .poly import Domain, Polynomial, _as_fraction, format_fraction, monomial_degree
+from .poly import Domain, Polynomial, _as_fraction, format_fraction
 
 DEFAULT_STATE_CAP = 1 << 20
 BLOCK_STATES = 4096
@@ -497,19 +497,6 @@ def check_ternary_encoding(
 def cost_report(transformed: Polynomial, aux: Sequence[int]) -> CostReport:
     """Distinct auxiliary count, non-submodular quadratic count ({0,1} parts
     only), largest absolute coefficient, and total stored terms."""
-    non_submodular = 0
-    for mono, coeff in transformed.terms.items():
-        if monomial_degree(mono) != 2 or coeff <= 0:
-            continue
-        if all(
-            transformed.registry.domain(v) is Domain.BOOLEAN for v, _ in mono
-        ):
-            non_submodular += 1
-    return CostReport(
-        aux_count=len(set(aux)),
-        non_submodular=non_submodular,
-        max_abs_coefficient=max(
-            (abs(c) for c in transformed.terms.values()), default=Fraction(0)
-        ),
-        term_count=len(transformed.terms),
-    )
+    return CostReport(aux_count=len(set(aux)), non_submodular=transformed._non_submodular(),
+                      max_abs_coefficient=transformed._max_abs_coefficient(),
+                      term_count=len(transformed.terms))

@@ -1,8 +1,10 @@
 """What importing the package loads.  Each check runs in a fresh
 interpreter, since this one has already imported the whole library."""
 
+import ast
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -141,3 +143,27 @@ def test_submodule_imports_still_fill_the_gadget_catalog():
             "print(json.dumps(sorted(GADGETS)))"
         )
         assert names == expected, first
+
+
+# Module-level imports kept for their effect, not their name: importing
+# single_term fills GADGETS, and base re-exports Guarantee to the gadgets.
+IMPORTED_FOR_EFFECT = {("gadgets/__init__.py", "single_term"), ("gadgets/base.py", "Guarantee")}
+
+
+def test_every_module_level_import_is_used():
+    package = pathlib.Path(quadratizer.__file__).parent
+    unused = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                where = (path.relative_to(package).as_posix(), name)
+                if name not in names and where not in IMPORTED_FOR_EFFECT:
+                    unused.append(where)
+    assert unused == []

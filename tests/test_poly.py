@@ -9,12 +9,20 @@ from hypothesis import strategies as st
 
 from quadratizer.errors import (
     DomainViolation,
+    InvalidParameter,
     MissingVariable,
     NotQuadratic,
     RegistryMismatch,
     UnknownVariable,
 )
-from quadratizer.poly import Domain, Polynomial, VariableRegistry, _require_boolean
+from quadratizer.poly import (
+    Domain,
+    Polynomial,
+    VariableRegistry,
+    _accumulate,
+    _as_fraction,
+    _require_boolean,
+)
 from quadratizer.rewrites import find_elcs, find_zero_deductions, solve_by_splitting
 from quadratizer.textio import parse_polynomial, qubo_to_json
 
@@ -69,6 +77,39 @@ def test_zero_coefficients_dropped():
     registry, ids = _registry("bb")
     p = Polynomial(registry, {((ids[0], 1),): Fraction(1), ((ids[1], 1),): Fraction(0)})
     assert len(p) == 1
+
+
+def test_a_zero_coefficient_still_checks_its_monomial():
+    registry, _ = _registry("bb")
+    with pytest.raises(UnknownVariable, match="variable 7 not in registry"):
+        Polynomial(registry, {((7, 1),): 0})
+    with pytest.raises(ValueError, match="negative exponents are not representable"):
+        Polynomial(registry, {((0, -1),): 0})
+
+
+def _skip_zero_constructor_terms(registry, terms):
+    """The terms a constructor that skips zero coefficients unchecked builds."""
+    probe = Polynomial(registry)
+    canonical = {}
+    for mono, coeff in terms:
+        coeff = _as_fraction(coeff)
+        if coeff:
+            _accumulate(canonical, probe._canonical_monomial(mono), coeff)
+    return list(canonical.items())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_zero_coefficients_build_what_skipping_them_builds(data):
+    """On valid monomials, summing a zero coefficient leaves the same terms in
+    the same order as skipping it, through merges and cancellations."""
+    registry, vars = _registry(data.draw(st.sampled_from(["bb", "bzt", "ttz", "bbbt"])))
+    monos = st.lists(st.tuples(st.sampled_from(vars), st.integers(0, 3)), max_size=3)
+    pool = data.draw(st.lists(monos, min_size=1, max_size=4))
+    terms = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.integers(-2, 2)), max_size=12))
+    assert list(Polynomial(registry, terms).terms.items()) == _skip_zero_constructor_terms(
+        registry, terms
+    )
 
 
 def test_penalty_product_expansion():
@@ -233,6 +274,13 @@ def test_symmetric_takes_its_values_by_weight(data):
         with pytest.raises(ValueError) as product:
             Polynomial.product(registry, vars + vars[:1])
         assert str(repeated.value) == str(product.value)
+
+
+@pytest.mark.parametrize("values", [[0, 0], [0, 0, 1, 5]], ids=["one-short", "one-over"])
+def test_symmetric_takes_one_value_per_weight(values):
+    registry, vars = _registry("bb")
+    with pytest.raises(InvalidParameter, match=f"2 variables take 3 values, got {len(values)}"):
+        Polynomial.symmetric(registry, vars, values)
 
 
 def test_substitute_bit_flip_example():

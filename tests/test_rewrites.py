@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadratizer import verify
-from quadratizer.errors import DeductionUnproven, DomainViolation, ElcUnproven, InvalidParameter
+from quadratizer.errors import (
+    DeductionUnproven,
+    DomainViolation,
+    ElcUnproven,
+    EnumerationCapExceeded,
+    InvalidParameter,
+)
 from quadratizer.poly import Domain, Polynomial, VariableRegistry, monomial_vars
 from quadratizer.rewrites import (
     Deduction,
@@ -159,6 +165,18 @@ def test_apply_elc_reproduces_printed_reduction(cubic_objective, quadratic_objec
     )
     assert result.output == expected
     assert argmin_set(result.output) == argmin_set(cubic_objective)
+
+
+def test_apply_elc_refuses_a_bad_alpha_before_its_proof():
+    """A chain of 22 {0,1} variables is past the state cap, so the proof would
+    raise EnumerationCapExceeded; a negative or inexact alpha is refused first."""
+    p = parse_polynomial(" ".join(f"+ b{i} b{i + 1}" for i in range(1, 22)))
+    with pytest.raises(EnumerationCapExceeded):
+        apply_elc(p, {0: 1})
+    with pytest.raises(InvalidParameter, match="alpha must be >= 0, got -1"):
+        apply_elc(p, {0: 1}, alpha=-1)
+    with pytest.raises(TypeError, match="exact rationals, got float"):
+        apply_elc(p, {0: 1}, alpha=0.5)
 
 
 def test_apply_elc_alpha_zero_is_identity(cubic_objective):
