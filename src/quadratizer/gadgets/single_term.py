@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..errors import InvalidParameter, UnknownGadget, VerificationFailed, WrongDegree, WrongSign
+from ..errors import InvalidParameter, UnknownGadget, WrongDegree, WrongSign
 from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, format_fraction
 from ..poly import _as_fraction, monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
@@ -425,10 +425,7 @@ def experimental_single_term(
     confirms its claimed guarantee; otherwise VerificationFailed carries the
     counterexample report."""
     result, report = evaluate_experimental(name, coeff, mono, registry, max_states)
-    if not report.passed:
-        raise VerificationFailed(
-            f"experimental gadget {name!r} failed its {report.mode} check", report
-        )
+    report.require(f"experimental gadget {name!r} failed its {report.mode} check")
     return result
 
 

@@ -16,12 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ..errors import (
-    DomainViolation,
-    InvalidParameter,
-    VariantRangeViolation,
-    VerificationFailed,
-)
+from ..errors import DomainViolation, InvalidParameter, VariantRangeViolation
 from ..poly import Domain, Polynomial, VariableRegistry, _distinct, _require_boolean
 from ..poly import _as_fraction, format_fraction
 from ..verify import check_claim, check_ternary_encoding
@@ -219,9 +214,9 @@ def czw_count4(
     output = bias_poly + h_count.scale(lam)
 
     if verify:
-        check_claim(Guarantee.GROUND_STATE, target, output, aux, failure=(
+        check_claim(Guarantee.GROUND_STATE, target, output, aux).require(
             f"czw_count4 does not reproduce the target ground space at lam={format_fraction(lam)}"
-        ))
+        )
     trace = f"czw_count4(lam={format_fraction(lam)}, bias={tuple(map(format_fraction, bias))})"
     return GadgetResult(output, tuple(aux), Guarantee.GROUND_STATE, trace)
 
@@ -261,8 +256,7 @@ def ternary_to_binary(
         registry, [((z1, z2), -lam), ((z1,), -lam), ((z2,), lam)]
     )
     if verify:
-        report = check_ternary_encoding(p, output, t, (z1, z2), lam)
-        if not report.passed:
-            raise VerificationFailed(f"ternary encoding failed its ground-space check at "
-                                     f"lam={format_fraction(lam)}", report)
+        check_ternary_encoding(p, output, t, (z1, z2), lam).require(
+            f"ternary encoding failed its ground-space check at lam={format_fraction(lam)}"
+        )
     return output

@@ -195,8 +195,8 @@ def quadratize(p: Polynomial, strategy: Strategy = DEFAULT_STRATEGY) -> Quadrati
     cost = cost_report(work, sorted(aux_map))
     report = None
     if strategy.verify_after:
-        failure = "quadratization failed verification"
-        report = check_claim(guarantee, p, work, sorted(aux_map), strategy.max_states, failure)
+        report = check_claim(guarantee, p, work, sorted(aux_map), strategy.max_states)
+        report.require("quadratization failed verification")
     return QuadratizationResult(
         output=work, aux_map=aux_map, cost=cost, report=report, guarantee=guarantee
     )

@@ -74,7 +74,8 @@ class Domain:
         return f"Domain({self.tag})"
 
     def contains(self, value: int) -> bool:
-        return value in self.values
+        """Whether `value` is an int in the domain: 1.0 equals 1 but is no int."""
+        return isinstance(value, int) and value in self.values
 
     def canonical_exponent(self, exponent: int) -> int:
         """Reduce an exponent using the domain's multiplicative identity.
@@ -193,7 +194,7 @@ class VariableRegistry:
         """Grammar-conformant token for a variable (used by the text format)."""
         entry = self.entry(var)
         label = entry.label
-        if label and len(label) > 1 and label[0] == entry.domain.tag and label[1:].isdigit():
+        if label and len(label) > 1 and label[0] == entry.domain.tag and label[1:].isdecimal():
             return label
         return f"{entry.domain.tag}{var + 1}"
 
@@ -204,7 +205,7 @@ class VariableRegistry:
             return entry.partner
         label = None
         old = entry.label
-        if old and len(old) > 1 and old[1:].isdigit():
+        if old and len(old) > 1 and old[1:].isdecimal():
             candidate = domain.tag + old[1:]
             if candidate not in self._labels:
                 label = candidate

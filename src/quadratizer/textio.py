@@ -11,10 +11,13 @@ Text grammar (whitespace optional between tokens):
 
 Variable letters carry the domain (b: {0,1}, z: {-1,+1}, t: {-1,0,1}).
 Decimal coefficients are rejected, never approximated.  Fresh parses assign
-dense ids in sorted name order, so parse -> print -> parse reproduces an
-identical canonical polynomial; all JSON forms carry exact "p/q" coefficient
-strings and deterministic key order.  The CLI reads `--in -` (stdin) as
-strict UTF-8, as it reads a file.
+dense ids in sorted name order (by letter, then index, then name, so b01
+comes before b1), so parse -> print -> parse reproduces an identical
+canonical polynomial; all JSON forms carry exact "p/q" coefficient strings
+and deterministic key order.  The JSON readers refuse a key repeated in an
+object, and a term key not written as str(id), so no two keys name one
+variable.  The CLI reads `--in -` (stdin) as strict UTF-8, as it reads a
+file.
 """
 
 from __future__ import annotations
@@ -74,14 +77,15 @@ def parse_polynomial(text: str, registry: VariableRegistry = None) -> Polynomial
     """Parse grammar text into a canonical polynomial.
 
     Without a registry a fresh one is created with ids assigned in sorted
-    name order (b-vars, then z, then t, by index); with one, names resolve
-    through labels and unknown names are appended, also in sorted order.
+    name order (b-vars, then z, then t, by index, then by name); with one,
+    names resolve through labels and unknown names are appended, also in
+    sorted order.
     """
     names, tokens = _tokenize(text)
     if registry is None:
         registry = VariableRegistry()
     ids = {}
-    for name in sorted(names, key=lambda name: ("bzt".index(name[0]), int(name[1:]))):
+    for name in sorted(names, key=lambda name: ("bzt".index(name[0]), int(name[1:]), name)):
         existing = registry.by_label(name)
         if existing is None:
             # synthesized display tokens (for variables whose label does not
@@ -195,11 +199,20 @@ def _parse_fraction(text) -> Fraction:
         raise SchemaError(f"bad rational {text!r}: {error}") from None
 
 
-def _parse_int(text, what: str) -> int:
+def _parse_int(text, what: str, read=int) -> int:
     try:
-        return int(text)
+        return read(text)
     except (TypeError, ValueError):
         raise SchemaError(f"bad {what} {text!r}") from None
+
+
+def _term_key(text: str) -> int:
+    """The variable id a term key names, read only from its spelling str(id):
+    "01", "1_0" and " 1" raise ValueError, so two keys never name one id."""
+    var = int(text)
+    if str(var) != text:
+        raise ValueError(f"{text!r} is not written as {var}")
+    return var
 
 
 def _term_var(registry: VariableRegistry, var: int) -> int:
@@ -252,9 +265,19 @@ def _registry(pairs, default_domain: str) -> VariableRegistry:
     return registry
 
 
+def _json_object(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is refused, not overwritten."""
+    payload = dict(pairs)
+    if len(payload) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for index, key in enumerate(keys) if key in keys[:index])
+        raise SchemaError(f"repeated key {repeated!r} in a JSON object")
+    return payload
+
+
 def _load_json(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_json_object)
     except (ValueError, RecursionError) as error:  # a decode error, an int too long, too deep
         raise SchemaError(f"invalid JSON: {error}") from None
 
@@ -275,7 +298,7 @@ def _polynomial_from_payload(payload) -> Polynomial:
         if not isinstance(record, dict) or "m" not in record or "c" not in record:
             raise SchemaError("each term needs 'm' and 'c'")
         try:
-            mono = tuple(sorted((int(v), e) for v, e in record["m"].items()))
+            mono = tuple(sorted((_term_key(v), e) for v, e in record["m"].items()))
         except (ValueError, TypeError, AttributeError):
             raise SchemaError(f"bad monomial {record['m']!r}") from None
         for var, exponent in mono:
@@ -382,10 +405,11 @@ def _qubo_from_payload(payload):
     registry = _registry(((_parse_int(k, "variable id"), v) for k, v in var_map.items()), "b")
     terms = [((), _parse_fraction(payload["offset"]))]
     for key, value in linear.items():
-        terms.append(((_term_var(registry, _parse_int(key, "linear key")),), _parse_fraction(value)))
+        var = _term_var(registry, _parse_int(key, "linear key", _term_key))
+        terms.append(((var,), _parse_fraction(value)))
     for key, value in quadratic.items():
         try:
-            i, j = (int(part) for part in key.split(","))
+            i, j = (_term_key(part) for part in key.split(","))
         except ValueError:
             raise SchemaError(f"bad quadratic key {key!r}") from None
         if i >= j:

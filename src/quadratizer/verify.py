@@ -97,6 +97,12 @@ class VerificationReport:
         extra = "" if self.passed else f" counterexample={self.counterexample}"
         return f"[{self.mode}] {verdict} ({self.stats.states_enumerated} states){extra}"
 
+    def require(self, message: str) -> "VerificationReport":
+        """Return this report if it passed, else raise VerificationFailed(message, self)."""
+        if not self.passed:
+            raise VerificationFailed(message, self)
+        return self
+
 
 @dataclass(frozen=True)
 class CostReport:
@@ -416,7 +422,7 @@ def check_conditional(
 
 def check_claim(
     guarantee: str, original: Polynomial, transformed: Polynomial, aux: Sequence[int],
-    max_states: int = DEFAULT_STATE_CAP, failure: Optional[str] = None,
+    max_states: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """The one place a guarantee label picks its check: pointwise-min runs
     check_pointwise, conditional-min check_conditional, ground-state
@@ -425,8 +431,8 @@ def check_claim(
     raise InvalidParameter too.  A spin original whose variables all have
     {0,1} twins is proved through its twin image (z = 2b - 1) when
     `transformed` uses a twin; an original variable passed as an auxiliary
-    is rejected before that.  Given a `failure` message, a failed report
-    raises VerificationFailed with it."""
+    is rejected before that.  The report is returned, passed or failed;
+    callers that must not go on after a failure call its `require`."""
     if guarantee not in Guarantee._ORDER:
         raise InvalidParameter(f"unknown guarantee {guarantee!r}; expected one of "
                                f"{', '.join(sorted(Guarantee._ORDER))}")
@@ -439,14 +445,10 @@ def check_claim(
     if partners and None not in partners and set(partners) & set(transformed.variables()):
         original = original.to_boolean()
     if guarantee == Guarantee.POINTWISE_MIN:
-        report = check_pointwise(original, transformed, aux, max_states)
-    elif guarantee == Guarantee.CONDITIONAL_MIN:
-        report = check_conditional(original, transformed, max_states)
-    else:
-        report = check_groundstate(original, transformed, aux, max_states)
-    if failure is not None and not report.passed:
-        raise VerificationFailed(failure, report)
-    return report
+        return check_pointwise(original, transformed, aux, max_states)
+    if guarantee == Guarantee.CONDITIONAL_MIN:
+        return check_conditional(original, transformed, max_states)
+    return check_groundstate(original, transformed, aux, max_states)
 
 
 def check_ternary_encoding(

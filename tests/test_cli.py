@@ -859,6 +859,25 @@ def test_verify_repeated_aux_label_is_one_variable(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == repeated
 
 
+@pytest.mark.parametrize("original, aux, message", [
+    # the original must be text: it is parsed into the quadratized registry
+    ("json", [], "--original must be grammar text so it can share the quadratized "
+                 "polynomial's variables"),
+    # '²' passes str.isdigit, but int() does not read it
+    ("text", ["--aux", "a1,\u00b2"], "unknown auxiliary '\u00b2'"),
+])
+def test_verify_refuses_a_json_original_and_an_unreadable_aux(tmp_path, capsys, original, aux,
+                                                              message):
+    text = tmp_path / "cubic.txt"
+    text.write_text("b1 b2 b3 - 2 b1 b2 b3 b4\n")
+    out = tmp_path / "cubic.json"
+    assert main(["quadratize", "--in", str(text), "--out", str(out)]) == 0
+    capsys.readouterr()
+    source = {"json": out, "text": text}[original]
+    assert main(["verify", "--original", str(source), "--quadratized", str(out)] + aux) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_verify_conditional_refuses_auxiliaries(tmp_path, capsys):
     """Conditional mode checks zero-auxiliary rewrites, so it exits 2 when
     the quadratized file's registry or `--aux` names an auxiliary, instead of

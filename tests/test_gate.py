@@ -265,11 +265,11 @@ def test_fgbz_family_gives_both_signs_where_random_tails_once_merged():
 def test_gate_raises_its_failure_message_with_the_report():
     p = parse_polynomial("b1 b2 b3 - 2 b1 b2 b3 b4")
     result = quadratize(p)
-    passed = check_claim(POINTWISE, p, result.output, result.aux, failure="unused")
+    passed = check_claim(POINTWISE, p, result.output, result.aux).require("unused")
     assert passed.passed and passed == check_pointwise(p, result.output, result.aux)
     broken = result.output + 1
     with pytest.raises(VerificationFailed) as raised:
-        check_claim(POINTWISE, p, broken, result.aux, failure="the rewrite broke")
+        check_claim(POINTWISE, p, broken, result.aux).require("the rewrite broke")
     assert str(raised.value) == "the rewrite broke"
     assert raised.value.report == check_pointwise(p, broken, result.aux)
     assert not raised.value.report.passed

@@ -167,3 +167,26 @@ def test_every_module_level_import_is_used():
                 if name not in names and where not in IMPORTED_FOR_EFFECT:
                     unused.append(where)
     assert unused == []
+
+
+def _calls(name: str, node, scope=()):
+    """The enclosing class and function names of each call of `name` under `node`."""
+    if isinstance(node, ast.Call):
+        func = node.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+            yield scope
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(name, child, scope)
+
+
+def test_only_verification_report_require_raises_verification_failed():
+    # a refuted proof turns into VerificationFailed in one place
+    package = pathlib.Path(quadratizer.__file__).parent
+    calls = [
+        (path.relative_to(package).as_posix(), scope)
+        for path in sorted(package.rglob("*.py"))
+        for scope in _calls("VerificationFailed", ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert calls == [("verify.py", ("VerificationReport", "require"))]

@@ -1,11 +1,15 @@
 """Text grammar, JSON schemas, QUBO export: exact round trips."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import quadratizer
 from quadratizer.errors import (
     DomainViolation,
     NotQuadratic,
@@ -16,6 +20,7 @@ from quadratizer.pipeline import quadratize
 from quadratizer.poly import Domain, Polynomial, VariableRegistry
 from quadratizer.textio import (
     format_polynomial,
+    load_polynomial,
     parse_polynomial,
     polynomial_from_json,
     polynomial_to_json,
@@ -138,6 +143,47 @@ def test_round_trip_fixed_point_under_cancellation():
     second = parse_polynomial(printed)
     assert format_polynomial(second) == printed
     assert parse_polynomial(format_polynomial(second)) == second
+
+
+def test_a_fresh_parse_orders_names_of_one_index_by_name():
+    # b01, b1 and b001 share index 1; a set of names iterates in hash order,
+    # so each of four hash seeds must give the same ids
+    code = (
+        "import json; from quadratizer.textio import format_polynomial, parse_polynomial\n"
+        "p = parse_polynomial('b01 + 2 b1 + 3 b001')\n"
+        "print(json.dumps([[p.registry.label(v) for v in p.registry], format_polynomial(p)]))"
+    )
+    root = os.path.dirname(os.path.dirname(quadratizer.__file__))
+    runs = [
+        json.loads(subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": root, "PYTHONHASHSEED": str(seed)},
+        ).stdout)
+        for seed in (1, 2, 3, 4)
+    ]
+    assert runs == [[["b001", "b01", "b1"], "3 b001 + b01 + 2 b1"]] * 4
+
+
+def test_labels_with_non_decimal_digits_print_as_tokens_the_grammar_reads():
+    # '²' is a digit to str.isdigit but not to the tokenizer's \d; '٣' is a
+    # decimal digit to both, so b٣ is printed as it is
+    p = polynomial_from_json(json.dumps({
+        "vars": [{"id": 0, "domain": "b", "label": "b\u00b2"},
+                 {"id": 1, "domain": "b", "label": "b\u0663"}],
+        "terms": [{"m": {"0": 1, "1": 1}, "c": "1"}],
+    }))
+    printed = format_polynomial(p)
+    assert printed == "b1 b\u0663"
+    assert parse_polynomial(printed, p.registry) == p
+    assert format_polynomial(parse_polynomial(printed)) == printed
+    # a z² spin's {0,1} twin takes no label from it, and prints by its id
+    registry = VariableRegistry()
+    z = registry.add_variable(Domain.SPIN, "z\u00b2")
+    image = Polynomial.variable(registry, z).to_boolean()
+    assert registry.label(registry.entry(z).partner) is None
+    printed = format_polynomial(image)
+    assert printed == "-1 + 2 b2"
+    assert parse_polynomial(printed, registry) == image
 
 
 def test_polynomial_json_round_trip():
@@ -264,6 +310,18 @@ ONE_FORMAT_CASES = {
     "negative variable in a linear key": (
         "qubo", {"linear": {"-1": "1"}}, "term references unknown variable -1"
     ),
+    # a term key reads only as str(id), so no two keys name one variable
+    "linear key with a leading zero": (
+        "qubo", {"linear": {"0": "1", "00": "2"}}, "bad linear key '00'"
+    ),
+    "linear key with an underscore": ("qubo", {"linear": {"1_0": "1"}}, "bad linear key '1_0'"),
+    "quadratic key with leading zeros": (
+        "qubo", {"quadratic": {"0,1": "1", "00,01": "2"}}, "bad quadratic key '00,01'"
+    ),
+    "monomial key with a leading zero": (
+        "polynomial", {"terms": [{"m": {"0": 1, "00": 1, "1": 1}, "c": "1"}]},
+        "bad monomial {'0': 1, '00': 1, '1': 1}",
+    ),
 }
 
 
@@ -278,6 +336,22 @@ def test_json_term_errors_of_one_format(case):
     with pytest.raises(SchemaError) as excinfo:
         read(json.dumps(payload))
     assert type(excinfo.value) is SchemaError and str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("fmt, text, key", [
+    ("qubo", '{"offset": "0", "linear": {"0": "1", "0": "2"}, "quadratic": {}, '
+             '"var_map": {"0": {}}}', "0"),
+    ("qubo", '{"offset": "0", "linear": {}, "quadratic": {}, "var_map": {}, "offset": "1"}',
+     "offset"),
+    ("polynomial", '{"vars": [{"id": 0, "domain": "b", "domain": "z"}], "terms": []}', "domain"),
+    ("polynomial", '{"vars": [{"id": 0}], "terms": [{"m": {"0": 1, "0": 2}, "c": "1"}]}', "0"),
+], ids=["linear key", "top-level key", "variable record", "monomial"])
+def test_json_readers_refuse_a_repeated_key(fmt, text, key):
+    # the CLI reads every input through load_polynomial
+    for read in {"polynomial": polynomial_from_json, "qubo": qubo_from_json}[fmt], load_polynomial:
+        with pytest.raises(SchemaError) as excinfo:
+            read(text)
+        assert str(excinfo.value) == f"repeated key {key!r} in a JSON object"
 
 
 @pytest.mark.parametrize("gadget", [{}, {"gadget": None}, {"gadget": "ptr_bg"}])

@@ -160,6 +160,11 @@ def test_evaluate_errors():
         p.evaluate({b: 1})
     with pytest.raises(DomainViolation):
         p.evaluate({b: -1, z: 1})
+    # 1.0 == 1, but it would make the value a float
+    for value in (1.0, Fraction(1), "1"):
+        with pytest.raises(DomainViolation, match=f"^value {value} outside domain of variable {b}$"):
+            p.evaluate({b: value, z: 1})
+    assert type(p.evaluate({b: 1, z: 1})) is Fraction
 
 
 @st.composite

@@ -305,6 +305,27 @@ def test_ternary_encoding_check_pins_states_and_counterexample():
         assert report.stats.states_enumerated == 14
 
 
+def test_ternary_to_binary_raises_a_refuted_encoding_with_its_report(monkeypatch):
+    """No lam > 0 fails the encoding, so the refusal is reached through a check
+    that proves the wrong lam: the rewrite raises with that check's report."""
+
+    def wrong_lam(original, transformed, t, z_pair, lam):
+        return check_ternary_encoding(original, transformed, t, z_pair, lam + 1)
+
+    monkeypatch.setattr("quadratizer.gadgets.structured.check_ternary_encoding", wrong_lam)
+    registry = VariableRegistry()
+    t = registry.add_variable(Domain.TERNARY, "t1")
+    p = parse_polynomial("t1 - 3 t1 b2 + b2", registry)
+    with pytest.raises(VerificationFailed) as raised:
+        ternary_to_binary(p, t, 2)
+    assert str(raised.value) == "ternary encoding failed its ground-space check at lam=2"
+    # a second build makes two new spins, but the report names only t1 and b2
+    output = ternary_to_binary(p, t, 2, verify=False)
+    spins = tuple(registry.auxiliaries()[-2:])
+    assert raised.value.report == check_ternary_encoding(p, output, t, spins, 3)
+    assert not raised.value.report.passed
+
+
 def test_ternary_without_t_unchanged():
     registry = VariableRegistry()
     t = registry.add_variable(Domain.TERNARY)
