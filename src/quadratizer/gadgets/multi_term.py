@@ -143,12 +143,26 @@ def choose_rosenberg_pair(p: Polynomial) -> Optional[tuple]:
 # FGBZ and pairwise covers
 
 
-def _tails(group: TermGroup, common_vars, registry: VariableRegistry) -> list:
-    """Each member's variables outside C, all checked {0,1} (in member order)
-    before the caller allocates its auxiliary."""
+def _fgbz_step(group: TermGroup, registry: VariableRegistry, name: str, sign: int):
+    """(C's variables, each member's tail outside C in member order, the
+    auxiliary ba) for the FGBZ reduction `name`, whose members all have the
+    sign of `sign`.  C, the signs and every tail are checked before ba is
+    allocated, so a refused group leaves the registry unchanged."""
+    common_vars = monomial_vars(group.common)
+    _require_boolean(registry, common_vars)
+    if any(_as_fraction(coeff) * sign <= 0 for _, coeff in group.members):
+        raise MixedSigns(f"{name} needs all-{'negative' if sign < 0 else 'positive'} coefficients")
     tails = [tuple(v for v in monomial_vars(m) if v not in common_vars) for m, _ in group.members]
     _require_boolean(registry, [v for tail in tails for v in tail])
-    return tails
+    return common_vars, tails, registry.add_auxiliary(Domain.BOOLEAN, name)
+
+
+def _fgbz_result(name: str, group: TermGroup, common_vars, ba: int, products,
+                 registry: VariableRegistry) -> GadgetResult:
+    output = Polynomial.from_products(registry, products)
+    names = "".join(registry.display_name(v) for v in common_vars)
+    trace = f"{name}(C={names}, {len(group.members)} terms)"
+    return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
 
 
 def fgbz_negative(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
@@ -159,27 +173,17 @@ def fgbz_negative(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
     The bracket reduces to prod(H\\C) when all of C is 1 and is never negative
     when some of C is 0, so minimizing over ba recovers every value exactly.
     (With singleton tails this is the shared-auxiliary form of the standard
-    negative-monomial rewrite.)  C, the signs and every tail are checked
-    before ba is allocated, so a refused group leaves the registry unchanged.
+    negative-monomial rewrite.)  |C| >= 2 is checked first; then, as in every
+    FGBZ step, a refused group leaves the registry unchanged.
     """
-    common_vars = monomial_vars(group.common)
-    if len(common_vars) < 2:
+    if len(monomial_vars(group.common)) < 2:
         raise CommonTooSmall("the common component must have at least 2 variables")
-    _require_boolean(registry, common_vars)
-    for _, coeff in group.members:
-        if _as_fraction(coeff) >= 0:
-            raise MixedSigns("fgbz_negative needs all-negative coefficients")
-    tails = _tails(group, common_vars, registry)
-
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "fgbz_negative")
+    common_vars, tails, ba = _fgbz_step(group, registry, "fgbz_negative", -1)
     products = []
     for (_, coeff), tail in zip(group.members, tails):
         products += [((v, ba), coeff) for v in common_vars]
         products += [((ba,), -len(common_vars) * coeff), ((*tail, ba), coeff)]
-    output = Polynomial.from_products(registry, products)
-    names = "".join(registry.display_name(v) for v in common_vars)
-    trace = f"fgbz_negative(C={names}, {len(group.members)} terms)"
-    return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
+    return _fgbz_result("fgbz_negative", group, common_vars, ba, products, registry)
 
 
 def fgbz_positive(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
@@ -193,22 +197,12 @@ def fgbz_positive(group: TermGroup, registry: VariableRegistry) -> GadgetResult:
     the negative-term reductions can then consume.  As in fgbz_negative, a
     refused group allocates nothing.
     """
-    common_vars = monomial_vars(group.common)
-    _require_boolean(registry, common_vars)
-    for _, coeff in group.members:
-        if _as_fraction(coeff) <= 0:
-            raise MixedSigns("fgbz_positive needs all-positive coefficients")
-    tails = _tails(group, common_vars, registry)
-
-    ba = registry.add_auxiliary(Domain.BOOLEAN, "fgbz_positive")
+    common_vars, tails, ba = _fgbz_step(group, registry, "fgbz_positive", 1)
     total_weight = sum((coeff for _, coeff in group.members), Fraction(0))
     products = [((*common_vars, ba), total_weight)]
     for (_, coeff), tail in zip(group.members, tails):
         products += [((*tail, ba), -coeff), (tail, coeff)]
-    output = Polynomial.from_products(registry, products)
-    names = "".join(registry.display_name(v) for v in common_vars)
-    trace = f"fgbz_positive(C={names}, {len(group.members)} terms)"
-    return GadgetResult(output, (ba,), Guarantee.POINTWISE_MIN, trace)
+    return _fgbz_result("fgbz_positive", group, common_vars, ba, products, registry)
 
 
 def discover_fgbz_groups(p: Polynomial, sign: str) -> list[TermGroup]:

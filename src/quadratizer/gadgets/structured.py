@@ -32,6 +32,22 @@ class ExactCSpec:
     c: int
     gamma: Fraction = Fraction(1)
 
+    def __post_init__(self):
+        _require_int("n", self.n)
+        _require_int("c", self.c)
+
+
+def _require_int(name: str, value):
+    """A float or a bool would pass the range checks, then break bit_length or a trace."""
+    if type(value) is not int:
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_variant(variant: int):
+    _require_int("variant", variant)
+    if variant not in (1, 2, 3, 4):
+        raise InvalidParameter(f"variant must be 1..4, got {format_fraction(variant)}")
+
 
 def sfr_aux_count(variant: int, spec: ExactCSpec) -> int:
     """Auxiliary count per variant.
@@ -40,15 +56,14 @@ def sfr_aux_count(variant: int, spec: ExactCSpec) -> int:
     auxiliaries the binomial form cannot cancel the bracket away from the
     target shell (binom(-2, 2) = 3, not 0).
     """
+    _check_variant(variant)
     if variant == 1:
         return _log2_ceil(spec.c) + 1
     if variant == 2:
         return _log2_ceil(spec.n - spec.c) + 1
     if variant == 3:
         return max(1, _log2_ceil(spec.c))
-    if variant == 4:
-        return max(1, _log2_ceil(spec.n - spec.c))
-    raise InvalidParameter(f"variant must be 1..4, got {format_fraction(variant)}")
+    return max(1, _log2_ceil(spec.n - spec.c))
 
 
 def _check_c(spec: ExactCSpec):
@@ -59,8 +74,7 @@ def _check_c(spec: ExactCSpec):
 
 
 def _validate_spec(variant: int, spec: ExactCSpec):
-    if variant not in (1, 2, 3, 4):
-        raise InvalidParameter(f"variant must be 1..4, got {format_fraction(variant)}")
+    _check_variant(variant)
     if _as_fraction(spec.gamma) <= 0:
         raise InvalidParameter(
             "gamma must be positive: the closed forms are squares/binomials, "

@@ -290,7 +290,7 @@ def _polynomial_from_payload(payload) -> Polynomial:
     if not isinstance(payload, dict) or "vars" not in payload or "terms" not in payload:
         raise SchemaError("polynomial JSON needs 'vars' and 'terms'")
     records = _require(payload, "vars", list, "a list")
-    if not all(isinstance(r, dict) and isinstance(r.get("id"), int) for r in records):
+    if not all(isinstance(r, dict) and type(r.get("id")) is int for r in records):
         raise SchemaError("each variable needs an integer 'id'")
     registry = _registry(((r["id"], r) for r in records), "")
     terms = []

@@ -461,11 +461,15 @@ def check_ternary_encoding(
 ) -> VerificationReport:
     """Ground-space check for the two-spin encoding of one ternary variable.
 
-    Each minimizer of the transformed polynomial is projected back through
-    t = (z1 + z2)/2; the projected argmin set must equal the original's and
-    the minimum must sit exactly lam below (the valid manifold's penalty
-    energy).  A spin that cancelled out of the transformed polynomial is
-    missing from its minimizers and free, so both of its values project.
+    Each minimizer of the transformed polynomial is projected onto the
+    original's variables, with t = (z1 + z2)/2; the projected argmin set must
+    equal the original's and the minimum must sit exactly lam below (the
+    valid manifold's penalty energy).  A spin or an original variable missing
+    from the transformed polynomial is missing from its minimizers and free,
+    so each of its values projects, and a counterexample assigns every
+    original variable.  A pair holding an original variable, or a
+    transformed polynomial with a variable outside the original's and the
+    pair, raises VariableMismatch, as the other checks do.
     The projection is not a minimum over auxiliaries, so this is not a fold:
     both polynomials are minimized over their own spaces, and the states
     enumerated are the sum of the two.
@@ -473,16 +477,17 @@ def check_ternary_encoding(
     z1, z2 = z_pair
     for var in (t, z1, z2):
         original.registry.entry(var)  # an id outside the registry is an error, not a free spin
+    x_vars = [v for v in _split_vars(original, transformed, z_pair)[0] if v != t]
     lam = _as_fraction(lam)
     min_original, argmin_original = enumerate_min(original, max_states)
     min_transformed, argmin_transformed = enumerate_min(transformed, max_states)
     n_states = sum(_state_count(p.registry, p.variables()) for p in (original, transformed))
 
     def project(assignment):
-        image = {v: x for v, x in assignment.items() if v not in (z1, z2)}
-        spins = ([assignment[z]] if z in assignment else Domain.SPIN.values for z in (z1, z2))
-        for x1, x2 in itertools.product(*spins):
-            yield tuple(sorted({**image, t: (x1 + x2) // 2}.items()))
+        free = ([assignment[v]] if v in assignment else original.registry.domain(v).values
+                for v in (*x_vars, z1, z2))
+        for *image, x1, x2 in itertools.product(*free):
+            yield tuple(sorted({**dict(zip(x_vars, image)), t: (x1 + x2) // 2}.items()))
 
     want = {tuple(sorted(a.items())) for a in argmin_original}
     got = {image for a in argmin_transformed for image in project(a)}

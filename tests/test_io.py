@@ -240,6 +240,12 @@ SCHEMA_CASES = {
     "sparse ids": ([("0", _B), ("2", _B)], "1", *_DENSE),
     "duplicate ids": ([("0", _B), ("00", _B)], "1", *_DENSE),
     "no id 0": ([("1", _B)], "1", *_DENSE),
+    "boolean id": (
+        json.dumps({"vars": [{"id": 0, "domain": "b"}, {"id": True, "domain": "b"}],
+                    "terms": [{"m": {"0": 1, "1": 1}, "c": "3"}]}), "1",
+        (SchemaError, "each variable needs an integer 'id'"),
+        (SchemaError, "QUBO JSON needs keys ['linear', 'offset', 'quadratic', 'var_map']"),
+    ),
     "non-object record": (
         [("0", _B), ("1", "b")], "1",
         (SchemaError, "each variable needs an integer 'id'"),

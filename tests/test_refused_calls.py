@@ -39,6 +39,8 @@ from quadratizer.gadgets.structured import (
     ExactCSpec,
     czw_count4,
     czw_counting_hamiltonian,
+    exact_c_indicator,
+    sfr_aux_count,
     sfr_bcr,
     ternary_to_binary,
 )
@@ -170,6 +172,14 @@ def _sfr(variant, n, c, gamma=1, count=None):
     return setup
 
 
+def _indicator(n, c):
+    def setup(r):
+        vars = [r.add_variable(B) for _ in range(4)]
+        return lambda: exact_c_indicator(ExactCSpec(n, c), vars, r)
+
+    return setup
+
+
 def _czw(lam, bias, count=4, domain=B):
     def setup(r):
         vars = [r.add_variable(domain) for _ in range(count)]
@@ -219,6 +229,14 @@ CASES = _catalog_cases() + [
     ("sfr_bcr-gamma-negative", InvalidParameter, _sfr(3, 6, 4, gamma=-1)),
     ("sfr_bcr-gamma-float", TypeError, _sfr(1, 6, 4, gamma=0.5)),
     ("sfr_bcr-gamma-str", TypeError, _sfr(2, 6, 2, gamma="1/2")),
+    # a count must be an int: a float or a bool once reached bit_length or a trace
+    ("sfr_bcr-variant-float", TypeError, _sfr(1.0, 4, 2)),
+    ("sfr_bcr-variant-bool", TypeError, _sfr(True, 4, 2)),
+    ("sfr_bcr-n-float", TypeError, _sfr(1, 4.0, 2, count=4)),
+    ("sfr_bcr-c-float", TypeError, _sfr(1, 4, 2.0)),
+    ("sfr_bcr-c-bool", TypeError, _sfr(2, 2, True)),
+    ("sfr_aux_count-c-float", TypeError, lambda r: lambda: sfr_aux_count(3, ExactCSpec(4, 2.0))),
+    ("exact_c_indicator-c-float", TypeError, _indicator(4, 2.0)),
     ("counting-count", InvalidParameter, _czw(None, None, count=3)),
     ("counting-domain", DomainViolation, _czw(None, None, domain=Z)),
     ("czw_count4-preset", InvalidParameter, _czw(None, "nope")),

@@ -750,6 +750,9 @@ def test_ternary_encoding_check_matches_its_reference(seed):
         args = (p, transformed, t, (z1, z1 + 1), used, max_states)
         got = _outcome(check_ternary_encoding, *args)
         assert got == _outcome(_ref_check_ternary_encoding, *args)
+        report = got[0]
+        if isinstance(report, VerificationReport) and not report.passed:
+            assert set(report.counterexample) == set(p.variables())
 
 
 def _naive_ternary_encoding_holds(original, transformed, t, z_pair, lam):
@@ -798,6 +801,33 @@ def test_ternary_to_binary_returns_an_encoding_with_a_free_spin():
     output = ternary_to_binary(p, 0, lam)
     assert format_polynomial(output) == "1/2 + z3"
     assert _naive_ternary_encoding_holds(p, output, 0, (1, 2), lam)
+
+
+def test_ternary_encoding_counterexample_assigns_every_original_variable():
+    """Without its t2 terms, the encoding of `t1 + t2^2` leaves t2 free, so
+    t2 = -1 projects from a ground state that the original does not have.
+    The counterexample assigns t2 too, and the original evaluates at it."""
+    p = parse_polynomial("t1 + t2^2")
+    z1 = len(p.registry)
+    output = ternary_to_binary(p, 0, 10, verify=False)
+    bad = Polynomial(p.registry, {m: c for m, c in output.terms.items() if 1 not in dict(m)})
+    report = check_ternary_encoding(p, bad, 0, (z1, z1 + 1), 10)
+    assert not report.passed and report.counterexample == {0: -1, 1: -1}
+    assert p.evaluate(report.counterexample) == 0
+    assert not _naive_ternary_encoding_holds(p, bad, 0, (z1, z1 + 1), 10)
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((0, 3), "auxiliary variables overlap the original variables"),
+    ((2, 2), "transformed polynomial uses unexpected variables [3]"),
+], ids=["original-as-spin", "repeated-spin"])
+def test_ternary_encoding_check_refuses_a_pair_that_does_not_split_the_variables(pair, message):
+    """An original variable passed as a spin, or one spin passed twice so
+    that the other is left over, raises as in the other checks."""
+    p = parse_polynomial("t1 b1 - 2 t1")  # b1 is 0, t1 is 1
+    output = ternary_to_binary(p, 1, 2, verify=False)  # z1, z2 are 2, 3
+    with pytest.raises(VariableMismatch, match=re.escape(message)):
+        check_ternary_encoding(p, output, 1, pair, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -852,6 +882,23 @@ def test_check_spectrum_holds_values_that_move_across_blocks(data):
     mono = data.draw(st.sampled_from(sorted(flipped.terms)))
     shifted = flipped + Polynomial(registry, {mono: 1})
     assert _outcome(check_spectrum, p, shifted, []) == _outcome(_ref_check_spectrum, p, shifted, [])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_value_range_over_many_blocks_matches_naive_oracle(seed):
+    """The minimum and maximum over the lows and highs of many small
+    blocks, on b, z, t and mixed polynomials, equal the naive oracle's."""
+    rng = random.Random(seed)
+    family = rng.choice(["b", "z", "t", "bzt"])
+    registry = VariableRegistry()
+    xs = [registry.add_variable(Domain.from_tag(rng.choice(family))) for _ in range(rng.randint(4, 6))]
+    p = _random_poly(rng, registry, xs, terms=6) + Polynomial.from_products(
+        registry, [((x,), rng.choice((-2, -1, 1, 2))) for x in xs]
+    )
+    values = [naive_value(p, a) for a in all_assignments(p)]
+    with mock.patch.object(verify, "BLOCK_STATES", SMALL_BLOCKS):
+        assert verify.value_range(p) == (min(values), max(values))
 
 
 def _naively_fails(check, original, transformed, aux, x) -> bool:
