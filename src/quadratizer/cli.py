@@ -8,10 +8,11 @@ Human diagnostics go to stderr; machine output goes to stdout.
 Importing this module loads only os and sys, and the module is kept small,
 since a process without a bytecode cache compiles it on every launch.
 build_parser imports argparse and builds each subcommand of COMMANDS from
-the options it names in OPTIONS; main imports the errors module and runs
-`_cmd_<subcommand>`, which imports the library modules it uses (and json, to
-print JSON).  The state cap (`--max-states`, else QUADRATIZER_MAX_STATES,
-else verify.DEFAULT_STATE_CAP) must be a positive integer; it is read after
+the options it names in OPTIONS; main builds its parser on its first call and
+keeps it, imports the errors module and runs `_cmd_<subcommand>`, which
+imports the library modules it uses (and json, to print JSON).  The state
+cap (`--max-states`, else QUADRATIZER_MAX_STATES, else
+verify.DEFAULT_STATE_CAP) must be a positive integer; it is read after
 parsing, only for the commands that take it.
 """
 
@@ -273,10 +274,16 @@ def build_parser():
     return parser
 
 
+_parser = None  # built once: a parser holds reference cycles only the collector frees
+
+
 def main(argv=None):
+    global _parser
     from . import errors
 
-    args = build_parser().parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         if getattr(args, "max_states", 0) is None:
             args.max_states = _default_cap()

@@ -28,8 +28,11 @@ from ..poly import (
     Monomial,
     Polynomial,
     VariableRegistry,
+    _accumulate,
     _as_fraction,
+    _factor,
     _require_boolean,
+    _share_coefficients,
     format_fraction,
     monomial_degree,
     monomial_divides,
@@ -101,16 +104,21 @@ def rosenberg_pair(
                                "the terms holding the pair")
 
     ba = registry.add_auxiliary(Domain.BOOLEAN, "rosenberg")
-    terms = []
+    # p's monomials are canonical, and so is each rewritten one, since ba is
+    # the newest id and sorts last; the rewrite is one-to-one and only its
+    # monomials hold ba, so none of them merge
+    ba_factor = _factor(ba, 1)
+    terms = {}
     for mono, coeff in p.terms.items():
         vars = monomial_vars(mono)
         if i in vars and j in vars:
-            mono = tuple((v, e) for v, e in mono if v not in (i, j)) + ((ba, 1),)
-        terms.append((mono, coeff))
-    output = Polynomial(registry, terms + [
-        (((i, 1), (j, 1)), penalty), (((i, 1), (ba, 1)), -2 * penalty),
-        (((j, 1), (ba, 1)), -2 * penalty), (((ba, 1),), 3 * penalty),
-    ])
+            mono = tuple(f for f in mono if f[0] not in (i, j)) + (ba_factor,)
+        terms[mono] = coeff
+    for mono, coeff in Polynomial.from_products(registry, [
+        ((i, j), penalty), ((i, ba), -2 * penalty), ((j, ba), -2 * penalty), ((ba,), 3 * penalty),
+    ]).terms.items():
+        _accumulate(terms, mono, coeff)
+    output = Polynomial._wrap(registry, _share_coefficients(terms))
     trace = (
         f"rosenberg({registry.display_name(i)},{registry.display_name(j)} -> "
         f"{registry.display_name(ba)}, penalty={format_fraction(penalty)})"

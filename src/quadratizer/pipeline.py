@@ -106,10 +106,12 @@ def _apply_multi_term(work, aux_map, guarantee, strategy):
         rosenberg_pair,
     )
 
-    while work.degree() > 2:
+    while True:
         if strategy.multi_term == "rosenberg":
-            # a term of degree >= 3 holds at least two variables, so a pair exists
-            result = rosenberg_pair(work, *choose_rosenberg_pair(work), penalty="auto")
+            pair = choose_rosenberg_pair(work)
+            if pair is None:
+                break
+            result = rosenberg_pair(work, *pair, penalty="auto")
             terms = {}  # the output is the whole rewritten polynomial
         else:
             # Cover reductions: negative groups first (they finish in one step),

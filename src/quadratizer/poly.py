@@ -277,6 +277,12 @@ def _distinct(vars) -> list:
     return vars
 
 
+def _factor(var: int, exp: int) -> tuple:
+    """The one shared tuple for the factor (var, exp)."""
+    factor = (var, exp)
+    return _FACTORS.setdefault(factor, factor)
+
+
 def monomial_degree(mono: Monomial) -> int:
     return sum(e for _, e in mono)
 
@@ -370,8 +376,7 @@ class Polynomial:
         for var in sorted(merged):
             exp = self.registry.domain(var).canonical_exponent(merged[var])
             if exp:
-                factor = (var, exp)
-                factors.append(_FACTORS.setdefault(factor, factor))
+                factors.append(_factor(var, exp))
         return tuple(factors)
 
     # -- inspection ----------------------------------------------------------

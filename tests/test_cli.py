@@ -1,6 +1,7 @@
 """CLI behavior: subcommands, exit codes, machine output."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -1023,3 +1024,45 @@ def test_unwritable_output_exits_2(tmp_path, cubic_file, capsys, command, target
     code, err = _file_error_exit(argv + (["--to", "json"] if command == "convert" else []), capsys)
     assert code == 2
     assert err.startswith(f"error: cannot write {str(out)!r}: ")
+
+
+def test_a_second_quadratize_call_leaves_no_cyclic_garbage(cubic_file, capsys):
+    # main builds its parser once per process: an argparse parser holds
+    # reference cycles, so one built per call would be left for the collector
+    argv = ["quadratize", "--in", str(cubic_file), "--verify"]
+    assert main(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_consecutive_calls_each_print_their_own_strategy(tmp_path, monkeypatch, capsys):
+    # one parser serves every call: no --route, cap or verdict of one call
+    # reaches the next
+    text = "b1 b2 b3 b4 b5 + 2 b1 b2 b3 - 3 b2 b3 b4 b5 + b1 b4"
+    path = tmp_path / "objective.txt"
+    path.write_text(text + "\n")
+    calls = [
+        (["--route", "multi_term=rosenberg"], "64", {"multi_term": "rosenberg"}, 0),
+        (["--verify"], "1048576", {}, 0),
+        (["--route", "positive=ptr_bcr4", "--verify"], "64", None, 3),
+        (["--route", "multi_term=fgbz,odd_split=on", "--verify"], None, {"multi_term": "fgbz",
+                                                                        "odd_split": True}, 0),
+        ([], "8", {}, 0),
+    ]
+    for extra, cap, fields, code in calls:
+        if cap is None:
+            monkeypatch.delenv("QUADRATIZER_MAX_STATES", raising=False)
+        else:
+            monkeypatch.setenv("QUADRATIZER_MAX_STATES", cap)
+        assert main(["quadratize", "--in", str(path), *extra]) == code
+        out = capsys.readouterr().out
+        if fields is None:  # past the cap: nothing printed
+            assert out == ""
+            continue
+        result = quadratizer.quadratize(parse_polynomial(text), quadratizer.Strategy(**fields))
+        assert out == quadratizer.qubo_to_json(result.output, result.aux_map, result.guarantee) + "\n"

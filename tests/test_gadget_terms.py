@@ -463,6 +463,10 @@ def _ref_czw_count4(lam, target_bias, vars, registry, max_states=DEFAULT_STATE_C
         if len(bias) != 4:
             raise InvalidParameter("the bias must list exactly 4 coefficients")
         target = _ref_czw_target(bias, vars, registry)
+        if any(bias):  # a bias checks its variables before lam
+            for var in vars:
+                if registry.domain(var) is not Domain.BOOLEAN:
+                    raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
 
     if lam is None:
         lam = 1 + sum(abs(b) for b in bias)
@@ -787,9 +791,8 @@ CZW_BIASES = [
 
 # Rejections whose order a rewrite of the target must keep: a bias checks its
 # variables (distinct, then {0,1}) before lam, and only when some entry is
-# nonzero; a preset checks only that they are distinct.  The reference checks
-# domains in the counting Hamiltonian alone, after lam, so the two spin cases
-# with a bias differ from it; each case is pinned by its outcome instead.
+# nonzero; a preset checks only that they are distinct.  Each case must match
+# the reference and is pinned by its outcome as well.
 LAM_ZERO = (InvalidParameter, "lam must be positive, got 0")
 NOT_BOOLEAN = (DomainViolation, "variable 0 is not a {0,1} variable")
 CZW_REJECTIONS = [
@@ -804,9 +807,10 @@ CZW_REJECTIONS = [
 def test_czw_matches_reference():
     for bias in CZW_BIASES:
         for lam in (None, Fraction(1, 100), 0, 40):
-            _assert_same(
-                lambda g, r: g.czw_count4(lam, bias, _variables(r, Domain.BOOLEAN, 4)[::-1], r)
-            )
+            for domain in (Domain.BOOLEAN, Domain.SPIN, Domain.TERNARY):
+                _assert_same(
+                    lambda g, r: g.czw_count4(lam, bias, _variables(r, domain, 4)[::-1], r)
+                )
     for count in (3, 4, 5):
         _assert_same(
             lambda g, r: g.czw_counting_hamiltonian(_variables(r, Domain.BOOLEAN, count), r)
@@ -834,6 +838,7 @@ def test_czw_matches_reference():
             vars = _variables(r, domain, count)
             return g.czw_count4(lam, bias, vars[:1] * repeat + vars[repeat:], r)
 
+        _assert_same(rejected)
         value, entries = _outcome(NEW, rejected)
         assert value == want
         assert not any(gadget for _, _, gadget, _ in entries)

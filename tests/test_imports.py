@@ -190,3 +190,11 @@ def test_only_verification_report_require_raises_verification_failed():
         for scope in _calls("VerificationFailed", ast.parse(path.read_text(encoding="utf-8")))
     ]
     assert calls == [("verify.py", ("VerificationReport", "require"))]
+
+
+def test_the_multi_term_pass_scans_no_degree():
+    # each pass ends when its own index of the terms of degree >= 3 offers no
+    # step, so the rule "a term of degree >= 3 is left" is not written again
+    path = pathlib.Path(quadratizer.__file__).parent / "pipeline.py"
+    scopes = list(_calls("degree", ast.parse(path.read_text(encoding="utf-8"))))
+    assert scopes and not [scope for scope in scopes if "_apply_multi_term" in scope]

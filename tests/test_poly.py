@@ -23,6 +23,7 @@ from quadratizer.poly import (
     _as_fraction,
     _require_boolean,
 )
+from quadratizer.gadgets.multi_term import rosenberg_pair
 from quadratizer.rewrites import find_elcs, find_zero_deductions, solve_by_splitting
 from quadratizer.textio import parse_polynomial, qubo_to_json
 
@@ -427,12 +428,16 @@ def test_polynomials_over_one_registry_share_factor_tuples():
     parsed = Polynomial(registry, [(((b1, 1), (b2, 3)), 2), (((t4, 4),), 1)])
     product = Polynomial.variable(registry, b2) * Polynomial.product(registry, [b1, b3])
     substituted = parsed.substitute(b3, Polynomial.variable(registry, b1))
+    # rosenberg_pair writes its rewritten terms without the constructor
+    rosenberg = rosenberg_pair(product + parsed * product, b1, b2).output
+    (ba,) = registry.auxiliaries()
+    with_ba = Polynomial.product(registry, [b3, ba])
     factors = {}
-    for p in (parsed, product, substituted, parsed + product, -product):
+    for p in (parsed, product, substituted, parsed + product, -product, rosenberg, with_ba):
         for mono in p.terms:
             for factor in mono:
                 assert factors.setdefault(factor, factor) is factor
-    assert set(factors) == {(b1, 1), (b2, 1), (b3, 1), (t4, 2)}
+    assert set(factors) == {(b1, 1), (b2, 1), (b3, 1), (t4, 2), (ba, 1)}
 
 
 def test_equal_coefficients_are_one_object():
@@ -460,6 +465,23 @@ def test_equal_coefficients_are_one_object():
         distinct = distinct + Polynomial(registry, {mono: Fraction(coeff)})
     assert p == distinct
     assert p.evaluate({b1: 1, b2: 1, b3: 0}) == distinct.evaluate({b1: 1, b2: 1, b3: 0})
+
+
+def test_rosenberg_pair_output_shares_equal_coefficients():
+    # 3 b1 b2 b3 - 2 b1 b2 + 5 b3 at penalty 5: p's 5 b3 and the penalty's
+    # 5 b1 b2 are one object, as are the -10s of b1 ba and b2 ba; the
+    # rewritten -2 b1 b2 merges into the penalty's 15 ba
+    registry, (b1, b2, b3) = _registry("bbb")
+    p = Polynomial.from_products(registry, [((b1, b2, b3), 3), ((b1, b2), -2), ((b3,), 5)])
+    terms = rosenberg_pair(p, b1, b2, penalty=5).output.terms
+    (ba,) = registry.auxiliaries()
+    assert list(terms.items()) == [
+        (((b3, 1), (ba, 1)), 3), (((ba, 1),), 13), (((b3, 1),), 5),
+        (((b1, 1), (b2, 1)), 5), (((b1, 1), (ba, 1)), -10), (((b2, 1), (ba, 1)), -10),
+    ]
+    assert terms[((b3, 1),)] is terms[((b1, 1), (b2, 1))]
+    assert terms[((b1, 1), (ba, 1))] is terms[((b2, 1), (ba, 1))]
+    assert len({id(c) for c in terms.values()}) == 4
 
 
 @pytest.mark.parametrize(

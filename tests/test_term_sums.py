@@ -18,7 +18,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadratizer import pipeline
@@ -623,6 +623,8 @@ def test_rosenberg_pair_errors_match_reference(text, i, j, penalty, error):
 
 
 @given(SEEDS, st.sampled_from(["rosenberg", "fgbz"]))
+@example(25, "rosenberg")  # already quadratic: no step, no auxiliary
+@example(2, "fgbz")  # terms of degree >= 3, but no group of two to reduce
 @settings(max_examples=200, deadline=None)
 def test_multi_term_pass_matches_reference(seed, multi_term):
     strategy = Strategy(multi_term=multi_term)
