@@ -62,16 +62,17 @@ class TermGroup:
 # Rosenberg substitution
 
 
+def _pair_terms(p: Polynomial, i: int, j: int) -> list:
+    """The (monomial, coefficient) terms of p that hold both i and j, in term order."""
+    return [(mono, coeff) for mono, coeff in p.terms.items()
+            if i in (vars := monomial_vars(mono)) and j in vars]
+
+
 def rosenberg_auto_penalty(p: Polynomial, i: int, j: int) -> Fraction:
     """Safe penalty weight: 1 + sum of |coefficient| over terms containing the
     pair.  Each cofactor ranges inside [-1, 1] on {0,1} inputs, so this
     over-approximates any value swing the substitution can cause."""
-    total = Fraction(1)
-    for mono, coeff in p.terms.items():
-        vars = monomial_vars(mono)
-        if i in vars and j in vars:
-            total += abs(coeff)
-    return total
+    return sum((abs(coeff) for _, coeff in _pair_terms(p, i, j)), Fraction(1))
 
 
 def rosenberg_pair(
@@ -89,10 +90,8 @@ def rosenberg_pair(
     _require_boolean(registry, (i, j))
     if i == j:
         raise InvalidParameter("the pair must consist of two distinct variables")
-    if not any(
-        monomial_degree(m) >= 3 and i in monomial_vars(m) and j in monomial_vars(m)
-        for m in p.terms
-    ):
+    held = _pair_terms(p, i, j)
+    if not any(monomial_degree(mono) >= 3 for mono, _ in held):
         raise PairAbsent(f"no term of degree >= 3 contains both {i} and {j}")
     auto = rosenberg_auto_penalty(p, i, j)
     penalty = _as_fraction(auto if penalty == "auto" else penalty)
@@ -108,12 +107,9 @@ def rosenberg_pair(
     # the newest id and sorts last; the rewrite is one-to-one and only its
     # monomials hold ba, so none of them merge
     ba_factor = _factor(ba, 1)
-    terms = {}
-    for mono, coeff in p.terms.items():
-        vars = monomial_vars(mono)
-        if i in vars and j in vars:
-            mono = tuple(f for f in mono if f[0] not in (i, j)) + (ba_factor,)
-        terms[mono] = coeff
+    rewrite = {mono: tuple(f for f in mono if f[0] not in (i, j)) + (ba_factor,)
+               for mono, _ in held}
+    terms = {rewrite.get(mono, mono): coeff for mono, coeff in p.terms.items()}
     for mono, coeff in Polynomial.from_products(registry, [
         ((i, j), penalty), ((i, ba), -2 * penalty), ((j, ba), -2 * penalty), ((ba,), 3 * penalty),
     ]).terms.items():

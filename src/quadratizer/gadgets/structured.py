@@ -141,7 +141,6 @@ def exact_c_indicator(spec: ExactCSpec, vars, registry: VariableRegistry) -> Pol
     if len(vars) != spec.n:
         raise InvalidParameter(f"expected {format_fraction(spec.n)} variables")
     _check_c(spec)
-    _require_boolean(registry, _distinct(vars))
     values = [spec.gamma * (w == spec.c) for w in range(spec.n + 1)]
     return Polynomial.symmetric(registry, vars, values)
 
@@ -210,8 +209,6 @@ def czw_count4(
         bias = tuple(map(_as_fraction, target_bias))
         if len(bias) != 4:
             raise InvalidParameter("the bias must list exactly 4 coefficients")
-        if any(bias):
-            _require_boolean(registry, _distinct(vars))
         values = [sum(bias[w:]) for w in range(len(vars) + 1)]
     target = Polynomial.zero(registry)
     if any(values):  # an all-zero bias checks no variable

@@ -26,6 +26,7 @@ from .verify import (
     CostReport,
     Guarantee,
     VerificationReport,
+    _require_state_cap,
     check_claim,
     cost_report,
 )
@@ -72,9 +73,13 @@ def _validate_strategy(strategy: Strategy):
         raise InvalidParameter(
             f"multi_term must be None, 'rosenberg' or 'fgbz', got {strategy.multi_term!r}"
         )
+    for field in ("negative_route", "positive_route"):
+        if isinstance(getattr(strategy, field), str):
+            raise InvalidParameter(f"{field} must be a sequence of gadget names, not a str")
     for name in tuple(strategy.negative_route) + tuple(strategy.positive_route):
         if name not in GADGETS:
             raise UnknownGadget(f"no gadget named {name!r}")
+    _require_state_cap(strategy.max_states)
 
 
 def _routes_through_twins(p: Polynomial, strategy: Strategy) -> bool:

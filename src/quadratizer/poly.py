@@ -344,10 +344,12 @@ class Polynomial:
 
     @classmethod
     def symmetric(cls, registry: VariableRegistry, vars: Sequence[int], values) -> "Polynomial":
-        """The multilinear polynomial over the distinct `vars` that is values[w] where w of
-        them are 1 (binomial inversion): sum_d alpha_d * e_d(vars), alpha_d = sum_j (-1)^(d-j)
-        * C(d, j) * values[j], d going up, in combinations order, any alpha_d of 0 left out."""
+        """The multilinear polynomial over the distinct {0,1} `vars` (else DomainViolation) that
+        is values[w] where w of them are 1 (binomial inversion): sum_d alpha_d * e_d(vars),
+        alpha_d = sum_j (-1)^(d-j) * C(d, j) * values[j], d going up, in combinations order,
+        any alpha_d of 0 left out."""
         vars = _distinct(vars)
+        _require_boolean(registry, vars)
         if len(values) != len(vars) + 1:  # one value per weight 0..n
             raise InvalidParameter(f"{len(vars)} variables take {len(vars) + 1} values, "
                                    f"got {len(values)}")

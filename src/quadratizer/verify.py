@@ -133,12 +133,21 @@ def _count_text(count: int, past_limit: str) -> str:
         return past_limit
 
 
+def _require_state_cap(max_states) -> None:
+    """The state cap rule: an int that is not a bool (else TypeError), at least 1."""
+    if not isinstance(max_states, int) or isinstance(max_states, bool):
+        raise TypeError(f"the state cap must be an int, got {type(max_states).__name__}")
+    if max_states < 1:
+        raise InvalidParameter("the state cap must be a positive integer, got "
+                               f"{_count_text(max_states, 'a number int() cannot write')}")
+
+
 def _space(registry, vars: Sequence[int], max_states: int, *polys: Polynomial):
     """(number of states over `vars`, common scale of the coefficients of
-    `polys`); a space larger than the cap raises before anything is scaled.
-    A count or cap that int() cannot write is written as powers instead."""
-    if not isinstance(max_states, int):
-        raise TypeError(f"the state cap must be an int, got {type(max_states).__name__}")
+    `polys`); a bad cap, then a space larger than the cap, raises before
+    anything is scaled.  A count or cap that int() cannot write is written
+    as powers instead."""
+    _require_state_cap(max_states)
     n_states = _state_count(registry, vars)
     if n_states > max_states:
         sizes = Counter(len(registry.domain(var).values) for var in vars)
@@ -147,7 +156,7 @@ def _space(registry, vars: Sequence[int], max_states: int, *polys: Polynomial):
         raise EnumerationCapExceeded(f"{_count_text(n_states, powers)} states exceed the cap "
                                      f"of {_count_text(max_states, cap_bound)}")
     denominators = [c.denominator for p in polys for c in p.terms.values()]
-    return n_states, lcm(*denominators) if denominators else 1
+    return n_states, lcm(*denominators)
 
 
 def _scaled_terms(p: Polynomial, scale: int):

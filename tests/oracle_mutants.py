@@ -50,8 +50,6 @@ EQUIVALENT = {
      "*", "//"): "only the block size changes, and no output depends on it",
     ("_value_blocks", "for values in domains[: fast - 1]:", "-", "+"):
         "the last stride is never read, so the extra ones are not either",
-    ("_space", "return n_states, lcm(*denominators) if denominators else 1", "1", "2"):
-        "with no terms every value is 0, and 0 at any scale is 0",
     ("_fold", "if len(values) > size:", ">", ">="):
         "a block of exactly one x-space folds to itself",
 }

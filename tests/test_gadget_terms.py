@@ -458,6 +458,9 @@ def _ref_czw_count4(lam, target_bias, vars, registry, max_states=DEFAULT_STATE_C
             target = Polynomial.product(registry, vars)
         else:
             target = _ref_spin_product_in_boolean(vars, registry)
+        for var in vars:  # a preset checks its variables before lam
+            if registry.domain(var) is not Domain.BOOLEAN:
+                raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
     else:
         bias = tuple(Fraction(b) for b in target_bias)
         if len(bias) != 4:
@@ -789,10 +792,10 @@ CZW_BIASES = [
     (1, 2, 3),
 ]
 
-# Rejections whose order a rewrite of the target must keep: a bias checks its
-# variables (distinct, then {0,1}) before lam, and only when some entry is
-# nonzero; a preset checks only that they are distinct.  Each case must match
-# the reference and is pinned by its outcome as well.
+# Rejections whose order a rewrite of the target must keep: a target checks its
+# variables (distinct, then {0,1}) before lam, a preset always and a bias only
+# when some entry is nonzero.  Each case must match the reference and is
+# pinned by its outcome as well.
 LAM_ZERO = (InvalidParameter, "lam must be positive, got 0")
 NOT_BOOLEAN = (DomainViolation, "variable 0 is not a {0,1} variable")
 CZW_REJECTIONS = [
@@ -800,7 +803,8 @@ CZW_REJECTIONS = [
     ((1, 0, 0, 0), Domain.SPIN, 4, False, 0, NOT_BOOLEAN),
     ((0, 0, 0, 0), Domain.BOOLEAN, 4, True, 0, LAM_ZERO),
     ((1, 0, 0, 0), Domain.SPIN, 3, False, None, NOT_BOOLEAN),
-    ("z1z2z3z4", Domain.SPIN, 5, False, 0, LAM_ZERO),
+    ("z1z2z3z4", Domain.SPIN, 5, False, 0, NOT_BOOLEAN),
+    ("z1z2z3z4", Domain.BOOLEAN, 5, False, 0, LAM_ZERO),
 ]
 
 

@@ -198,3 +198,22 @@ def test_the_multi_term_pass_scans_no_degree():
     path = pathlib.Path(quadratizer.__file__).parent / "pipeline.py"
     scopes = list(_calls("degree", ast.parse(path.read_text(encoding="utf-8"))))
     assert scopes and not [scope for scope in scopes if "_apply_multi_term" in scope]
+
+
+def _pair_tests(node, scope=()):
+    """The enclosing function names of each `i in ...` or `j in ...` under `node`."""
+    if (isinstance(node, ast.Compare) and isinstance(node.left, ast.Name)
+            and node.left.id in ("i", "j") and isinstance(node.ops[0], (ast.In, ast.NotIn))):
+        yield scope
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope += (node.name,)
+    for child in ast.iter_child_nodes(node):
+        yield from _pair_tests(child, scope)
+
+
+def test_only_pair_terms_tests_whether_a_monomial_holds_the_pair():
+    # the PairAbsent check, the automatic penalty and the rewrite of a
+    # Rosenberg step all read the one list of the terms that hold both i and j
+    path = pathlib.Path(quadratizer.__file__).parent / "gadgets" / "multi_term.py"
+    scopes = list(_pair_tests(ast.parse(path.read_text(encoding="utf-8"))))
+    assert scopes == [("_pair_terms",)] * 2

@@ -289,6 +289,21 @@ def test_symmetric_takes_one_value_per_weight(values):
         Polynomial.symmetric(registry, vars, values)
 
 
+@pytest.mark.parametrize("spec, values, var", [
+    ("zzz", [0, 0, 0, 1], 0),  # was z1 z2 z3: -1 at z = (1, 1, -1), where the table says 0
+    ("zzz", [0, 0, 0, 0], 0),
+    ("tt", [0, 1, 0], 0),  # was t1 + t2 - 2 t1 t2: -4 at t = (-1, -1)
+    ("tt", [0, 0, 0], 0),
+    ("bzb", [0, 1, 2, 3], 1),
+])
+def test_symmetric_refuses_a_variable_that_is_not_boolean(spec, values, var):
+    """A weight table fixes one polynomial only over {0,1} variables."""
+    registry, vars = _registry(spec)
+    with pytest.raises(DomainViolation) as excinfo:
+        Polynomial.symmetric(registry, vars, values)
+    assert str(excinfo.value) == f"variable {var} is not a {{0,1}} variable"
+
+
 def test_substitute_bit_flip_example():
     # Flipping b2 and b4 in 3b1b2 + b2b3 + 2b1b4 - 4b2b4 makes every
     # quadratic coefficient negative.  (The -4 carries onto the flipped

@@ -44,6 +44,7 @@ from quadratizer.gadgets.structured import (
     sfr_bcr,
     ternary_to_binary,
 )
+from quadratizer.pipeline import Strategy, quadratize
 from quadratizer.poly import Domain, VariableRegistry
 from quadratizer.rewrites import apply_elc
 from quadratizer.textio import parse_polynomial
@@ -204,6 +205,11 @@ def _ternary_encoding(lam):
     return setup
 
 
+def _quadratize(**fields):
+    return _on_text("b1 b2 b3 - 2 b1 b2 b3 b4",
+                    lambda p: quadratize(p, Strategy(verify_after=True, **fields)))
+
+
 CASES = _catalog_cases() + [
     ("literals-sign", WrongSign, _literals(1, 2, 1)),
     ("literals-float", TypeError, _literals(-0.5, 2, 1)),
@@ -248,6 +254,12 @@ CASES = _catalog_cases() + [
     ("ternary-domain", DomainViolation, _ternary(2, var=0)),
     ("ternary-lam-zero", InvalidParameter, _ternary(0)),
     ("ternary-lam-float", TypeError, _ternary(2.5)),
+    # the state cap and the routes are checked before anything is routed
+    ("quadratize-cap-bool", TypeError, _quadratize(max_states=True)),
+    ("quadratize-cap-zero", InvalidParameter, _quadratize(max_states=0)),
+    ("quadratize-cap-negative", InvalidParameter, _quadratize(max_states=-1)),
+    ("quadratize-cap-float", TypeError, _quadratize(max_states=1.5)),
+    ("quadratize-route-str", InvalidParameter, _quadratize(positive_route="ptr_bg")),
 ]
 
 

@@ -21,6 +21,7 @@ import quadratizer
 from quadratizer import cli, verify
 from quadratizer.errors import (
     EnumerationCapExceeded,
+    InvalidParameter,
     QuadratizerError,
     UnknownVariable,
     VariableMismatch,
@@ -34,6 +35,7 @@ from quadratizer.verify import (
     DEFAULT_STATE_CAP,
     CheckMode,
     CheckStats,
+    Guarantee,
     VerificationReport,
     _argmin,
     _blocks,
@@ -41,6 +43,7 @@ from quadratizer.verify import (
     _split_vars,
     _state_assignment,
     _state_count,
+    check_claim,
     check_conditional,
     check_groundstate,
     check_pointwise,
@@ -227,6 +230,34 @@ def test_enumeration_cap():
     p = Polynomial.product(registry, ids)
     with pytest.raises(EnumerationCapExceeded):
         enumerate_min(p, max_states=512)
+
+
+@pytest.mark.parametrize("cap, error, message", [
+    (True, TypeError, "the state cap must be an int, got bool"),
+    (1.5, TypeError, "the state cap must be an int, got float"),
+    (0, InvalidParameter, "the state cap must be a positive integer, got 0"),
+    (-1, InvalidParameter, "the state cap must be a positive integer, got -1"),
+], ids=["bool", "float", "zero", "negative"])
+def test_a_state_cap_that_is_not_a_positive_int_is_refused(cap, error, message):
+    """A bool is not a cap (True once enumerated at a cap of 1), and a cap below
+    1 is a bad argument, not a space too large for it."""
+    registry = VariableRegistry()
+    p = Polynomial.product(registry, [registry.add_variable(Domain.BOOLEAN) for _ in range(4)])
+    for call in (lambda: enumerate_min(p, cap), lambda: check_pointwise(p, p, [], cap),
+                 lambda: check_claim(Guarantee.POINTWISE_MIN, p, p, [], cap)):
+        with pytest.raises(error) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+
+
+def test_a_cap_of_one_enumerates_one_state():
+    registry = VariableRegistry()
+    p = Polynomial.constant(registry, Fraction(3, 2))
+    assert enumerate_min(p, 1) == (Fraction(3, 2), [{}])
+    assert check_pointwise(p, p, [], 1).passed
+    b = Polynomial.variable(registry, registry.add_variable(Domain.BOOLEAN))
+    with pytest.raises(EnumerationCapExceeded, match="^2 states exceed the cap of 1$"):
+        enumerate_min(b, 1)
 
 
 _LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
