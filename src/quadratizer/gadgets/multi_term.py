@@ -93,7 +93,7 @@ def rosenberg_pair(
     held = _pair_terms(p, i, j)
     if not any(monomial_degree(mono) >= 3 for mono, _ in held):
         raise PairAbsent(f"no term of degree >= 3 contains both {i} and {j}")
-    auto = rosenberg_auto_penalty(p, i, j)
+    auto = rosenberg_auto_penalty(Polynomial._wrap(registry, dict(held)), i, j)  # reads held only
     penalty = _as_fraction(auto if penalty == "auto" else penalty)
     if penalty <= 0:
         raise NonPositivePenalty(f"penalty must be positive, got {format_fraction(penalty)}")

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from ..errors import InvalidParameter, UnknownGadget, WrongDegree, WrongSign
-from ..poly import Domain, Monomial, Polynomial, VariableRegistry, _require_boolean, format_fraction
+from ..errors import InvalidParameter, UnknownGadget, WrongDegree
+from ..poly import Domain, Monomial, Polynomial, VariableRegistry, format_fraction
 from ..poly import _as_fraction, monomial_degree
 from ..verify import DEFAULT_STATE_CAP, check_claim
 from .base import EXPERIMENTAL, GADGETS, MUST_PASS, GadgetDescriptor, GadgetResult, Guarantee
@@ -190,16 +190,11 @@ def ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry: VariableRegistry) -> 
 
     This is the generalized flipped form that keeps the output submodular in
     the flipped literals; the pipeline uses it for odd-degree split tails.
+    The literal set is checked by the ntr_kzfd row, as that row's term.
     """
-    error = GADGETS["ntr_kzfd"].sign_error(coeff)
-    if error:
-        raise WrongSign(error)
-    coeff = _as_fraction(coeff)
     pos_vars, neg_vars = sorted(pos_vars), sorted(neg_vars)
     vars = pos_vars + neg_vars
-    if len(set(vars)) != len(vars) or not vars:
-        raise InvalidParameter("literal sets must be disjoint and nonempty")
-    _require_boolean(registry, vars)
+    _, coeff, _ = _inputs("ntr_kzfd", coeff, tuple((v, 1) for v in vars), registry)
     ba = registry.add_auxiliary(B, "ntr_kzfd")
     out = Polynomial.from_products(registry, _kzfd_terms(ba, pos_vars, neg_vars, coeff))
     return _result("ntr_kzfd~", registry, out, [ba], POINTWISE, coeff, vars)

@@ -190,9 +190,10 @@ def czw_count4(
 ) -> GadgetResult:
     """bias + lam * H_count over 4 logical variables and 4 auxiliaries.
 
-    `target_bias` is a preset name ("b1b2b3b4" or "z1z2z3z4") or a list of 4
-    rationals applied to the auxiliaries.  The target is Polynomial.symmetric of
-    [w = 4], (-1)^w or sum_j bias_j * [w < j] by weight w = sum(b).  Unless
+    `target_bias` is a preset name ("b1b2b3b4" or "z1z2z3z4"), which is its CZW_PRESETS
+    bias, or a list of 4 rationals applied to the auxiliaries.  The target is
+    Polynomial.symmetric of sum_j bias_j * [w < j] by weight w = sum(b): for the presets
+    [w = 4] - 1 and (-1)^w - 1, which share their names' ground spaces (z = 2b - 1).  Unless
     verify=False, the oracle proves at DEFAULT_STATE_CAP that the ground manifold
     projects onto the target's minimizers at lam, else VerificationFailed carries
     the counterexample.  The default lam is 1 + sum_j |bias_j|.
@@ -203,15 +204,13 @@ def czw_count4(
             bias = CZW_PRESETS[target_bias]
         except KeyError:
             raise InvalidParameter(f"unknown preset {target_bias!r}") from None
-        values = [w == len(vars) if target_bias == "b1b2b3b4" else (-1) ** w
-                  for w in range(len(vars) + 1)]
     else:
         bias = tuple(map(_as_fraction, target_bias))
         if len(bias) != 4:
             raise InvalidParameter("the bias must list exactly 4 coefficients")
-        values = [sum(bias[w:]) for w in range(len(vars) + 1)]
+    values = [sum(bias[w:]) for w in range(len(vars) + 1)]
     target = Polynomial.zero(registry)
-    if any(values):  # an all-zero bias checks no variable
+    if any(values):  # an all-zero table checks no variable
         target = Polynomial.symmetric(registry, vars, values)
 
     if lam is None:

@@ -96,8 +96,11 @@ def _fold(terms: dict, aux_map: dict, guarantee: str, result: GadgetResult) -> s
     `work + result.output` would, and return the weakened guarantee."""
     for aux in result.aux:
         aux_map[aux] = result.trace
-    for mono, coeff in result.output.terms.items():
-        _accumulate(terms, mono, coeff)
+    if not terms:  # canonical nonzero terms summed into nothing stay as they are
+        terms.update(result.output.terms)
+    else:
+        for mono, coeff in result.output.terms.items():
+            _accumulate(terms, mono, coeff)
     return Guarantee.weakest(guarantee, result.guarantee)
 
 

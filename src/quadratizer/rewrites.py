@@ -241,26 +241,30 @@ def solve_by_splitting(
     oracle), which must return (minimum, one argmin).  The first strict
     minimum wins, a split's low branch first; variables eliminated along the
     way rejoin the argmin with their branch values, and variables absent
-    everywhere default to 0.
+    everywhere default to 0.  The branches wait on a stack, the low one on
+    top, so a call leaves no reference cycle behind.
     """
     quad_solver = quad_solver or _default_quad_solver
     _require_boolean(p.registry, p.variables(), "split reduction is defined over {0,1} variables")
     original_vars = set(p.variables())
     subproblems: list[Polynomial] = []
-
-    def solve(q: Polynomial, fixed: dict):  # the branch's best (minimum, assignment)
+    best = None  # (minimum, assignment) of the first strict minimum so far
+    branches = [(p, {})]  # (polynomial, the values fixed on its way down)
+    while branches:
+        q, fixed = branches.pop()
         if q.degree() > 2:
             if _aux_budget(q) > len(fixed):
                 var = most_connected_variable(q)
                 low, high = split(q, var)
-                best_low, best_high = solve(low, {**fixed, var: 0}), solve(high, {**fixed, var: 1})
-                return best_high if best_high[0] < best_low[0] else best_low
+                branches += [(high, {**fixed, var: 1}), (low, {**fixed, var: 0})]
+                continue
             terms, _ = _route_terms(q.registry, sorted(q.terms.items()), DEFAULT_STRATEGY)
             q = Polynomial._wrap(q.registry, terms)
         subproblems.append(q)
         minimum, argmin = quad_solver(q)
-        return minimum, {**fixed, **{v: x for v, x in argmin.items() if v in original_vars}}
+        if best is None or minimum < best[0]:
+            best = minimum, {**fixed, **{v: x for v, x in argmin.items() if v in original_vars}}
 
-    minimum, best = solve(p, {})
+    minimum, best = best
     argmin = {var: best.get(var, 0) for var in sorted(original_vars)}
     return SplitSolveResult(minimum=minimum, argmin=argmin, subproblems=subproblems)

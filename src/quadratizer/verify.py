@@ -439,15 +439,17 @@ def check_claim(
     Conditional-min labels zero-auxiliary rewrites, so auxiliaries under it
     raise InvalidParameter too.  A spin original whose variables all have
     {0,1} twins is proved through its twin image (z = 2b - 1) when
-    `transformed` uses a twin; an original variable passed as an auxiliary
-    is rejected before that.  The report is returned, passed or failed;
-    callers that must not go on after a failure call its `require`."""
+    `transformed` uses a twin; a bad cap, then an original variable passed
+    as an auxiliary, is rejected before that.  The report is returned,
+    passed or failed; callers that must not go on after a failure call its
+    `require`."""
     if guarantee not in Guarantee._ORDER:
         raise InvalidParameter(f"unknown guarantee {guarantee!r}; expected one of "
                                f"{', '.join(sorted(Guarantee._ORDER))}")
     if guarantee == Guarantee.CONDITIONAL_MIN and aux:
         raise InvalidParameter(f"{guarantee} takes no auxiliaries, got {len(set(aux))};"
                                " check pointwise-min or ground-state instead")
+    _require_state_cap(max_states)
     _require_disjoint(original.variables(), aux)
     entries = [original.registry.entry(v) for v in original.variables()]
     partners = [e.partner if e.domain is Domain.SPIN else None for e in entries]

@@ -27,7 +27,6 @@ from quadratizer.errors import (
     PairAbsent,
     VerificationFailed,
     WrongDegree,
-    WrongSign,
 )
 from quadratizer.gadgets import multi_term, single_term, structured
 from quadratizer.gadgets.base import GADGETS, GadgetResult, Guarantee
@@ -146,27 +145,10 @@ def _ref_ntr_rbl(coeff, mono, registry):
     return _result("ntr_rbl", registry, out, [ta], Guarantee.GROUND_STATE, coeff, vars)
 
 
-def _ref_check_sign(coeff, want):
-    coeff = Fraction(coeff)
-    if want == "negative" and coeff >= 0:
-        raise WrongSign(f"expected a negative coefficient, got {coeff}")
-    if want == "positive" and coeff <= 0:
-        raise WrongSign(f"expected a positive coefficient, got {coeff}")
-    if not coeff:
-        raise WrongSign("coefficient must be nonzero")
-    return coeff
-
-
 def _ref_ntr_kzfd_literals(coeff, pos_vars, neg_vars, registry):
-    coeff = _ref_check_sign(coeff, "negative")
     pos_vars, neg_vars = sorted(pos_vars), sorted(neg_vars)
     vars = pos_vars + neg_vars
-    if len(set(vars)) != len(vars) or not vars:
-        raise InvalidParameter("literal sets must be disjoint and nonempty")
-    for var in vars:
-        if registry.domain(var) is not Domain.BOOLEAN:
-            raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
-    k = len(vars)
+    _, coeff, k = _inputs("ntr_kzfd", coeff, tuple((v, 1) for v in vars), registry)
     ba = registry.add_auxiliary(Domain.BOOLEAN, "ntr_kzfd")
     a = _vp(registry, ba)
     total = a * (k - 1) - _sum_vars(registry, pos_vars) * a
@@ -466,7 +448,8 @@ def _ref_czw_count4(lam, target_bias, vars, registry, max_states=DEFAULT_STATE_C
         if len(bias) != 4:
             raise InvalidParameter("the bias must list exactly 4 coefficients")
         target = _ref_czw_target(bias, vars, registry)
-        if any(bias):  # a bias checks its variables before lam
+        # a bias checks its variables before lam, when its weight table is nonzero
+        if any(sum(bias[w:]) for w in range(len(vars) + 1)):
             for var in vars:
                 if registry.domain(var) is not Domain.BOOLEAN:
                     raise DomainViolation(f"variable {var} is not a {{0,1}} variable")
@@ -794,10 +777,11 @@ CZW_BIASES = [
 
 # Rejections whose order a rewrite of the target must keep: a target checks its
 # variables (distinct, then {0,1}) before lam, a preset always and a bias only
-# when some entry is nonzero.  Each case must match the reference and is
-# pinned by its outcome as well.
+# when its weight table sum(bias[w:]) over w = 0..n is nonzero.  Each case must
+# match the reference and is pinned by its outcome as well.
 LAM_ZERO = (InvalidParameter, "lam must be positive, got 0")
 NOT_BOOLEAN = (DomainViolation, "variable 0 is not a {0,1} variable")
+NOT_FOUR = (InvalidParameter, "the counting gadget is defined for exactly 4 variables")
 CZW_REJECTIONS = [
     # bias, domain, variable count, first variable repeated, lam, outcome
     ((1, 0, 0, 0), Domain.SPIN, 4, False, 0, NOT_BOOLEAN),
@@ -805,6 +789,7 @@ CZW_REJECTIONS = [
     ((1, 0, 0, 0), Domain.SPIN, 3, False, None, NOT_BOOLEAN),
     ("z1z2z3z4", Domain.SPIN, 5, False, 0, NOT_BOOLEAN),
     ("z1z2z3z4", Domain.BOOLEAN, 5, False, 0, LAM_ZERO),
+    ((0, 0, 1, -1), Domain.SPIN, 2, False, None, NOT_FOUR),  # a nonzero bias, a zero table
 ]
 
 

@@ -213,8 +213,8 @@ def _quadratize(**fields):
 CASES = _catalog_cases() + [
     ("literals-sign", WrongSign, _literals(1, 2, 1)),
     ("literals-float", TypeError, _literals(-0.5, 2, 1)),
-    ("literals-overlap", InvalidParameter, _literals(-1, 2, 1, overlap=True)),
-    ("literals-empty", InvalidParameter, _literals(-1, 0, 0)),
+    ("literals-overlap", DomainViolation, _literals(-1, 2, 1, overlap=True)),
+    ("literals-empty", WrongDegree, _literals(-1, 0, 0)),
     ("literals-domain", DomainViolation, _literals(-1, 2, 1, domain=Z)),
     ("rosenberg-absent", PairAbsent, _rosenberg("b1 b2 b3 + b4", (0, 3))),
     ("rosenberg-below", InvalidParameter, _rosenberg("- 5 b1 b2 b3", (0, 1), 3)),

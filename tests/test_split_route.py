@@ -9,6 +9,7 @@ subproblems with the same terms in the same dict order, and the same
 auxiliary labels in the registry.
 """
 
+import gc
 import random
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from quadratizer.rewrites import (
     solve_by_splitting,
     split,
 )
+from quadratizer.textio import parse_polynomial
 
 
 def _reference_aux_budget(p):
@@ -135,3 +137,17 @@ def test_aux_budget_counts_the_auxiliaries_routing_allocates():
         aux_map = {}
         _route_terms(p.registry, sorted(p.terms.items()), DEFAULT_STRATEGY, aux_map)
         assert _aux_budget(p) == len(aux_map) == len(p.registry) - before, seed
+
+
+def test_split_reduction_leaves_no_cyclic_garbage():
+    # a function that calls itself forms a cycle with its own closure cell,
+    # which would keep every branch alive until the collector runs
+    p = parse_polynomial("b1 b2 b3 b4 - 2 b1 b2 b3 + 3 b2 b3 b4 b5 - b1 b4 b5 + b2 b5")
+    gc.collect()
+    gc.disable()
+    try:
+        result = solve_by_splitting(p)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert len(result.subproblems) > 1  # the call split, so branches were held

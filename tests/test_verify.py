@@ -250,6 +250,16 @@ def test_a_state_cap_that_is_not_a_positive_int_is_refused(cap, error, message):
         assert str(excinfo.value) == message
 
 
+def test_check_claim_refuses_a_bad_cap_before_converting_a_spin_original():
+    registry = VariableRegistry()
+    spins = [registry.add_variable(Domain.SPIN) for _ in range(3)]
+    p = Polynomial.product(registry, spins)
+    twins = Polynomial.product(registry, [registry.twin(z, Domain.BOOLEAN) for z in spins])
+    with mock.patch.object(Polynomial, "to_boolean", side_effect=AssertionError("converted")):
+        with pytest.raises(InvalidParameter, match="^the state cap must be a positive integer"):
+            check_claim(Guarantee.POINTWISE_MIN, p, twins, [], 0)
+
+
 def test_a_cap_of_one_enumerates_one_state():
     registry = VariableRegistry()
     p = Polynomial.constant(registry, Fraction(3, 2))
